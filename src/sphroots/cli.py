@@ -33,19 +33,24 @@ def _emit(payload, fmt: str, text_fn=None) -> None:
         print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _parse_ints(raw: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; anything else is invalid input (exit 2)."""
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise SphrootsError(
+            f"{what} needs comma-separated integers, got {raw!r}") from None
+
+
 def _parse_psi(raw: str) -> list[tuple[int, ...]]:
     """Semicolon-separated restricted roots, comma-separated entries."""
-    out = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if part:
-            out.append(tuple(int(x) for x in part.split(",")))
-    return out
+    return [_parse_ints(part, "--psi") for part in raw.split(";")
+            if part.strip()]
 
 
 def _datum_from_args(args):
     rs = rsmod.build(args.type, args.rank)
-    complement = sorted({int(x) for x in args.complement.split(",")})
+    complement = sorted(set(_parse_ints(args.complement, "--complement")))
     if any(a < 1 or a > rs.rank for a in complement):
         raise SphrootsError(f"complement {complement} out of range")
     levi = [a for a in range(1, rs.rank + 1) if a not in set(complement)]
@@ -102,6 +107,7 @@ def _cmd_compute(args) -> int:
         results["base"] = base_solve(H, check=check)
     if args.method in ("optimized", "both"):
         results["optimized"] = optimized_solve(H, "compute", check=check)
+    if args.method == "both":
         results["table"] = optimized_solve(H, "table", check=check)
     chosen = results.get("optimized") or results["base"]
     agree = len({r.root_set for r in results.values()}) == 1
@@ -126,7 +132,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_degenerate(args) -> int:
     H = _datum_from_args(args)
-    lam = tuple(int(x) for x in getattr(args, "lambda").split(","))
+    lam = _parse_ints(getattr(args, "lambda"), "--lambda")
     check = args.check if args.check is not None else True
     d = degenerate(H, lam, check=check)
     shift = sorted(
@@ -171,7 +177,7 @@ def _cmd_verify_tables(args) -> int:
 def _cmd_tables(args) -> int:
     if args.table_command != "dump":
         raise SphrootsError("unknown tables subcommand")
-    params = tuple(int(x) for x in args.params.split(",")) if args.params else None
+    params = _parse_ints(args.params, "--params") if args.params else None
     rows = dump_rows(args.table, n=args.n, params=params)
     _emit(rows, args.format,
           lambda p: [print(json.dumps(rec, sort_keys=True)) for rec in p])

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import rootsystem as rsmod
-from .errors import DimensionMismatch, EmptyFiber, NonUniqueExtreme, NotARoot
+from .errors import DimensionMismatch, EmptyFiber, NonUniqueExtreme
 from .rootsystem import RootSystem, Vector, support_and_height
 
 
@@ -23,7 +23,8 @@ class LeviDatum:
 
     Precomputes the positive restricted roots, their fibers, and the
     highest/lowest weight of each fiber.  Immutable once built; use
-    :func:`levi_datum` to get interned instances.
+    :func:`levi_datum` to get the instance interned on the root system.
+    Subgroup data over it are memoized on it by ``make_subgroup``.
     """
 
     def __init__(self, rs: RootSystem, levi: Iterable[int]):
@@ -62,7 +63,7 @@ class LeviDatum:
                 total = tuple(x + y for x, y in zip(a, b))
                 if total in self._phi_set:
                     self.decompositions[total].append((a, b))
-        self.key = (rs.cartan, tuple(sorted(self.levi)))
+        self._subgroups: dict = {}
 
     def _unique_extreme(self, fib: tuple[Vector, ...], sign: int) -> Vector:
         rs = self.rs
@@ -120,48 +121,13 @@ class LeviDatum:
         supp, _ = support_and_height(self.hat(lam))
         return supp
 
-    def __eq__(self, other):
-        return isinstance(other, LeviDatum) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
     def __repr__(self):
         return f"LeviDatum({self.rs!r}, levi={sorted(self.levi)})"
 
 
-_levi_cache: dict[tuple, LeviDatum] = {}
-
-
 def levi_datum(rs: RootSystem, levi: Iterable[int]) -> LeviDatum:
-    """Interned constructor for LeviDatum (fibers are precomputed once)."""
-    key = (rs.cartan, tuple(sorted(set(levi))))
-    if key not in _levi_cache:
-        _levi_cache[key] = LeviDatum(rs, key[1])
-    return _levi_cache[key]
-
-
-def restrict(L: LeviDatum, beta: Iterable[int]) -> Vector:
-    """Restriction of a root; raises NotARoot on non-roots."""
-    b = tuple(beta)
-    if not rsmod.is_root(L.rs, b):
-        raise NotARoot(f"{b} is not a root")
-    return L.restrict(b)
-
-
-def phi_plus(L: LeviDatum) -> tuple[Vector, ...]:
-    """Positive restricted roots, deduplicated and lex-sorted."""
-    return L.phi_plus
-
-
-def fiber(L: LeviDatum, lam: Iterable[int]) -> tuple[Vector, ...]:
-    return L.fiber(lam)
-
-
-def extreme_weights(L: LeviDatum, lam: Iterable[int]) -> tuple[Vector, Vector]:
-    """Highest and lowest weight of the fiber of a positive C-root."""
-    return L.hat(lam), L.tilde(lam)
-
-
-def croot_support(L: LeviDatum, lam: Iterable[int]) -> frozenset[int]:
-    return L.croot_support(lam)
+    """The Levi datum of ``rs`` on a node set, built once per system."""
+    nodes = tuple(sorted(set(levi)))
+    if nodes not in rs._levi_data:
+        rs._levi_data[nodes] = LeviDatum(rs, nodes)
+    return rs._levi_data[nodes]

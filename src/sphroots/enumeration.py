@@ -20,7 +20,12 @@ from typing import Iterable, Optional
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
-from .errors import ClosureViolation, UnclassifiedCase, UnclassifiedLeaf
+from .errors import (
+    ClosureViolation,
+    SphrootsError,
+    UnclassifiedCase,
+    UnclassifiedLeaf,
+)
 from .rootsystem import RootSystem, Vector, diagram_automorphisms
 from .solver import base_solve
 from .sphericity import is_spherical_and_rank
@@ -109,9 +114,9 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
     solved and matched against the tables when ``solve`` is set.
     """
     if psi_size not in (1, 2):
-        raise ValueError("psi_size must be 1 or 2")
+        raise SphrootsError("psi_size must be 1 or 2")
     if psi_size == 1 and complement_size != 1:
-        raise ValueError("single active root cases use one complement node")
+        raise SphrootsError("single active root cases use one complement node")
     records: dict[CaseKey, CaseRecord] = {}
     full = frozenset(range(1, rs.rank + 1))
     for complement in itertools.combinations(range(1, rs.rank + 1),

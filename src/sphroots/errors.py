@@ -21,10 +21,6 @@ class UnrecognizedDiagram(SphrootsError):
     """A Dynkin-diagram component matched no simple type (internal corruption)."""
 
 
-class NotARoot(SphrootsError):
-    """A vector expected to be a root is not one."""
-
-
 class EmptyFiber(SphrootsError):
     """Requested the fiber of a vector that is not a restricted root."""
 

@@ -9,9 +9,8 @@ test oracle).  Simple-root indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import (
@@ -42,7 +41,7 @@ _POSITIVE_COUNT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """Cartan data plus the full set of positive roots.
 
@@ -51,6 +50,11 @@ class RootSystem:
     integers d_i making ``d_i * cartan[i][j]`` symmetric.  ``type_label`` is
     the family name for systems built by :func:`build` and ``None`` for
     derived subsystems.
+
+    Systems are interned (:func:`build` keeps one per normalized family and
+    rank, :func:`from_cartan` one per Cartan matrix) and compare by
+    identity.  What is derived from a system is memoized on it when first
+    asked for: its subsystems, its Levi data and its diagram automorphisms.
     """
 
     type_label: Optional[str]
@@ -58,6 +62,9 @@ class RootSystem:
     cartan: tuple[Vector, ...]
     symmetrizer: Vector
     positive_roots: tuple[Vector, ...]
+    _subsystems: dict = field(default_factory=dict, init=False, repr=False)
+    _levi_data: dict = field(default_factory=dict, init=False, repr=False)
+    _automorphisms: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_positive_set", frozenset(self.positive_roots))
@@ -72,9 +79,6 @@ class RootSystem:
 
     def zero(self) -> Vector:
         return (0,) * self.rank
-
-    def __hash__(self):
-        return hash((self.cartan, self.symmetrizer))
 
     def __repr__(self):
         label = self.type_label if self.type_label else "derived"
@@ -139,18 +143,6 @@ def _cartan_matrix(family: str, n: int) -> list[list[int]]:
     return c
 
 
-def _symmetrizer(family: str, n: int) -> Vector:
-    if family == "B":
-        return (2,) * (n - 1) + (1,)
-    if family == "C":
-        return (1,) * (n - 1) + (2,)
-    if family == "F4":
-        return (2, 2, 1, 1)
-    if family == "G2":
-        return (1, 3)
-    return (1,) * n
-
-
 def _symmetrizer_from_cartan(cartan: tuple[Vector, ...]) -> Vector:
     """Positive integers d with d_i c_ij = d_j c_ji, per connected component."""
     n = len(cartan)
@@ -209,16 +201,20 @@ def _close_positive_roots(cartan: tuple[Vector, ...]) -> tuple[Vector, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
-@lru_cache(maxsize=None)
+_by_type: dict[tuple[str, int], RootSystem] = {}
+_by_cartan: dict[tuple[Vector, ...], RootSystem] = {}
+
+
 def build(type_label: str, rank: Optional[int] = None) -> RootSystem:
-    """Construct the root system of a simple type.
+    """The interned root system of a simple type.
 
     Positive roots come sorted by (height, lexicographic coefficients).
     Raises InvalidType for out-of-range family/rank combinations.
     """
     family, n = normalize_type(type_label, rank)
+    if (family, n) in _by_type:
+        return _by_type[family, n]
     cartan = tuple(tuple(row) for row in _cartan_matrix(family, n))
-    sym = _symmetrizer(family, n)
     positive = _close_positive_roots(cartan)
     expected = _POSITIVE_COUNT[family](n)
     if len(positive) != expected:
@@ -226,19 +222,19 @@ def build(type_label: str, rank: Optional[int] = None) -> RootSystem:
             f"{family}{n}: closure produced {len(positive)} positive roots, "
             f"expected {expected}"
         )
-    return RootSystem(family, n, cartan, sym, positive)
-
-
-@lru_cache(maxsize=None)
-def _from_cartan_cached(cartan: tuple[Vector, ...]) -> RootSystem:
-    sym = _symmetrizer_from_cartan(cartan) if cartan else ()
-    positive = _close_positive_roots(cartan)
-    return RootSystem(None, len(cartan), cartan, sym, positive)
+    rs = RootSystem(family, n, cartan, _symmetrizer_from_cartan(cartan), positive)
+    _by_type[family, n] = rs
+    return rs
 
 
 def from_cartan(cartan: Iterable[Iterable[int]]) -> RootSystem:
-    """Root system of an arbitrary (semisimple) Cartan matrix."""
-    return _from_cartan_cached(tuple(tuple(row) for row in cartan))
+    """The interned, unlabeled root system of a (semisimple) Cartan matrix."""
+    key = tuple(tuple(row) for row in cartan)
+    if key not in _by_cartan:
+        _by_cartan[key] = RootSystem(None, len(key), key,
+                                     _symmetrizer_from_cartan(key),
+                                     _close_positive_roots(key))
+    return _by_cartan[key]
 
 
 def _check_length(rs: RootSystem, w: Iterable[int]) -> Vector:
@@ -323,27 +319,31 @@ class Subsystem:
         return tuple(v[a - 1] for a in self.nodes)
 
 
-@lru_cache(maxsize=None)
-def _subsystem_cached(cartan, sym, positive, nodes) -> Subsystem:
-    idx = [a - 1 for a in nodes]
-    sub_cartan = tuple(tuple(cartan[i][j] for j in idx) for i in idx)
-    sub = from_cartan(sub_cartan)
-    filtered = set()
-    node_set = set(nodes)
-    for beta in positive:
-        if all(beta[i] == 0 or (i + 1) in node_set for i in range(len(beta))):
-            filtered.add(tuple(beta[i] for i in idx))
-    if filtered != set(sub.positive_roots):
-        raise InvariantViolation("subsystem filter disagrees with closure")
-    return Subsystem(sub, nodes)
-
-
 def subsystem(rs: RootSystem, S: Iterable[int]) -> Subsystem:
-    """Root subsystem on a subset of simple roots (1-based indices)."""
+    """Root subsystem on a subset of simple roots (1-based indices).
+
+    The subsystem on all nodes is ``rs`` itself.  A proper subset gets the
+    interned system of its Cartan submatrix, checked against the roots of
+    ``rs`` supported on the subset.
+    """
     nodes = tuple(sorted(set(S)))
+    if nodes in rs._subsystems:
+        return rs._subsystems[nodes]
     if any(a < 1 or a > rs.rank for a in nodes):
         raise DimensionMismatch(f"nodes {nodes} out of range for rank {rs.rank}")
-    return _subsystem_cached(rs.cartan, rs.symmetrizer, rs.positive_roots, nodes)
+    if len(nodes) == rs.rank:
+        sub = rs
+    else:
+        idx = [a - 1 for a in nodes]
+        sub = from_cartan(tuple(rs.cartan[i][j] for j in idx) for i in idx)
+        node_set = set(nodes)
+        filtered = {tuple(beta[i] for i in idx) for beta in rs.positive_roots
+                    if all(x == 0 or i + 1 in node_set
+                           for i, x in enumerate(beta))}
+        if filtered != sub.positive_set:
+            raise InvariantViolation("subsystem filter disagrees with closure")
+    rs._subsystems[nodes] = Subsystem(sub, nodes)
+    return rs._subsystems[nodes]
 
 
 # --- Dynkin diagram recognition -------------------------------------------
@@ -457,15 +457,16 @@ def diagram_isomorphisms(rs: RootSystem, comp: Iterable[int], family: str,
     return _isomorphisms_onto(rs.cartan, tuple(sorted(set(comp))), target)
 
 
-@lru_cache(maxsize=None)
 def diagram_automorphisms(type_label: str, rank: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
     """Graph automorphisms of a standard diagram, identity first.
 
     Each permutation is a tuple whose (i-1)-th entry is the image of node i.
     """
-    family, n = normalize_type(type_label, rank)
-    rs = build(family, n)
-    isos = _isomorphisms_onto(rs.cartan, tuple(range(1, n + 1)), rs)
-    perms = sorted(tuple(f[i] for i in range(1, n + 1)) for f in isos)
-    ident = tuple(range(1, n + 1))
-    return (ident,) + tuple(p for p in perms if p != ident)
+    rs = build(type_label, rank)
+    if not rs._automorphisms:
+        n = rs.rank
+        isos = _isomorphisms_onto(rs.cartan, tuple(range(1, n + 1)), rs)
+        perms = sorted(tuple(f[i] for i in range(1, n + 1)) for f in isos)
+        ident = tuple(range(1, n + 1))
+        rs._automorphisms.extend([ident] + [p for p in perms if p != ident])
+    return tuple(rs._automorphisms)

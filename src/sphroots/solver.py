@@ -87,12 +87,8 @@ def _wire(H: SubgroupDatum) -> dict:
     return H.to_wire()
 
 
-_base_cache: dict[tuple, SphericalRootSet] = {}
-
-
 def base_solve(H: SubgroupDatum, check: bool = True,
-               choose_pair: Optional[Callable] = None,
-               reduce_internal: bool = False) -> SphericalRootSet:
+               choose_pair: Optional[Callable] = None) -> SphericalRootSet:
     """Recursive two-branch solve.
 
     At every internal node the two branches must each lose exactly one
@@ -100,32 +96,25 @@ def base_solve(H: SubgroupDatum, check: bool = True,
     size the sphericity test predicts (checks active when ``check``).
     ``choose_pair`` picks the two degeneration pivots from the sorted active
     set; the default takes the two lexicographically least.  The result is
-    independent of that choice.  ``reduce_internal`` shrinks the ambient
-    system at every node rather than only at the leaves; both routes are
-    valid and must agree.
+    independent of that choice.
     """
     spherical, rank = is_spherical_and_rank(H)
     if not spherical:
         raise NotSpherical(f"{H!r} is not spherical")
-    return _base_solve(H, check, choose_pair, reduce_internal)
+    return _base_solve(H, check, choose_pair)
 
 
 def _base_solve(H: SubgroupDatum, check: bool,
-                choose_pair: Optional[Callable],
-                reduce_internal: bool = False) -> SphericalRootSet:
+                choose_pair: Optional[Callable]) -> SphericalRootSet:
+    """The recursion behind ``base_solve``.
+
+    Default-pivot results are memoized on each datum per value of
+    ``check``, so a checked call never reuses an unchecked result; calls
+    with ``choose_pair`` neither read nor fill the memo.
+    """
     cacheable = choose_pair is None
-    key = (H.key, check, reduce_internal)
-    if cacheable and key in _base_cache:
-        return _base_cache[key]
-    if reduce_internal and len(H.psi) > 1:
-        reduced = ambient_reduction(H)
-        if reduced.datum.rs.rank < H.rs.rank:
-            inner = _base_solve(reduced.datum, check, choose_pair, True)
-            result = _result([reduced.embed(s) for s in inner.roots], "base",
-                             {"datum": _wire(H), "reduced": inner.certificate})
-            if cacheable:
-                _base_cache[key] = result
-            return result
+    if cacheable and check in H._solved:
+        return H._solved[check]
     if len(H.psi) <= 1:
         result = leaf_resolve(H)
     else:
@@ -137,8 +126,8 @@ def _base_solve(H: SubgroupDatum, check: bool,
                 raise InvariantViolation("pivots must differ")
         d1 = degenerate(H, lam1, check=check)
         d2 = degenerate(H, lam2, check=check)
-        r1 = _base_solve(d1.target, check, choose_pair, reduce_internal)
-        r2 = _base_solve(d2.target, check, choose_pair, reduce_internal)
+        r1 = _base_solve(d1.target, check, choose_pair)
+        r2 = _base_solve(d2.target, check, choose_pair)
         union = _sorted_roots(r1.roots + r2.roots)
         certificate = {
             "datum": _wire(H),
@@ -160,7 +149,7 @@ def _base_solve(H: SubgroupDatum, check: bool,
                                       sorted(map(list, removed2))]
         result = _result(union, "base", certificate)
     if cacheable:
-        _base_cache[key] = result
+        H._solved[check] = result
     return result
 
 

@@ -118,21 +118,22 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                         len(theta) if spherical else None, tuple(trace))
 
 
-_rank_cache: dict[tuple, tuple[bool, Optional[int]]] = {}
-
-
 def is_spherical_and_rank(H: SubgroupDatum,
                           choose: Optional[Callable] = None
                           ) -> tuple[bool, Optional[int]]:
     """Sphericity of the datum and, when spherical, the number of its
-    spherical roots (the reduction length)."""
-    if choose is None and H.key in _rank_cache:
-        return _rank_cache[H.key]
+    spherical roots (the reduction length).
+
+    The default-choice verdict is memoized on ``H``; a call with ``choose``
+    always runs the reduction.
+    """
+    if choose is None and H._verdict is not None:
+        return H._verdict
     witness = knop_reduce(H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots,
                           choose=choose)
     result = (witness.spherical, witness.rank)
     if choose is None:
-        _rank_cache[H.key] = result
+        H._verdict = result
     return result
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import rootsystem as rsmod
 from .croots import LeviDatum, levi_datum
@@ -24,6 +24,9 @@ class SubgroupDatum:
 
     ``u_roots`` is the derived union of the fibers of the active set: the
     weight set of the module whose sphericity governs everything downstream.
+    Instances are interned on their Levi datum by :func:`make_subgroup`;
+    the block decomposition, the sphericity verdict and the base-solve
+    results are memoized on the instance when first computed.
     """
 
     def __init__(self, L: LeviDatum, psi: Iterable[Vector]):
@@ -34,7 +37,9 @@ class SubgroupDatum:
             roots.extend(L.fiber(lam))
         self.u_roots = tuple(sorted(roots, key=lambda r: (sum(r), r)))
         self._u_set = frozenset(self.u_roots)
-        self.key = (L.key, self.psi)
+        self._blocks: Optional[SMDecomposition] = None
+        self._verdict: Optional[tuple[bool, Optional[int]]] = None
+        self._solved: dict = {}  # base-solve result per value of ``check``
 
     @property
     def rs(self) -> RootSystem:
@@ -42,12 +47,6 @@ class SubgroupDatum:
 
     def has_u_root(self, beta: Vector) -> bool:
         return beta in self._u_set
-
-    def __eq__(self, other):
-        return isinstance(other, SubgroupDatum) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return (f"SubgroupDatum(levi={sorted(self.L.levi)}, "
@@ -66,11 +65,8 @@ class SubgroupDatum:
         }
 
 
-_subgroup_cache: dict[tuple, SubgroupDatum] = {}
-
-
 def make_subgroup(L: LeviDatum, psi: Iterable[Iterable[int]]) -> SubgroupDatum:
-    """Validated, interned construction of a subgroup datum.
+    """Validated construction of a subgroup datum, interned on ``L``.
 
     An empty active set is legal and encodes the parabolic itself.  Raises
     PsiNotInPhiPlus for vectors outside the positive restricted roots and
@@ -78,9 +74,8 @@ def make_subgroup(L: LeviDatum, psi: Iterable[Iterable[int]]) -> SubgroupDatum:
     decomposes into two inactive positive restricted roots.
     """
     psi_t = tuple(sorted(tuple(v) for v in psi))
-    key = (L.key, psi_t)
-    if key in _subgroup_cache:
-        return _subgroup_cache[key]
+    if psi_t in L._subgroups:
+        return L._subgroups[psi_t]
     psi_set = set(psi_t)
     for lam in psi_t:
         if not L.has_croot(lam):
@@ -89,9 +84,8 @@ def make_subgroup(L: LeviDatum, psi: Iterable[Iterable[int]]) -> SubgroupDatum:
         for a, b in L.decompositions[lam]:
             if a not in psi_set and b not in psi_set:
                 raise ClosureViolation(a, b, lam)
-    datum = SubgroupDatum(L, psi_t)
-    _subgroup_cache[key] = datum
-    return datum
+    L._subgroups[psi_t] = SubgroupDatum(L, psi_t)
+    return L._subgroups[psi_t]
 
 
 def subgroup_from_wire(payload) -> SubgroupDatum:
@@ -132,12 +126,9 @@ class SMDecomposition:
         raise KeyError(lam)
 
 
-_sm_cache: dict[tuple, SMDecomposition] = {}
-
-
 def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
-    if H.key in _sm_cache:
-        return _sm_cache[H.key]
+    if H._blocks is not None:
+        return H._blocks
     L, rs = H.L, H.rs
     levi_comps = [comp for comp in
                   rsmod._components(rs.cartan, tuple(sorted(L.levi)))]
@@ -170,9 +161,8 @@ def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
         if len(blocks) != 1:
             raise InvariantViolation(f"factor {comp} touches several blocks")
         assignment[frozenset(comp)] = blocks.pop()
-    result = SMDecomposition(components, assignment)
-    _sm_cache[H.key] = result
-    return result
+    H._blocks = SMDecomposition(components, assignment)
+    return H._blocks
 
 
 def upper_elements(L: LeviDatum, theta: Iterable[Vector]) -> tuple[Vector, ...]:

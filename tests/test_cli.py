@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sphroots.cli import main
 
 
@@ -140,3 +142,23 @@ def test_identical_invocations_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+DATUM = ("--type", "B", "--rank", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", *DATUM, "--complement", "x", "--psi", "1"),
+    ("compute", *DATUM, "--complement", ",", "--psi", "1"),
+    ("compute", *DATUM, "--complement", "3", "--psi", "a"),
+    ("degenerate", *DATUM, "--complement", "3", "--psi", "1;2",
+     "--lambda", "x"),
+    ("tables", "dump", "--table", "1", "--params", "x"),
+    ("enumerate", "--type", "B", "--rank", "3", "--complement-size", "2",
+     "--psi-size", "1"),
+])
+def test_malformed_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,20 +6,19 @@ import pytest
 
 import sphroots.rootsystem as rsmod
 from sphroots import croots
-from sphroots.errors import EmptyFiber, NotARoot
+from sphroots.errors import EmptyFiber
+from sphroots.subgroup import make_subgroup
 
 from helpers import levi
 
 
 def test_restrict_examples():
     L = levi("B", 3, complement=(3,))
-    assert croots.restrict(L, (1, 2, 2)) == (2,)
+    assert L.restrict((1, 2, 2)) == (2,)
     L = levi("A", 3, complement=(1, 3))
-    assert croots.restrict(L, (1, 1, 1)) == (1, 1)
+    assert L.restrict((1, 1, 1)) == (1, 1)
     L = levi("B", 3, complement=(2, 3))
-    assert croots.restrict(L, (0, 1, 2)) == (1, 2)
-    with pytest.raises(NotARoot):
-        croots.restrict(L, (1, 0, 1))
+    assert L.restrict((0, 1, 2)) == (1, 2)
 
 
 def test_phi_plus_examples():
@@ -32,35 +31,35 @@ def test_phi_plus_examples():
 
 def test_fiber_examples():
     L = levi("B", 3, (3,))
-    assert croots.fiber(L, (1,)) == ((0, 0, 1), (0, 1, 1), (1, 1, 1))
-    assert croots.fiber(L, (2,)) == ((0, 1, 2), (1, 1, 2), (1, 2, 2))
-    assert len(croots.fiber(L, (2,))) == 3  # dim of the wedge-square piece
+    assert L.fiber((1,)) == ((0, 0, 1), (0, 1, 1), (1, 1, 1))
+    assert L.fiber((2,)) == ((0, 1, 2), (1, 1, 2), (1, 2, 2))
+    assert len(L.fiber((2,))) == 3  # dim of the wedge-square piece
     La = levi("A", 3, (1, 3))
-    assert croots.fiber(La, (1, 1)) == ((1, 1, 1),)
+    assert La.fiber((1, 1)) == ((1, 1, 1),)
     # negative restricted roots give the negated fiber
-    assert croots.fiber(L, (-1,)) == tuple(
-        tuple(-x for x in r) for r in croots.fiber(L, (1,)))
+    assert L.fiber((-1,)) == tuple(
+        tuple(-x for x in r) for r in L.fiber((1,)))
     with pytest.raises(EmptyFiber):
-        croots.fiber(L, (5,))
+        L.fiber((5,))
 
 
 def test_extreme_weights_examples():
     L = levi("B", 3, (3,))
-    assert croots.extreme_weights(L, (1,)) == ((1, 1, 1), (0, 0, 1))
+    assert (L.hat((1,)), L.tilde((1,))) == ((1, 1, 1), (0, 0, 1))
     La = levi("A", 3, (1, 3))
-    assert croots.extreme_weights(La, (1, 0)) == ((1, 1, 0), (1, 0, 0))
+    assert (La.hat((1, 0)), La.tilde((1, 0))) == ((1, 1, 0), (1, 0, 0))
     # empty Levi: every fiber is a single root
     L0 = croots.levi_datum(rsmod.build("A", 2), ())
     for lam in L0.phi_plus:
-        hat, tilde = croots.extreme_weights(L0, lam)
-        assert hat == tilde == croots.fiber(L0, lam)[0]
+        hat, tilde = L0.hat(lam), L0.tilde(lam)
+        assert hat == tilde == L0.fiber(lam)[0]
 
 
 def test_croot_support_examples():
     L = levi("B", 3, (2, 3))
-    assert croots.croot_support(L, (0, 1)) == frozenset({3})
-    assert croots.croot_support(L, (1, 1)) == frozenset({1, 2, 3})
-    assert croots.croot_support(levi("B", 3, (3,)), (1,)) == frozenset({1, 2, 3})
+    assert L.croot_support((0, 1)) == frozenset({3})
+    assert L.croot_support((1, 1)) == frozenset({1, 2, 3})
+    assert levi("B", 3, (3,)).croot_support((1,)) == frozenset({1, 2, 3})
 
 
 @pytest.mark.parametrize("family,n", [("A", 4), ("B", 4), ("C", 3),
@@ -71,7 +70,7 @@ def test_fiber_partition(family, n):
     for size in (1, 2):
         for complement in itertools.combinations(range(1, n + 1), size):
             L = levi(family, n, complement)
-            total = sum(len(croots.fiber(L, lam)) for lam in L.phi_plus)
+            total = sum(len(L.fiber(lam)) for lam in L.phi_plus)
             assert total == len(rs.positive_roots) - len(L.delta_l_plus)
             for lam in L.phi_plus:
                 assert any(lam) and all(x >= 0 for x in lam)
@@ -88,11 +87,11 @@ def test_bracket_relation(family, n):
             total = tuple(a + b for a, b in zip(mu, nu))
             if total not in phi:
                 continue
-            fa = croots.fiber(L, mu)
-            fb = croots.fiber(L, nu)
+            fa = L.fiber(mu)
+            fb = L.fiber(nu)
             sums = {tuple(a + b for a, b in zip(x, y))
                     for x in fa for y in fb}
-            for gamma in croots.fiber(L, total):
+            for gamma in L.fiber(total):
                 assert gamma in sums
 
 
@@ -101,15 +100,15 @@ def test_hat_dominates_fiber(family, n):
     for complement in itertools.combinations(range(1, n + 1), 2):
         L = levi(family, n, complement)
         for lam in L.phi_plus:
-            hat, tilde = croots.extreme_weights(L, lam)
+            hat, tilde = L.hat(lam), L.tilde(lam)
             union = frozenset()
-            for delta in croots.fiber(L, lam):
+            for delta in L.fiber(lam):
                 diff = tuple(h - x for h, x in zip(hat, delta))
                 assert all(d >= 0 for d in diff)
                 assert all(diff[a - 1] == 0 for a in L.complement)
                 supp, _ = rsmod.support_and_height(delta)
                 union |= supp
-            assert croots.croot_support(L, lam) == union
+            assert L.croot_support(lam) == union
             down = tuple(x - t for x, t in zip(hat, tilde))
             assert all(d >= 0 for d in down)
 
@@ -117,6 +116,37 @@ def test_hat_dominates_fiber(family, n):
 def test_croot_support_restricts_to_nonzero_entries():
     L = levi("C", 4, (2, 4))
     for lam in L.phi_plus:
-        supp = croots.croot_support(L, lam)
+        supp = L.croot_support(lam)
         expected = {a for a, x in zip(L.complement, lam) if x}
         assert supp & set(L.complement) == expected
+
+
+def test_build_interns_per_normalized_type():
+    assert rsmod.build("B3") is rsmod.build("B", 3)
+    assert rsmod.build("E6") is rsmod.build("E6", 6)
+
+
+def test_full_subsystem_is_the_system():
+    for rs in (rsmod.build("B", 3), rsmod.from_cartan(rsmod.build("D", 4).cartan)):
+        assert rsmod.subsystem(rs, range(1, rs.rank + 1)).system is rs
+
+
+def test_labeled_levi_after_derived_copy_has_wire_form():
+    b3 = rsmod.build("B", 3)
+    croots.levi_datum(rsmod.subsystem(b3, (1, 2, 3)).system, (1, 2))
+    L = croots.levi_datum(b3, (1, 2))
+    assert make_subgroup(L, [(1,), (2,)]).to_wire()["type"] == "B"
+
+
+@pytest.mark.parametrize("derived_first", [True, False])
+def test_levi_and_subgroup_data_stay_on_their_system(derived_first):
+    labeled = rsmod.build("B", 3)
+    derived = rsmod.from_cartan(labeled.cartan)
+    assert derived is not labeled
+    order = (derived, labeled) if derived_first else (labeled, derived)
+    for rs in order:
+        L = croots.levi_datum(rs, (1, 2))
+        assert L.rs is rs
+        H = make_subgroup(L, [(1,), (2,)])
+        assert H.L is L
+        assert make_subgroup(L, [(2,), (1,)]) is H

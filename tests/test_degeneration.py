@@ -143,9 +143,9 @@ def test_degeneration_checks_pass_along_full_orbits(family, n, complement, psi):
     seen = set()
     while stack:
         current = stack.pop()
-        if current.key in seen or len(current.psi) <= 1:
+        if current in seen or len(current.psi) <= 1:
             continue
-        seen.add(current.key)
+        seen.add(current)
         for lam in current.psi:
             d = degenerate(current, lam, check=True)
             stack.append(d.target)

@@ -8,7 +8,7 @@ from sphroots.degeneration import degenerate
 from sphroots.errors import NotSpherical
 from sphroots.solver import algorithm_d, base_solve, leaf_resolve, optimized_solve
 from sphroots.sphericity import is_spherical_and_rank
-from sphroots.subgroup import sm_decomposition
+from sphroots.subgroup import ambient_reduction, sm_decomposition
 
 from helpers import datum
 
@@ -167,9 +167,9 @@ def test_removed_roots_differ_at_every_node():
         base_solve(H, check=True)
 
 
-def test_internal_reduction_flag_agrees():
+def test_ambient_reduction_commutes_with_solving():
     for family, n, complement, psi in CROSS_METHOD_CASES[:8]:
         H = datum(family, n, complement, psi)
-        plain = base_solve(H)
-        reduced = base_solve(H, reduce_internal=True)
-        assert plain.root_set == reduced.root_set
+        red = ambient_reduction(H)
+        assert base_solve(H).root_set == \
+            {red.embed(s) for s in base_solve(red.datum).roots}

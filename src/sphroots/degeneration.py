@@ -21,7 +21,7 @@ from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     """A one-dimensional torus-stable subspace: a root line, or the line
     spanned by the coroot of delta when ``root`` is None."""
@@ -33,7 +33,7 @@ class Line:
         return self.root is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaString:
     """The line string of one simple s(delta)-module, top weight first.
 
@@ -47,43 +47,51 @@ class DeltaString:
     lines: tuple[Line, ...]
 
 
+def _weight_lines(rs: RootSystem) -> dict[Vector, Line]:
+    """One line per root of ``rs``, and the Cartan line at the zero weight.
+
+    Built once per system and shared by all its delta-strings; keys run by
+    descending height, then lexicographically.
+    """
+    if not rs._lines:
+        weights = sorted(rs.root_set | {rs.zero()}, key=lambda r: (-sum(r), r))
+        rs._lines.update((w, Line(None if not any(w) else w)) for w in weights)
+    return rs._lines
+
+
 def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     """Partition all root lines plus the Cartan line into delta-strings.
 
-    Tops are the roots that cannot be raised by delta, excluding -delta
-    itself (its string is the one topped by delta), so every root appears
-    in exactly one string.
+    Tops are the roots that cannot be raised by delta to a root or to the
+    zero weight (so -delta is no top: its string is the one topped by
+    delta), and every root appears in exactly one string.  The partition
+    is built once per (system, delta) and memoized on the system.
     """
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
-    zero = rs.zero()
-    all_roots = [r for r in rs.positive_roots]
-    all_roots += [tuple(-x for x in r) for r in rs.positive_roots]
-    root_set = set(all_roots)
-    neg_delta = tuple(-x for x in delta)
+    if delta in rs._delta_strings:
+        return rs._delta_strings[delta]
+    lines = _weight_lines(rs)
     strings = []
     seen = 0
-    for alpha in sorted(all_roots, key=lambda r: (-sum(r), r)):
-        up = tuple(a + d for a, d in zip(alpha, delta))
-        if up in root_set or alpha == neg_delta:
+    for alpha, top_line in lines.items():
+        if top_line.is_cartan or tuple(a + d for a, d in zip(alpha, delta)) in lines:
             continue
         p = rsmod.coroot_pairing(rs, delta, alpha)
         if p < 0:
             raise InvariantViolation(f"negative string length at top {alpha}")
-        lines = []
+        string = []
         for i in range(p + 1):
-            v = tuple(a - i * d for a, d in zip(alpha, delta))
-            if v == zero:
-                lines.append(Line(None))
-            elif v in root_set:
-                lines.append(Line(v))
-            else:
+            line = lines.get(tuple(a - i * d for a, d in zip(alpha, delta)))
+            if line is None:
                 raise InvariantViolation(f"string through {alpha} leaves the roots")
-        seen += len(lines)
-        strings.append(DeltaString(alpha, p, tuple(lines)))
-    if seen != len(all_roots) + 1:
+            string.append(line)
+        seen += len(string)
+        strings.append(DeltaString(alpha, p, tuple(string)))
+    if seen != len(lines):
         raise InvariantViolation("delta-strings do not partition the roots")
-    return tuple(strings)
+    rs._delta_strings[delta] = tuple(strings)
+    return rs._delta_strings[delta]
 
 
 @dataclass(frozen=True)

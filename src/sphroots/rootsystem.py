@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional
 
 from .errors import (
@@ -65,13 +67,28 @@ class RootSystem:
     _subsystems: dict = field(default_factory=dict, init=False, repr=False)
     _levi_data: dict = field(default_factory=dict, init=False, repr=False)
     _automorphisms: list = field(default_factory=list, init=False, repr=False)
+    _delta_strings: dict = field(default_factory=dict, init=False, repr=False)
+    _lines: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        gram = tuple(tuple(d * c for c in row)
+                     for d, row in zip(self.symmetrizer, self.cartan))
         object.__setattr__(self, "_positive_set", frozenset(self.positive_roots))
+        object.__setattr__(self, "_gram", gram)
 
     @property
     def positive_set(self) -> frozenset[Vector]:
         return self._positive_set
+
+    @cached_property
+    def root_set(self) -> frozenset[Vector]:
+        """All roots, positive and negative.
+
+        Built on first use: systems built only for their Cartan matrix,
+        as in diagram matching at large rank, never need it.
+        """
+        return self._positive_set | {tuple(-x for x in r)
+                                     for r in self.positive_roots}
 
     def simple_root(self, i: int) -> Vector:
         """Coefficient vector of the i-th simple root (1-based)."""
@@ -246,8 +263,7 @@ def _check_length(rs: RootSystem, w: Iterable[int]) -> Vector:
 
 def is_root(rs: RootSystem, w: Iterable[int]) -> bool:
     """Membership test in the full root set (positives and negatives)."""
-    v = _check_length(rs, w)
-    return v in rs.positive_set or tuple(-x for x in v) in rs.positive_set
+    return _check_length(rs, w) in rs.root_set
 
 
 def pairing(rs: RootSystem, i: int, w: Iterable[int]) -> int:
@@ -266,22 +282,19 @@ def inner(rs: RootSystem, v: Iterable[int], w: Iterable[int]):
     a = _check_length(rs, v)
     b = _check_length(rs, w)
     total = 0
-    for i in range(rs.rank):
-        if a[i] == 0:
-            continue
-        di = rs.symmetrizer[i]
-        row = rs.cartan[i]
-        total += a[i] * di * sum(row[j] * b[j] for j in range(rs.rank))
+    for x, row in zip(a, rs._gram):
+        if x:
+            total += x * sum(map(mul, row, b))
     return total
 
 
 def coroot_pairing(rs: RootSystem, gamma: Iterable[int], w: Iterable[int]) -> int:
     """Pairing of the coroot of an arbitrary root with a lattice vector."""
     g = tuple(gamma)
-    value = Fraction(2 * inner(rs, g, w), inner(rs, g, g))
-    if value.denominator != 1:
+    value, remainder = divmod(2 * inner(rs, g, w), inner(rs, g, g))
+    if remainder:
         raise InvariantViolation(f"non-integral coroot pairing for {g}")
-    return int(value)
+    return value
 
 
 def support_and_height(w: Iterable[int]) -> tuple[frozenset[int], int]:

@@ -645,8 +645,12 @@ def match_leaf(H: SubgroupDatum) -> MatchResult:
 
 def dump_rows(table_id: int, n: Optional[int] = None,
               params: Optional[Params] = None) -> list[dict]:
-    """Concrete row instantiations as JSON-ready dicts (CLI backend)."""
+    """Concrete row instantiations as JSON-ready dicts (CLI backend).
+
+    Raises ParamsOutOfRange, naming the reason, when no row matches.
+    """
     out = []
+    instantiable = False
     for spec in row_specs(table_id):
         if n is not None:
             candidate_ns = [n] if spec.n_ok(n) else []
@@ -656,6 +660,7 @@ def dump_rows(table_id: int, n: Optional[int] = None,
             candidate_ns = []  # parametric rows need an explicit rank
         for m in candidate_ns:
             for p in spec.params_for(m):
+                instantiable = True
                 if params is not None and tuple(params) != tuple(p):
                     continue
                 inst = _instance(spec, m, tuple(p))
@@ -670,4 +675,12 @@ def dump_rows(table_id: int, n: Optional[int] = None,
                     "rank": inst.rank,
                     "sigma": [list(v) for v in inst.sigma],
                 })
+    if not out:
+        if instantiable:
+            at = "" if n is None else f" at n={n}"
+            raise ParamsOutOfRange(
+                f"table {table_id} has no row with params {list(params)}{at}")
+        if n is None:
+            raise ParamsOutOfRange(f"table {table_id} rows are parametric: give --n")
+        raise ParamsOutOfRange(f"table {table_id} has no row at n={n}")
     return out

@@ -2,44 +2,33 @@
 
 The Euclidean realization below constructs every root system directly from
 the classical coordinate descriptions (exact rationals), then re-expresses
-each root in the simple-root basis by solving a linear system.  It shares
-no code with the Cartan-matrix closure in the package, so agreement of the
-two constructions is a meaningful check.
+each root in the simple-root basis through an exact left inverse of that
+basis, checking each solution by multiplying it back.  It shares no code
+with the Cartan-matrix closure in the package, so agreement of the two
+constructions is a meaningful check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction as Q
 
 
-def _solve_exact(cols, rhs):
-    """Unique rational solution of sum(x_j * cols[j]) = rhs, else None."""
-    m, n = len(rhs), len(cols)
-    aug = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    pivots = []
-    row = 0
+def _inverse(matrix):
+    """Exact inverse of a positive-definite matrix, by Gauss-Jordan elimination."""
+    n = len(matrix)
+    aug = [list(row) + [Q(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
     for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None  # not full column rank; all our bases are
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        lead = aug[row][col]
-        aug[row] = [x / lead for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    if len(pivots) < n:
-        return None
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    return [aug[i][n] for i in range(n)]
+        lead = aug[col][col]
+        assert lead > 0  # positive definite: no pivoting needed
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def _unit(m, i, c=1):
@@ -144,16 +133,30 @@ def _all_roots(family, n):
     raise ValueError(family)
 
 
-def euclidean_positive_roots(family, n):
-    """Positive roots as integer coefficient tuples on the simple basis."""
-    if family in ("E6", "E7"):
-        full = euclidean_positive_roots("E8", 8)
-        return {r[:n] for r in full if all(x == 0 for x in r[n:])}
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _left_inverse(simple):
+    """Rows p_j with p_j . (sum_i c_i simple_i) == c_j, through the Gram matrix."""
+    inv = _inverse([[_dot(a, b) for b in simple] for a in simple])
+    return [[_dot(row, column) for column in zip(*simple)] for row in inv]
+
+
+def _positive_roots(family, n):
     simple = _simple_roots(family, n)
+    inverse = _left_inverse(simple)
     out = set()
     for root in _all_roots(family, n):
-        coeffs = _solve_exact(simple, root)
-        assert coeffs is not None, (family, n, root)
+        nonzero = [(i, x) for i, x in enumerate(root) if x]
+        coeffs = [sum(p[i] * x for i, x in nonzero) for p in inverse]
+        back = [Q(0)] * len(root)
+        for c, s in zip(coeffs, simple):
+            if c:
+                for i, y in enumerate(s):
+                    if y:
+                        back[i] += c * y
+        assert back == root, (family, n, root)
         if all(c.denominator == 1 for c in coeffs):
             ints = tuple(int(c) for c in coeffs)
             if all(c >= 0 for c in ints) and any(ints):
@@ -161,21 +164,33 @@ def euclidean_positive_roots(family, n):
     return out
 
 
+@functools.cache
+def _e8_positive_roots():
+    return frozenset(_positive_roots("E8", 8))
+
+
+def euclidean_positive_roots(family, n):
+    """Positive roots as integer coefficient tuples on the simple basis."""
+    if family in ("E6", "E7", "E8"):
+        return {r[:n] for r in _e8_positive_roots() if not any(r[n:])}
+    return _positive_roots(family, n)
+
+
+def euclidean_simple_roots(family, n):
+    """Simple roots in Euclidean coordinates; E6 and E7 sit inside E8."""
+    if family in ("E6", "E7"):
+        return _simple_roots("E8", 8)[:n]
+    return _simple_roots(family, n)
+
+
 def euclidean_cartan(family, n):
     """Cartan matrix recomputed from Euclidean inner products."""
-    if family in ("E6", "E7"):
-        simple = _simple_roots("E8", 8)[:n]
-    else:
-        simple = _simple_roots(family, n)
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
+    simple = euclidean_simple_roots(family, n)
     out = []
     for ai in simple:
         row = []
         for aj in simple:
-            val = 2 * dot(ai, aj) / dot(ai, ai)
+            val = 2 * _dot(ai, aj) / _dot(ai, ai)
             assert val.denominator == 1
             row.append(int(val))
         out.append(tuple(row))

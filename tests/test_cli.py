@@ -154,6 +154,11 @@ DATUM = ("--type", "B", "--rank", "3")
     ("degenerate", *DATUM, "--complement", "3", "--psi", "1;2",
      "--lambda", "x"),
     ("tables", "dump", "--table", "1", "--params", "x"),
+    ("tables", "dump", "--table", "3"),
+    ("tables", "dump", "--table", "4"),
+    ("tables", "dump", "--table", "5"),
+    ("tables", "dump", "--table", "1", "--n", "5", "--params", "99"),
+    ("tables", "dump", "--table", "1", "--n", "0"),
     ("enumerate", "--type", "B", "--rank", "3", "--complement-size", "2",
      "--psi-size", "1"),
 ])

@@ -34,7 +34,8 @@ def test_delta_strings_a2_example():
 
 
 @pytest.mark.parametrize("family,n", [("B", 3), ("C", 3), ("G2", 2),
-                                      ("F4", 4), ("A", 4), ("D", 4)])
+                                      ("F4", 4), ("A", 4), ("D", 4),
+                                      ("E6", 6)])
 def test_delta_strings_partition(family, n):
     rs = rsmod.build(family, n)
     for delta in rs.positive_roots:
@@ -45,6 +46,31 @@ def test_delta_strings_partition(family, n):
         assert cartans == 1
         assert len(roots_seen) == len(set(roots_seen)) == \
             2 * len(rs.positive_roots)
+
+
+def test_delta_strings_built_once_per_system_and_delta():
+    rs = rsmod.build("F4", 4)
+    for delta in rs.positive_roots:
+        assert delta_strings(rs, delta) is delta_strings(rs, delta)
+
+
+def test_delta_strings_share_one_line_per_root():
+    rs = rsmod.build("C", 4)
+    line_of = {}
+    for delta in rs.positive_roots:
+        for string in delta_strings(rs, delta):
+            for line in string.lines:
+                assert line_of.setdefault(line.root, line) is line
+    assert len(line_of) == 2 * len(rs.positive_roots) + 1  # and the Cartan line
+
+
+@pytest.mark.parametrize("delta", [(0, -1, 0), (-1, -1, -1), (1, 0, 1),
+                                   (0, 0, 0)])
+def test_delta_strings_reject_non_positive_delta_every_time(delta):
+    rs = rsmod.build("B", 3)
+    for _ in range(2):
+        with pytest.raises(LambdaNotActive):
+            delta_strings(rs, delta)
 
 
 def test_degenerate_first_pivot_b3():

@@ -10,10 +10,15 @@ import sphroots.rootsystem as rsmod
 from sphroots.errors import (
     DimensionMismatch,
     InvalidType,
+    InvariantViolation,
     NegativeCoefficient,
 )
 
-from oracles import euclidean_cartan, euclidean_positive_roots
+from oracles import (
+    euclidean_cartan,
+    euclidean_positive_roots,
+    euclidean_simple_roots,
+)
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 13)]
@@ -103,6 +108,42 @@ def test_is_root():
     assert not rsmod.is_root(b3, (2, 0, 0))  # twice a root is never a root
     with pytest.raises(DimensionMismatch):
         rsmod.is_root(b3, (1, 0))
+
+
+@pytest.mark.parametrize("family,n", ALL_TYPES)
+def test_is_root_holds_for_negative_roots(family, n):
+    rs = rsmod.build(family, n)
+    for beta in rs.positive_roots:
+        assert rsmod.is_root(rs, tuple(-x for x in beta))
+    assert not rsmod.is_root(rs, rs.zero())
+
+
+@pytest.mark.parametrize("family,n", [("G2", 2), ("F4", 4), ("E6", 6),
+                                      ("B", 4), ("C", 4), ("D", 4)])
+def test_coroot_pairing_matches_euclidean_model(family, n):
+    # <gamma^vee, w> == 2 (gamma, w) / (gamma, gamma) for all roots gamma, w
+    rs = rsmod.build(family, n)
+    simple = euclidean_simple_roots(family, n)
+    roots = list(rs.positive_roots) + [tuple(-x for x in r)
+                                       for r in rs.positive_roots]
+    coords = {r: [sum(c * s[k] for c, s in zip(r, simple))
+                  for k in range(len(simple[0]))] for r in roots}
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    for gamma in roots:
+        g = coords[gamma]
+        norm = dot(g, g)
+        for w in roots:
+            assert rsmod.coroot_pairing(rs, gamma, w) == \
+                2 * dot(g, coords[w]) / norm, (gamma, w)
+
+
+def test_coroot_pairing_rejects_fractional_value():
+    # <(2 alpha_1)^vee, alpha_2> = -1/2 in A2: 2 alpha_1 is no root
+    with pytest.raises(InvariantViolation):
+        rsmod.coroot_pairing(rsmod.build("A2"), (2, 0), (0, 1))
 
 
 def test_pairing_examples():

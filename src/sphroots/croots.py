@@ -11,6 +11,7 @@ unique highest and lowest elements.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 from . import rootsystem as rsmod
@@ -66,13 +67,12 @@ class LeviDatum:
         self._subgroups: dict = {}
 
     def _unique_extreme(self, fib: tuple[Vector, ...], sign: int) -> Vector:
-        rs = self.rs
+        roots = self.rs.root_set
+        steps = [a - 1 for a in self.levi]
         found = None
         for delta in fib:
-            moved = (tuple(d + sign * (1 if j + 1 == a else 0)
-                           for j, d in enumerate(delta))
-                     for a in self.levi)
-            if all(not rsmod.is_root(rs, v) for v in moved):
+            if all(delta[:i] + (delta[i] + sign,) + delta[i + 1:] not in roots
+                   for i in steps):
                 if found is not None:
                     raise NonUniqueExtreme(f"fiber {fib} has two extremes")
                 found = delta
@@ -84,6 +84,13 @@ class LeviDatum:
         """Coefficient subvector of a root on the complement nodes."""
         b = tuple(beta)
         return tuple(b[a - 1] for a in self.complement)
+
+    @cached_property
+    def pu(self) -> frozenset[Vector]:
+        """Roots of the opposite nilradical: negatives of the positive
+        roots outside the Levi.  Built on first use."""
+        return frozenset(tuple(-x for x in beta) for beta in self.rs.positive_roots
+                         if not self.in_levi(beta))
 
     def in_levi(self, beta: Vector) -> bool:
         return beta in self._delta_l_set or \

@@ -122,8 +122,7 @@ def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> Degeneratio
         raise LambdaNotActive(f"{lam} is not active in {H!r}")
     rs, L = H.rs, H.L
     delta = L.hat(lam)
-    pu = {tuple(-x for x in beta) for beta in rs.positive_roots
-          if not L.in_levi(beta)}
+    pu = L.pu
     h_perp = pu | set(H.u_roots)
 
     shift: dict[Vector, Line] = {}
@@ -159,7 +158,7 @@ def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> Degeneratio
 checks_run = 0
 
 
-def _check_limit_structure(d: DegenerationResult, pu: set) -> None:
+def _check_limit_structure(d: DegenerationResult, pu: frozenset) -> None:
     global checks_run
     checks_run += 1
     H, rs, L = d.source, d.source.rs, d.source.L

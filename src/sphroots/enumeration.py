@@ -298,7 +298,10 @@ def _family_ranks(family: str, ranks, max_rank) -> tuple[str, list[int]]:
         return label, [rsmod._FIXED_RANK[label]]
     if label not in ("A", "B", "C", "D"):
         raise rsmod.InvalidType(f"unknown family {family!r}")
-    if ranks is not None:
-        return label, sorted(set(ranks))
-    lo = {"A": 3, "B": 3, "C": 3, "D": 4}[label]
-    return label, list(range(lo, max_rank + 1))
+    if ranks is None:
+        lo = {"A": 3, "B": 3, "C": 3, "D": 4}[label]
+        ranks = range(lo, max_rank + 1)
+    ranks = sorted(set(ranks))
+    for n in ranks:  # refuse a bad rank before enumerating any other
+        rsmod.normalize_type(label, n)
+    return label, ranks

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional
 
 from .errors import (
@@ -29,6 +29,11 @@ FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
 _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+#: largest rank accepted for A-D.  Every table-1 leaf of A-D at this rank
+#: computes in a few seconds; cost grows about as the fourth power of the
+#: rank, so larger ranks are refused before any closure runs.
+MAX_RANK = 64
 
 _POSITIVE_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -123,6 +128,8 @@ def normalize_type(type_label: str, rank: Optional[int] = None) -> tuple[str, in
         raise InvalidType(f"type {label} needs an explicit rank")
     if rank < _MIN_RANK[label]:
         raise InvalidType(f"type {label} requires rank >= {_MIN_RANK[label]}")
+    if rank > MAX_RANK:
+        raise InvalidType(f"type {label} rank {rank} exceeds MAX_RANK = {MAX_RANK}")
     return label, rank
 
 
@@ -160,6 +167,16 @@ def _cartan_matrix(family: str, n: int) -> list[list[int]]:
     return c
 
 
+def standard_cartan(type_label: str, rank: Optional[int] = None) -> tuple[Vector, ...]:
+    """Cartan matrix of a simple type in Bourbaki numbering.
+
+    Raises InvalidType like :func:`normalize_type`.  Cheap to rebuild, so
+    it is not memoized; it builds no root system.
+    """
+    family, n = normalize_type(type_label, rank)
+    return tuple(tuple(row) for row in _cartan_matrix(family, n))
+
+
 def _symmetrizer_from_cartan(cartan: tuple[Vector, ...]) -> Vector:
     """Positive integers d with d_i c_ij = d_j c_ji, per connected component."""
     n = len(cartan)
@@ -192,30 +209,37 @@ def _gcd(a: int, b: int) -> int:
 
 
 def _close_positive_roots(cartan: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """Generate all positive roots from the Cartan matrix by string closure."""
+    """Generate all positive roots from the Cartan matrix by string closure.
+
+    Each root carries its pairings with the simple coroots, so stepping by
+    the i-th simple root adds the i-th Cartan column.  A root of height h
+    is known once every root of height below h is, so the strings are
+    walked one height level at a time.
+    """
     n = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots: set[Vector] = set(simples)
-    level = list(simples)
+    columns = [tuple(row[i] for row in cartan) for i in range(n)]
+    pairings = {tuple(int(i == j) for j in range(n)): columns[i]
+                for i in range(n)}
+    level = list(pairings.items())
     while level:
-        fresh: set[Vector] = set()
-        for beta in level:
-            for i, alpha in enumerate(simples):
-                if beta == alpha:
-                    continue  # 2*alpha is never a root
-                down = tuple(b - a for b, a in zip(beta, alpha))
-                p = 0
-                while down in roots:
-                    p += 1
-                    down = tuple(b - a for b, a in zip(down, alpha))
-                pair = sum(cartan[i][j] * beta[j] for j in range(n))
-                if p - pair > 0:
-                    up = tuple(b + a for b, a in zip(beta, alpha))
-                    if up not in roots:
-                        roots.add(up)
-                        fresh.add(up)
-        level = sorted(fresh)
-    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+        fresh: dict[Vector, Vector] = {}
+        for beta, b in level:
+            for i in range(n):
+                # beta + alpha_i is a root iff more than <beta, alpha_i^vee>
+                # steps down from beta stay roots; at most beta[i] can
+                if b[i] >= 0:
+                    if beta[i] <= b[i]:
+                        continue
+                    head, tail = beta[:i], beta[i + 1:]
+                    if not all(head + (beta[i] - s,) + tail in pairings
+                               for s in range(1, b[i] + 2)):
+                        continue
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if up not in pairings and up not in fresh:
+                    fresh[up] = tuple(map(add, b, columns[i]))
+        pairings.update(fresh)
+        level = list(fresh.items())
+    return tuple(sorted(pairings, key=lambda r: (sum(r), r)))
 
 
 _by_type: dict[tuple[str, int], RootSystem] = {}
@@ -231,7 +255,7 @@ def build(type_label: str, rank: Optional[int] = None) -> RootSystem:
     family, n = normalize_type(type_label, rank)
     if (family, n) in _by_type:
         return _by_type[family, n]
-    cartan = tuple(tuple(row) for row in _cartan_matrix(family, n))
+    cartan = standard_cartan(family, n)
     positive = _close_positive_roots(cartan)
     expected = _POSITIVE_COUNT[family](n)
     if len(positive) != expected:
@@ -383,17 +407,40 @@ def _edge_label(cartan, a: int, b: int) -> tuple[int, int]:
     return (cartan[a - 1][b - 1], cartan[b - 1][a - 1])
 
 
-def _isomorphisms_onto(cartan, comp: tuple[int, ...], target: RootSystem) -> list[dict]:
-    """All bijections comp -> {1..m} preserving the labeled Dynkin graph."""
+def _signatures(cartan, nodes: Iterable[int]) -> dict[int, tuple]:
+    """Each node's sorted incident bond labels ``(c_uv, c_vu)``."""
+    nodes = tuple(nodes)
+    return {u: tuple(sorted(_edge_label(cartan, u, v) for v in nodes
+                            if v != u and cartan[u - 1][v - 1] != 0))
+            for u in nodes}
+
+
+def _isomorphisms_onto(cartan, comp: tuple[int, ...],
+                       target: tuple[Vector, ...]) -> list[dict]:
+    """All bijections comp -> {1..m} preserving the labeled Dynkin graph.
+
+    ``target`` is the Cartan matrix of the standard diagram.  A target
+    whose multiset of node signatures differs from the source's is
+    rejected at once; otherwise each node is placed next to the image of
+    an already placed neighbour and checked against every placed node.
+    """
     m = len(comp)
-    if m != target.rank:
+    if m != len(target):
         return []
-    tc = target.cartan
+    source_sig = _signatures(cartan, comp)
+    target_sig = _signatures(target, range(1, m + 1))
+    if sorted(source_sig.values()) != sorted(target_sig.values()):
+        return []
+    target_nbrs = {t: [s for s in range(1, m + 1)
+                       if s != t and target[t - 1][s - 1] != 0]
+                   for t in range(1, m + 1)}
     # order source nodes so each one after the first touches an earlier one
     order = [comp[0]]
+    anchor = {comp[0]: None}
     rest = set(comp[1:])
     while rest:
         nxt = min(j for j in rest if any(cartan[j - 1][i - 1] != 0 for i in order))
+        anchor[nxt] = next(i for i in order if cartan[nxt - 1][i - 1] != 0)
         order.append(nxt)
         rest.remove(nxt)
     results = []
@@ -403,16 +450,14 @@ def _isomorphisms_onto(cartan, comp: tuple[int, ...], target: RootSystem) -> lis
             results.append(dict(assign))
             return
         u = order[len(assign)]
+        placed = anchor[u]
+        candidates = range(1, m + 1) if placed is None else target_nbrs[assign[placed]]
         used = set(assign.values())
-        for t in range(1, m + 1):
-            if t in used:
+        for t in candidates:
+            if t in used or target_sig[t] != source_sig[u]:
                 continue
-            ok = True
-            for v, tv in assign.items():
-                if _edge_label(cartan, u, v) != (tc[t - 1][tv - 1], tc[tv - 1][t - 1]):
-                    ok = False
-                    break
-            if ok:
+            if all(_edge_label(cartan, u, v) == _edge_label(target, t, tv)
+                   for v, tv in assign.items()):
                 assign[u] = t
                 extend(assign)
                 del assign[u]
@@ -442,14 +487,14 @@ def classify_diagram(rs: RootSystem, S: Iterable[int]) -> list[tuple[tuple[str, 
     lexicographically least (ordered by ambient node) is returned; the family
     chosen is the first match in the order A, B, C, D, E6, E7, E8, F4, G2,
     so ambiguous shapes get a canonical name (a rank-2 double bond is B2).
+    Only Cartan matrices are read: no standard root system is built.
     """
     nodes = tuple(sorted(set(S)))
     out = []
     for comp in _components(rs.cartan, nodes):
         found = None
         for family, m in _candidate_families(len(comp)):
-            target = build(family, m)
-            isos = _isomorphisms_onto(rs.cartan, comp, target)
+            isos = _isomorphisms_onto(rs.cartan, comp, standard_cartan(family, m))
             if isos:
                 best = min(isos, key=lambda f: tuple(f[a] for a in comp))
                 found = ((family, m), best)
@@ -462,9 +507,12 @@ def classify_diagram(rs: RootSystem, S: Iterable[int]) -> list[tuple[tuple[str, 
 
 def diagram_isomorphisms(rs: RootSystem, comp: Iterable[int], family: str,
                          m: int) -> list[dict]:
-    """All relabelings of a connected node set onto a standard diagram."""
+    """All relabelings of a connected node set onto a standard diagram.
+
+    Only Cartan matrices are read: no standard root system is built.
+    """
     try:
-        target = build(family, m)
+        target = standard_cartan(family, m)
     except InvalidType:
         return []
     return _isomorphisms_onto(rs.cartan, tuple(sorted(set(comp))), target)
@@ -478,7 +526,7 @@ def diagram_automorphisms(type_label: str, rank: Optional[int] = None) -> tuple[
     rs = build(type_label, rank)
     if not rs._automorphisms:
         n = rs.rank
-        isos = _isomorphisms_onto(rs.cartan, tuple(range(1, n + 1)), rs)
+        isos = _isomorphisms_onto(rs.cartan, tuple(range(1, n + 1)), rs.cartan)
         perms = sorted(tuple(f[i] for i in range(1, n + 1)) for f in isos)
         ident = tuple(range(1, n + 1))
         rs._automorphisms.extend([ident] + [p for p in perms if p != ident])

@@ -87,11 +87,10 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     theta: list[Vector] = []
     trace: list[ReductionStep] = []
     while pool:
-        simples = {a: rs.simple_root(a) for a in pi}
+        steps = [a - 1 for a in pi]
         maximal = sorted(
             w for w in pool
-            if all(tuple(x + y for x, y in zip(w, simples[a])) not in pool
-                   for a in pi))
+            if all(w[:i] + (w[i] + 1,) + w[i + 1:] not in pool for i in steps))
         if not maximal:
             raise NoMaximalWeight(f"no maximal weight in {sorted(pool)}")
         w = choose(maximal) if choose is not None else maximal[-1]

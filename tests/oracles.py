@@ -195,3 +195,21 @@ def euclidean_cartan(family, n):
             row.append(int(val))
         out.append(tuple(row))
     return tuple(out)
+
+
+def brute_force_isomorphisms(cartan, comp, target):
+    """Every bijection comp -> {1..m} that keeps the labeled Dynkin graph.
+
+    Tries all permutations; ``cartan`` is indexed by 1-based node numbers
+    of ``comp``, ``target`` is an m x m Cartan matrix.
+    """
+    comp = tuple(comp)
+    if len(comp) != len(target):
+        return []
+    out = []
+    for images in itertools.permutations(range(1, len(comp) + 1)):
+        f = dict(zip(comp, images))
+        if all(cartan[a - 1][b - 1] == target[f[a] - 1][f[b] - 1]
+               for a in comp for b in comp):
+            out.append(f)
+    return out

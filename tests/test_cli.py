@@ -167,3 +167,23 @@ def test_malformed_input_exits_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--type", "A", "--rank", "400", "--complement", "1",
+     "--psi", "1", "--format", "json"),
+    ("verify-tables", "--type", "C", "--max-rank", "400"),
+])
+def test_rank_above_max_rank_exits_2_before_any_closure(capsys, monkeypatch,
+                                                        argv):
+    import sphroots.rootsystem as rsmod
+
+    def no_closure(cartan):
+        raise AssertionError("closure ran for a refused rank")
+
+    monkeypatch.setattr(rsmod, "_close_positive_roots", no_closure)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidType: ") and err.count("\n") == 1
+    assert "MAX_RANK" in err

@@ -4,6 +4,11 @@ Expected root sets come from the independent Euclidean realization in
 ``oracles.py``; counts additionally match the closed-form formulas.
 """
 
+import itertools
+import os
+import subprocess
+import sys
+
 import pytest
 
 import sphroots.rootsystem as rsmod
@@ -15,6 +20,7 @@ from sphroots.errors import (
 )
 
 from oracles import (
+    brute_force_isomorphisms,
     euclidean_cartan,
     euclidean_positive_roots,
     euclidean_simple_roots,
@@ -295,3 +301,89 @@ def test_b2_c2_relabeling():
     assert rsmod.diagram_isomorphisms(b2, (1, 2), "B", 2) == [{1: 1, 2: 2}]
     assert rsmod.diagram_isomorphisms(b2, (1, 2), "C", 2) == [{1: 2, 2: 1}]
     assert rsmod.diagram_isomorphisms(b2, (1, 2), "A", 2) == []
+
+
+@pytest.mark.parametrize("family,n", ALL_TYPES)
+def test_standard_cartan_matches_euclidean_model(family, n):
+    assert rsmod.standard_cartan(family, n) == euclidean_cartan(family, n)
+    assert rsmod.standard_cartan(f"{family[0]}{n}") == rsmod.standard_cartan(family, n)
+
+
+def _is_connected(cartan, nodes):
+    seen, queue = {nodes[0]}, [nodes[0]]
+    while queue:
+        i = queue.pop()
+        for j in nodes:
+            if j not in seen and cartan[i - 1][j - 1]:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == len(nodes)
+
+
+def _valid_ranks(family, m):
+    if family in ("E6", "E7", "E8", "F4", "G2"):
+        return int(family[1]) == m
+    return m >= {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+
+
+def _as_set(isos):
+    return {frozenset(f.items()) for f in isos}
+
+
+@pytest.mark.parametrize("family,n,full_only",
+                         [("B", 6, False), ("C", 6, False), ("D", 6, False),
+                          ("F4", 4, False), ("G2", 2, False), ("E6", 6, False),
+                          ("E7", 7, False), ("E8", 8, True)])
+def test_diagram_isomorphisms_match_brute_force(family, n, full_only):
+    rs = rsmod.build(family, n)
+    sizes = [n] if full_only else range(1, n + 1)
+    for k in sizes:
+        for comp in itertools.combinations(range(1, n + 1), k):
+            if not _is_connected(rs.cartan, comp):
+                continue
+            for target in rsmod.FAMILIES:
+                got = rsmod.diagram_isomorphisms(rs, comp, target, k)
+                if not _valid_ranks(target, k):
+                    assert got == []
+                    continue
+                expected = brute_force_isomorphisms(
+                    rs.cartan, comp, euclidean_cartan(target, k))
+                assert len(got) == len(_as_set(got))
+                assert _as_set(got) == _as_set(expected), (comp, target)
+
+
+def test_leaf_matching_builds_no_other_standard_system():
+    # a fresh interpreter, so that no earlier test has interned rank 22
+    code = (
+        "import sphroots.rootsystem as rsmod\n"
+        "from sphroots.cli import main\n"
+        "assert main(['compute', '--type', 'C', '--rank', '22', '--complement',"
+        " '22', '--psi', '1', '--format', 'json']) == 0\n"
+        "print(sorted(k for k in rsmod._by_type if k[1] == 22))\n")
+    src = os.path.dirname(os.path.dirname(rsmod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.splitlines()[-1] == "[('C', 22)]"
+
+
+@pytest.mark.parametrize("family,n", [("F4", 4), ("E6", 6), ("D", 5)])
+def test_from_cartan_of_node_subsets_matches_ambient_roots(family, n):
+    ambient = euclidean_positive_roots(family, n)
+    cartan = rsmod.standard_cartan(family, n)
+    for k in range(n):
+        for nodes in itertools.combinations(range(n), k):
+            sub = rsmod.from_cartan(tuple(cartan[i][j] for j in nodes)
+                                    for i in nodes)
+            supported = {tuple(beta[i] for i in nodes) for beta in ambient
+                         if not any(x for i, x in enumerate(beta)
+                                    if i not in nodes)}
+            assert set(sub.positive_roots) == supported, nodes
+            assert len(sub.positive_roots) == len(supported)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_closure_count_at_rank_30(family):
+    roots = rsmod._close_positive_roots(rsmod.standard_cartan(family, 30))
+    assert len(roots) == len(set(roots)) == COUNTS[family](30)
+    assert all(min(r) >= 0 for r in roots)

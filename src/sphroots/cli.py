@@ -136,7 +136,7 @@ def _cmd_degenerate(args) -> int:
     check = args.check if args.check is not None else True
     d = degenerate(H, lam, check=check)
     shift = sorted(
-        (list(src), list(line.root) if line.root is not None else "h_delta")
+        (list(src), list(line) if any(line) else "h_delta")
         for src, line in d.shift_map.items())
     payload = {
         "delta": list(d.delta),

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import rootsystem as rsmod
 from .errors import DimensionMismatch, EmptyFiber, NonUniqueExtreme
-from .rootsystem import RootSystem, Vector, support_and_height
+from .rootsystem import RootSystem, Vector, height_key, support_and_height
 
 
 class LeviDatum:
@@ -38,7 +38,7 @@ class LeviDatum:
                                 if a not in self.levi)
         self.levi_subsystem = rsmod.subsystem(rs, self.levi)
         self.delta_l_plus = tuple(
-            self.levi_subsystem.embed(r, rs.rank)
+            rsmod.embed(r, self.levi_subsystem.nodes, rs.rank)
             for r in self.levi_subsystem.system.positive_roots)
         self._delta_l_set = frozenset(self.delta_l_plus)
 
@@ -47,7 +47,7 @@ class LeviDatum:
             lam = self.restrict(beta)
             if any(lam):
                 fibers.setdefault(lam, []).append(beta)
-        self._fibers = {lam: tuple(sorted(v, key=lambda r: (sum(r), r)))
+        self._fibers = {lam: tuple(sorted(v, key=height_key))
                         for lam, v in fibers.items()}
         self.phi_plus = tuple(sorted(self._fibers))
         self._phi_set = frozenset(self.phi_plus)

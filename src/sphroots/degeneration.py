@@ -6,56 +6,46 @@ passing to the limit shifts every line of the orthogonal complement to the
 bottom of its delta-string.  The normalizer of the limit is again a
 Levi-split datum, with one spherical root fewer; everything here is pure
 line bookkeeping on root vectors.
+
+A torus-stable line is named by its weight: a root for a root line, and
+the zero weight for the line spanned by the coroot of delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
 from .errors import AmbiguousComponent, InvariantViolation, LambdaNotActive
-from .rootsystem import RootSystem, Vector
+from .rootsystem import RootSystem, Vector, height_key
 from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
-
-
-@dataclass(frozen=True, slots=True)
-class Line:
-    """A one-dimensional torus-stable subspace: a root line, or the line
-    spanned by the coroot of delta when ``root`` is None."""
-
-    root: Optional[Vector]
-
-    @property
-    def is_cartan(self) -> bool:
-        return self.root is None
 
 
 @dataclass(frozen=True, slots=True)
 class DeltaString:
     """The line string of one simple s(delta)-module, top weight first.
 
-    ``lines[i]`` is the root ``top - i*delta``, except the zero weight
-    (possible only in the string topped by delta itself) which is the
-    Cartan line.
+    ``lines[i]`` is the weight ``top - i*delta``: a root, or the zero
+    weight of the Cartan line (possible only in the string topped by delta
+    itself).
     """
 
     top: Vector
     p: int
-    lines: tuple[Line, ...]
+    lines: tuple[Vector, ...]
 
 
-def _weight_lines(rs: RootSystem) -> dict[Vector, Line]:
-    """One line per root of ``rs``, and the Cartan line at the zero weight.
+def _weight_lines(rs: RootSystem) -> dict[Vector, Vector]:
+    """Each root of ``rs``, and the zero weight, mapped to itself.
 
-    Built once per system and shared by all its delta-strings; keys run by
-    descending height, then lexicographically.
+    Built once per system, so all its delta-strings share one tuple per
+    weight; keys run by descending height, then lexicographically.
     """
     if not rs._lines:
         weights = sorted(rs.root_set | {rs.zero()}, key=lambda r: (-sum(r), r))
-        rs._lines.update((w, Line(None if not any(w) else w)) for w in weights)
+        rs._lines.update((w, w) for w in weights)
     return rs._lines
 
 
@@ -74,8 +64,8 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     lines = _weight_lines(rs)
     strings = []
     seen = 0
-    for alpha, top_line in lines.items():
-        if top_line.is_cartan or tuple(a + d for a, d in zip(alpha, delta)) in lines:
+    for alpha in lines:
+        if not any(alpha) or tuple(a + d for a, d in zip(alpha, delta)) in lines:
             continue
         p = rsmod.coroot_pairing(rs, delta, alpha)
         if p < 0:
@@ -105,7 +95,7 @@ class DegenerationResult:
     pi_m: tuple[int, ...]
     u_infinity: tuple[Vector, ...]
     shift_map: dict = field(repr=False)
-    limit_lines: tuple[Line, ...] = field(repr=False)
+    limit_lines: tuple[Vector, ...] = field(repr=False)
 
 
 def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> DegenerationResult:
@@ -125,23 +115,21 @@ def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> Degeneratio
     pu = L.pu
     h_perp = pu | set(H.u_roots)
 
-    shift: dict[Vector, Line] = {}
-    limit: list[Line] = []
+    shift: dict[Vector, Vector] = {}
+    limit: list[Vector] = []
     for string in delta_strings(rs, delta):
-        members = [i for i, line in enumerate(string.lines)
-                   if line.root is not None and line.root in h_perp]
+        members = [i for i, w in enumerate(string.lines) if w in h_perp]
         base = string.p - len(members) + 1
         for j, i in enumerate(members):
             target_line = string.lines[base + j]
-            shift[string.lines[i].root] = target_line
+            shift[string.lines[i]] = target_line
             limit.append(target_line)
 
     pi_m = tuple(a for a in sorted(L.levi) if rsmod.pairing(rs, a, delta) == 0)
     u_inf = sorted(
-        (line.root for line in limit
-         if line.root is not None and min(line.root) >= 0
-         and not L.in_levi(line.root)),
-        key=lambda r: (sum(r), r))
+        (w for w in limit
+         if any(w) and min(w) >= 0 and not L.in_levi(w)),
+        key=height_key)
 
     L_target = levi_datum(rs, pi_m)
     psi_target = sorted({L_target.restrict(beta) for beta in u_inf})
@@ -162,8 +150,8 @@ def _check_limit_structure(d: DegenerationResult, pu: frozenset) -> None:
     global checks_run
     checks_run += 1
     H, rs, L = d.source, d.source.rs, d.source.L
-    limit_roots = {line.root for line in d.limit_lines if line.root is not None}
-    cartan_count = sum(1 for line in d.limit_lines if line.is_cartan)
+    limit_roots = {w for w in d.limit_lines if any(w)}
+    cartan_count = sum(1 for w in d.limit_lines if not any(w))
     if cartan_count != 1:
         raise InvariantViolation("limit must contain the Cartan line exactly once")
     if len(d.limit_lines) != len(pu) + len(H.u_roots):
@@ -225,8 +213,8 @@ def track_component(d: DegenerationResult, i: int) -> int:
     for mu in block:
         for beta in d.source.L.fiber(mu):
             line = d.shift_map[beta]
-            if line.root is not None and line.root in u_inf:
-                images.append(line.root)
+            if line in u_inf:
+                images.append(line)
     if not images:
         raise AmbiguousComponent(f"block {block} has no image in the limit")
     target_blocks = sm_decomposition(d.target).components

@@ -30,7 +30,7 @@ from .rootsystem import RootSystem, Vector, diagram_automorphisms
 from .solver import base_solve
 from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
-from .tables import MatchResult, iter_instances, match_datum
+from .tables import _transform_datum, iter_instances, match_datum
 
 CaseKey = tuple[tuple[int, ...], tuple[Vector, ...]]
 
@@ -61,22 +61,6 @@ class CaseRecord:
         return out
 
 
-def _apply_automorphism(perm: tuple[int, ...], complement, psi) -> CaseKey:
-    new_complement = tuple(sorted(perm[c - 1] for c in complement))
-    new_psi = []
-    for lam in psi:
-        weights = {perm[c - 1]: x for c, x in zip(complement, lam)}
-        new_psi.append(tuple(weights.get(a, 0) for a in new_complement))
-    return new_complement, tuple(sorted(new_psi))
-
-
-def _map_vector(perm: tuple[int, ...], v: Vector) -> Vector:
-    out = [0] * len(perm)
-    for i, x in enumerate(v):
-        out[perm[i] - 1] = x
-    return tuple(out)
-
-
 def canonical_key(rs: RootSystem, complement, psi) -> tuple[CaseKey, tuple[int, ...]]:
     """Least image of (complement, psi) over the diagram automorphisms.
 
@@ -85,7 +69,7 @@ def canonical_key(rs: RootSystem, complement, psi) -> tuple[CaseKey, tuple[int, 
     best = None
     best_perm = None
     for perm in diagram_automorphisms(rs.type_label, rs.rank):
-        key = _apply_automorphism(perm, complement, psi)
+        key = _transform_datum(perm, complement, psi)
         if best is None or key < best:
             best, best_perm = key, perm
     return best, best_perm
@@ -153,17 +137,12 @@ def _build_record(rs, key, H, perm, solve, check) -> CaseRecord:
         sigma = base_solve(canonical, check=check).roots
         if trivial:
             try:
-                match = _match_full(canonical)
+                match = match_datum(canonical)
                 matched = (match.table_id, match.row_id, match.params,
                            tuple(match.iso[a] for a in range(1, rs.rank + 1)))
             except (UnclassifiedCase, UnclassifiedLeaf):
                 matched = None
     return CaseRecord(canonical, spherical, rank, trivial, sigma, matched)
-
-
-def _match_full(H: SubgroupDatum) -> MatchResult:
-    tables = (1,) if len(H.psi) == 1 else tuple(range(2, 10))
-    return match_datum(H, tables)
 
 
 @dataclass
@@ -212,7 +191,7 @@ def expected_cases(family: str, n: int) -> dict[CaseKey, ExpectedCase]:
     out: dict[CaseKey, ExpectedCase] = {}
     for inst in iter_instances(family, n, tables=range(2, 10)):
         key, perm = canonical_key(rs, inst.complement, inst.psi)
-        sigma = frozenset(_map_vector(perm, v) for v in inst.sigma)
+        sigma = frozenset(rsmod.embed(v, perm, n) for v in inst.sigma)
         label = f"t{inst.table_id}r{inst.row_id}{list(inst.params)}"
         if key in out:
             prev = out[key]
@@ -300,6 +279,9 @@ def _family_ranks(family: str, ranks, max_rank) -> tuple[str, list[int]]:
         raise rsmod.InvalidType(f"unknown family {family!r}")
     if ranks is None:
         lo = {"A": 3, "B": 3, "C": 3, "D": 4}[label]
+        if max_rank < lo:
+            raise rsmod.InvalidType(
+                f"type {label} is verified from rank {lo}, got max rank {max_rank}")
         ranks = range(lo, max_rank + 1)
     ranks = sorted(set(ranks))
     for n in ranks:  # refuse a bad rank before enumerating any other

@@ -25,6 +25,12 @@ from .errors import (
 
 Vector = tuple[int, ...]
 
+
+def height_key(w: Vector) -> tuple[int, Vector]:
+    """Sort key of the (height, lexicographic) order on roots and weights."""
+    return sum(w), w
+
+
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
 _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
@@ -239,7 +245,7 @@ def _close_positive_roots(cartan: tuple[Vector, ...]) -> tuple[Vector, ...]:
                     fresh[up] = tuple(map(add, b, columns[i]))
         pairings.update(fresh)
         level = list(fresh.items())
-    return tuple(sorted(pairings, key=lambda r: (sum(r), r)))
+    return tuple(sorted(pairings, key=height_key))
 
 
 _by_type: dict[tuple[str, int], RootSystem] = {}
@@ -321,6 +327,18 @@ def coroot_pairing(rs: RootSystem, gamma: Iterable[int], w: Iterable[int]) -> in
     return value
 
 
+def embed(w: Iterable[int], nodes: tuple[int, ...], rank: int) -> Vector:
+    """Lift a vector on ``nodes`` to ambient coordinates of the given rank.
+
+    Entry i of ``w`` lands on the 1-based ambient node ``nodes[i]``; the
+    other coordinates are zero.
+    """
+    out = [0] * rank
+    for pos, coeff in enumerate(w):
+        out[nodes[pos] - 1] = coeff
+    return tuple(out)
+
+
 def support_and_height(w: Iterable[int]) -> tuple[frozenset[int], int]:
     """Support (1-based index set) and height of a nonnegative vector."""
     v = tuple(w)
@@ -339,21 +357,6 @@ class Subsystem:
 
     system: RootSystem
     nodes: tuple[int, ...]
-
-    def embed(self, w: Iterable[int], ambient_rank: int) -> Vector:
-        """Lift a vector from subsystem coordinates to ambient coordinates."""
-        out = [0] * ambient_rank
-        for pos, coeff in enumerate(w):
-            out[self.nodes[pos] - 1] = coeff
-        return tuple(out)
-
-    def project(self, w: Iterable[int]) -> Vector:
-        """Drop an ambient vector supported on the nodes to subsystem coordinates."""
-        v = tuple(w)
-        for i, x in enumerate(v):
-            if x != 0 and (i + 1) not in self.nodes:
-                raise NotImplementedError(f"{v} not supported on {self.nodes}")
-        return tuple(v[a - 1] for a in self.nodes)
 
 
 def subsystem(rs: RootSystem, S: Iterable[int]) -> Subsystem:

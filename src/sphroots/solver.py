@@ -16,13 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .degeneration import degenerate, track_component
-from .errors import (
-    ExceededIterations,
-    InvariantViolation,
-    NotSpherical,
-    UnclassifiedCase,
-)
-from .rootsystem import Vector
+from .errors import ExceededIterations, InvariantViolation, NotSpherical
+from .rootsystem import Vector, embed, height_key
 from .sphericity import is_spherical_and_rank, linearly_independent
 from .subgroup import (
     SubgroupDatum,
@@ -31,7 +26,7 @@ from .subgroup import (
     upper_elements,
     upsilon_and_hat,
 )
-from .tables import match_datum, match_leaf
+from .tables import match_datum
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class SphericalRootSet:
 
 
 def _sorted_roots(roots) -> tuple[Vector, ...]:
-    return tuple(sorted(set(roots), key=lambda v: (sum(v), v)))
+    return tuple(sorted(set(roots), key=height_key))
 
 
 def _result(roots, method, certificate) -> SphericalRootSet:
@@ -69,9 +64,9 @@ def leaf_resolve(H: SubgroupDatum) -> SphericalRootSet:
         raise InvariantViolation("leaf_resolve needs at most one active root")
     if not H.psi:
         return SphericalRootSet((), "leaf", {"datum": _wire(H), "leaf": None})
-    reduced = ambient_reduction(H)
-    match = match_leaf(reduced.datum)
-    sigma = [reduced.embed(s) for s in match.sigma]
+    reduced, sub = ambient_reduction(H)
+    match = match_datum(reduced)
+    sigma = [embed(s, sub.nodes, H.rs.rank) for s in match.sigma]
     certificate = {
         "datum": _wire(H),
         "leaf": {"table": match.table_id, "row": match.row_id,
@@ -211,12 +206,10 @@ def optimized_solve(H: SubgroupDatum, resolution: str = "table",
         elif len(isolated.psi) <= 1:
             part = leaf_resolve(isolated)
         else:
-            reduced = ambient_reduction(isolated)
-            if len(reduced.datum.psi) > 2:
-                raise UnclassifiedCase(
-                    f"isolated block has {len(reduced.datum.psi)} active roots")
-            match = match_datum(reduced.datum, tables=range(2, 10))
-            part = _result([reduced.embed(s) for s in match.sigma], "table", {
+            reduced, sub = ambient_reduction(isolated)
+            match = match_datum(reduced)
+            sigma = [embed(s, sub.nodes, isolated.rs.rank) for s in match.sigma]
+            part = _result(sigma, "table", {
                 "datum": _wire(isolated),
                 "match": {"table": match.table_id, "row": match.row_id},
             })

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from . import rootsystem as rsmod
 from .croots import LeviDatum, levi_datum
 from .errors import ClosureViolation, InvariantViolation, PsiNotInPhiPlus
-from .rootsystem import RootSystem, Vector
+from .rootsystem import RootSystem, Subsystem, Vector, height_key
 
 
 class SubgroupDatum:
@@ -35,8 +35,7 @@ class SubgroupDatum:
         roots: list[Vector] = []
         for lam in self.psi:
             roots.extend(L.fiber(lam))
-        self.u_roots = tuple(sorted(roots, key=lambda r: (sum(r), r)))
-        self._u_set = frozenset(self.u_roots)
+        self.u_roots = tuple(sorted(roots, key=height_key))
         self._blocks: Optional[SMDecomposition] = None
         self._verdict: Optional[tuple[bool, Optional[int]]] = None
         self._solved: dict = {}  # base-solve result per value of ``check``
@@ -44,9 +43,6 @@ class SubgroupDatum:
     @property
     def rs(self) -> RootSystem:
         return self.L.rs
-
-    def has_u_root(self, beta: Vector) -> bool:
-        return beta in self._u_set
 
     def __repr__(self):
         return (f"SubgroupDatum(levi={sorted(self.L.levi)}, "
@@ -197,38 +193,16 @@ def upsilon_and_hat(H: SubgroupDatum, i: int) -> tuple[tuple[Vector, ...], Subgr
     return upsilon, hat
 
 
-@dataclass(frozen=True)
-class ReducedDatum:
-    """A datum re-expressed over the span of its active supports.
-
-    ``nodes[i]`` is the ambient 1-based node behind the reduced node i+1;
-    ``embed`` lifts reduced-coordinate weights back to the ambient system.
-    """
-
-    datum: SubgroupDatum
-    nodes: tuple[int, ...]
-    ambient_rank: int
-
-    def embed(self, w: Iterable[int]) -> Vector:
-        out = [0] * self.ambient_rank
-        for pos, coeff in enumerate(w):
-            out[self.nodes[pos] - 1] = coeff
-        return tuple(out)
-
-
-def ambient_reduction(H: SubgroupDatum) -> ReducedDatum:
+def ambient_reduction(H: SubgroupDatum) -> tuple[SubgroupDatum, Subsystem]:
     """Shrink the ambient system to the union of active supports.
 
-    The active set, its fibers, and the block structure carry over
-    unchanged; an empty active set reduces to the empty system.
+    Returns the reduced datum and the subsystem it lives on, whose
+    ``nodes`` name the ambient node behind each reduced node.  The active
+    set, its fibers, and the block structure carry over unchanged; an
+    empty active set reduces to the empty system.
     """
-    rs = H.rs
-    if not H.psi:
-        sub = rsmod.subsystem(rs, ())
-        L0 = levi_datum(sub.system, ())
-        return ReducedDatum(make_subgroup(L0, ()), (), rs.rank)
-    pi0 = sorted(frozenset().union(*(H.L.croot_support(lam) for lam in H.psi)))
-    sub = rsmod.subsystem(rs, pi0)
+    pi0 = frozenset().union(*(H.L.croot_support(lam) for lam in H.psi))
+    sub = rsmod.subsystem(H.rs, pi0)
     new_levi = [pos + 1 for pos, a in enumerate(sub.nodes) if a in H.L.levi]
     L0 = levi_datum(sub.system, new_levi)
     ambient_complement = [a for a in sub.nodes if a not in H.L.levi]
@@ -239,4 +213,4 @@ def ambient_reduction(H: SubgroupDatum) -> ReducedDatum:
     reduced = make_subgroup(L0, new_psi)
     if len(reduced.psi) != len(H.psi):
         raise InvariantViolation("ambient reduction collapsed active roots")
-    return ReducedDatum(reduced, sub.nodes, rs.rank)
+    return reduced, sub

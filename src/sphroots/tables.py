@@ -86,7 +86,7 @@ def _instance(spec: RowSpec, n: int, params: Params) -> RowInstance:
     return RowInstance(
         spec.table_id, spec.row_id, spec.family, n, params,
         tuple(complement), tuple(sorted(psi)), rank,
-        tuple(sorted(sigma, key=lambda v: (sum(v), v))))
+        tuple(sorted(sigma, key=rsmod.height_key)))
 
 
 def _fixed(*params_lists: Params) -> Callable[[int], list[Params]]:
@@ -580,46 +580,50 @@ class MatchResult:
     sigma: tuple[Vector, ...]  # pulled back to the matched datum's nodes
 
 
-def _transform_datum(complement, psi, iso):
-    """Push a (complement, psi) pair through a node relabeling."""
-    new_nodes = sorted(iso[c] for c in complement)
+def _transform_datum(perm: tuple[int, ...], complement, psi):
+    """Push a (complement, psi) pair through a node relabeling.
+
+    ``perm[a - 1]`` is the image of node a.
+    """
+    new_nodes = sorted(perm[c - 1] for c in complement)
     out_psi = []
     for lam in psi:
-        weights = {iso[c]: x for c, x in zip(complement, lam)}
+        weights = {perm[c - 1]: x for c, x in zip(complement, lam)}
         out_psi.append(tuple(weights.get(a, 0) for a in new_nodes))
     return tuple(new_nodes), tuple(sorted(out_psi))
 
 
-def _pullback(sigma_std: Vector, iso: dict, rank: int) -> Vector:
-    return tuple(sigma_std[iso[a] - 1] for a in range(1, rank + 1))
-
-
-def match_datum(H: SubgroupDatum, tables: Iterable[int]) -> MatchResult:
+def match_datum(H: SubgroupDatum) -> MatchResult:
     """Find the table row equal to a reduced datum up to diagram relabeling.
 
     The datum must already be ambient-reduced with a connected diagram.
-    All matches are located and must agree on the pulled-back rank and
-    spherical-root set; the lowest (table, row) match is reported.
+    Its active set picks the tables: one active root is looked up in
+    table 1, two in tables 2-9; more raise UnclassifiedCase.  All matches
+    are located and must agree on the pulled-back rank and spherical-root
+    set; the lowest (table, row) match is reported.
     """
+    if len(H.psi) > 2:
+        raise UnclassifiedCase(f"isolated block has {len(H.psi)} active roots")
+    tables = (1,) if len(H.psi) <= 1 else range(2, 10)
     rs = H.rs
     n = rs.rank
-    wanted = set(tables)
     all_nodes = tuple(range(1, n + 1))
     matches: list[MatchResult] = []
     for family in rsmod.FAMILIES:
         isos = rsmod.diagram_isomorphisms(rs, all_nodes, family, n)
         if not isos:
             continue
-        instances = [inst for inst in iter_instances(family, n, wanted)]
+        instances = list(iter_instances(family, n, tables))
         for iso in isos:
+            perm = tuple(iso[a] for a in all_nodes)
             complement_std, psi_std = _transform_datum(
-                H.L.complement, H.psi, iso)
+                perm, H.L.complement, H.psi)
             for inst in instances:
                 if inst.complement == complement_std and \
                         set(inst.psi) == set(psi_std):
                     sigma = tuple(sorted(
-                        (_pullback(s, iso, n) for s in inst.sigma),
-                        key=lambda v: (sum(v), v)))
+                        (tuple(s[t - 1] for t in perm) for s in inst.sigma),
+                        key=rsmod.height_key))
                     matches.append(MatchResult(
                         inst.table_id, inst.row_id, family, n, inst.params,
                         iso, inst.rank, sigma))
@@ -636,11 +640,6 @@ def match_datum(H: SubgroupDatum, tables: Iterable[int]) -> MatchResult:
                 f"{(first.table_id, first.row_id)} vs "
                 f"{(other.table_id, other.row_id)}")
     return first
-
-
-def match_leaf(H: SubgroupDatum) -> MatchResult:
-    """Match a reduced single-active-root datum against table 1."""
-    return match_datum(H, tables=(1,))
 
 
 def dump_rows(table_id: int, n: Optional[int] = None,

@@ -161,6 +161,8 @@ DATUM = ("--type", "B", "--rank", "3")
     ("tables", "dump", "--table", "1", "--n", "0"),
     ("enumerate", "--type", "B", "--rank", "3", "--complement-size", "2",
      "--psi-size", "1"),
+    ("verify-tables", "--type", "A", "--max-rank", "2"),
+    ("verify-tables", "--type", "D", "--max-rank", "3"),
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

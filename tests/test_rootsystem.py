@@ -246,7 +246,7 @@ def test_subsystem_examples():
     b3 = rsmod.build("B", 3)
     sub = rsmod.subsystem(b3, (2, 3))
     assert sub.nodes == (2, 3)
-    embedded = {sub.embed(r, 3) for r in sub.system.positive_roots}
+    embedded = {rsmod.embed(r, sub.nodes, 3) for r in sub.system.positive_roots}
     assert embedded == {(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)}
 
     e6 = rsmod.build("E6")

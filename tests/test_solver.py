@@ -6,6 +6,7 @@ import pytest
 
 from sphroots.degeneration import degenerate
 from sphroots.errors import NotSpherical
+from sphroots.rootsystem import embed
 from sphroots.solver import algorithm_d, base_solve, leaf_resolve, optimized_solve
 from sphroots.sphericity import is_spherical_and_rank
 from sphroots.subgroup import ambient_reduction, sm_decomposition
@@ -170,6 +171,6 @@ def test_removed_roots_differ_at_every_node():
 def test_ambient_reduction_commutes_with_solving():
     for family, n, complement, psi in CROSS_METHOD_CASES[:8]:
         H = datum(family, n, complement, psi)
-        red = ambient_reduction(H)
+        reduced, sub = ambient_reduction(H)
         assert base_solve(H).root_set == \
-            {red.embed(s) for s in base_solve(red.datum).roots}
+            {embed(s, sub.nodes, H.rs.rank) for s in base_solve(reduced).roots}

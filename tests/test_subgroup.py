@@ -106,36 +106,36 @@ def test_upper_elements_nonempty(family, n):
 
 
 def test_ambient_reduction_examples():
-    red = ambient_reduction(datum("B", 3, (1, 3), [(0, 1)]))
-    assert red.nodes == (2, 3)
-    assert red.datum.rs.rank == 2
-    assert red.datum.psi == ((1,),)
-    assert sorted(red.datum.L.levi) == [1]
-    [(label, _)] = rsmod.classify_diagram(red.datum.rs, (1, 2))
+    reduced, sub = ambient_reduction(datum("B", 3, (1, 3), [(0, 1)]))
+    assert sub.nodes == (2, 3)
+    assert reduced.rs.rank == 2
+    assert reduced.psi == ((1,),)
+    assert sorted(reduced.L.levi) == [1]
+    [(label, _)] = rsmod.classify_diagram(reduced.rs, (1, 2))
     assert label == ("B", 2)
 
-    red = ambient_reduction(datum("B", 3, (1, 2, 3), [(0, 0, 1)]))
-    assert red.nodes == (3,)
-    assert red.datum.psi == ((1,),)
+    reduced, sub = ambient_reduction(datum("B", 3, (1, 2, 3), [(0, 0, 1)]))
+    assert sub.nodes == (3,)
+    assert reduced.psi == ((1,),)
 
     H = datum("B", 3, (3,), [(1,), (2,)])
-    red = ambient_reduction(H)
-    assert red.nodes == (1, 2, 3)
-    assert red.datum.psi == H.psi
+    reduced, sub = ambient_reduction(H)
+    assert sub.nodes == (1, 2, 3)
+    assert reduced.psi == H.psi
 
-    red = ambient_reduction(datum("B", 3, (3,), []))
-    assert red.nodes == () and red.datum.psi == ()
+    reduced, sub = ambient_reduction(datum("B", 3, (3,), []))
+    assert sub.nodes == () and reduced.psi == ()
 
 
 def test_ambient_reduction_preserves_structure():
     H = datum("C", 5, (2, 4), [(1, 0), (1, 1)])
-    red = ambient_reduction(H)
-    assert len(red.datum.psi) == len(H.psi)
+    reduced, _ = ambient_reduction(H)
+    assert len(reduced.psi) == len(H.psi)
     fibers_before = sorted(len(H.L.fiber(lam)) for lam in H.psi)
-    fibers_after = sorted(len(red.datum.L.fiber(lam)) for lam in red.datum.psi)
+    fibers_after = sorted(len(reduced.L.fiber(lam)) for lam in reduced.psi)
     assert fibers_before == fibers_after
     blocks_before = sm_decomposition(H).components
-    blocks_after = sm_decomposition(red.datum).components
+    blocks_after = sm_decomposition(reduced).components
     assert len(blocks_before) == len(blocks_after)
     assert sorted(map(len, blocks_before)) == sorted(map(len, blocks_after))
 

@@ -3,7 +3,7 @@
 import pytest
 
 import sphroots.rootsystem as rsmod
-from sphroots.errors import ParamsOutOfRange, UnclassifiedLeaf
+from sphroots.errors import ParamsOutOfRange, UnclassifiedCase, UnclassifiedLeaf
 from sphroots.sphericity import is_spherical_and_rank, linearly_independent
 from sphroots.subgroup import ambient_reduction, make_subgroup
 from sphroots.tables import (
@@ -11,7 +11,6 @@ from sphroots.tables import (
     instantiate_row,
     iter_instances,
     match_datum,
-    match_leaf,
     row_specs,
 )
 from sphroots.croots import levi_datum
@@ -94,20 +93,20 @@ def test_row_sphericity_and_rank():
 
 def test_match_leaf_b2_inside_b3():
     H = datum("B", 3, (1, 3), [(0, 1)])
-    reduced = ambient_reduction(H)
-    match = match_leaf(reduced.datum)
+    reduced, sub = ambient_reduction(H)
+    match = match_datum(reduced)
     assert (match.family, match.n) == ("C", 2)
     assert match.table_id == 1 and match.row_id == 4
-    assert [reduced.embed(s) for s in match.sigma] == [(0, 1, 1)]
+    assert [rsmod.embed(s, sub.nodes, 3) for s in match.sigma] == [(0, 1, 1)]
 
 
 def test_match_leaf_a1():
     H = datum("B", 3, (1, 2, 3), [(0, 0, 1)])
-    reduced = ambient_reduction(H)
-    match = match_leaf(reduced.datum)
+    reduced, sub = ambient_reduction(H)
+    match = match_datum(reduced)
     assert (match.family, match.n) == ("A", 1)
     assert match.row_id == 1
-    assert [reduced.embed(s) for s in match.sigma] == [(0, 0, 1)]
+    assert [rsmod.embed(s, sub.nodes, 3) for s in match.sigma] == [(0, 0, 1)]
 
 
 def test_match_leaf_d4_triality():
@@ -116,7 +115,7 @@ def test_match_leaf_d4_triality():
     rs = rsmod.build("D", 4)
     L = levi_datum(rs, (1, 2, 4))
     H = make_subgroup(L, [(1,)])  # complement node 3
-    match = match_leaf(H)
+    match = match_datum(H)
     assert (match.family, match.n) == ("D", 4)
     assert match.row_id in (11, 13)
     assert match.rank == 2
@@ -127,12 +126,29 @@ def test_match_leaf_unclassified():
     # a non-spherical leaf matches nothing
     H = datum("G2", 2, (2,), [(1,)])
     with pytest.raises(UnclassifiedLeaf):
-        match_leaf(H)
+        match_datum(H)
+
+
+def test_match_datum_refuses_three_active_roots():
+    # the tables stop at two active roots; the solvers never pass more, so
+    # only a direct call reaches this guard
+    H = datum("B", 3, (1, 3), [(0, 1), (0, 2), (1, 1)])
+    assert is_spherical_and_rank(H) == (True, 3)
+    with pytest.raises(UnclassifiedCase, match="has 3 active roots"):
+        match_datum(H)
+
+
+def test_match_datum_unclassified_pair():
+    # a non-spherical two-root datum matches no row of tables 2-9
+    H = datum("B", 3, (2,), [(1,), (2,)])
+    assert not is_spherical_and_rank(H)[0]
+    with pytest.raises(UnclassifiedCase, match="no table row matches"):
+        match_datum(H)
 
 
 def test_match_datum_pair():
     H = datum("F4", 4, (3,), [(1,), (3,)])
-    match = match_datum(H, tables=range(2, 10))
+    match = match_datum(H)
     assert (match.table_id, match.row_id) == (2, 2)
     assert match.rank == 4
     assert set(match.sigma) == {(1, 0, 0, 0), (0, 1, 1, 0),
@@ -142,7 +158,7 @@ def test_match_datum_pair():
 def test_match_datum_needs_automorphism():
     # the flip image of the (2,3) row at n=3 only matches after reversal
     H = datum("A", 3, (1, 2), [(0, 1), (1, 1)])
-    match = match_datum(H, tables=range(2, 10))
+    match = match_datum(H)
     assert (match.table_id, match.row_id) == (5, 4)
     assert match.iso == {1: 3, 2: 2, 3: 1}
     assert is_spherical_and_rank(H) == (True, match.rank)

@@ -13,7 +13,7 @@ the zero weight for the line spanned by the coroot of delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
@@ -23,8 +23,7 @@ from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaString:
+class DeltaString(NamedTuple):
     """The line string of one simple s(delta)-module, top weight first.
 
     ``lines[i]`` is the weight ``top - i*delta``: a root, or the zero
@@ -84,8 +83,7 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     return rs._delta_strings[delta]
 
 
-@dataclass(frozen=True)
-class DegenerationResult:
+class DegenerationResult(NamedTuple):
     """Everything the limit produces: the new datum and the line movements."""
 
     source: SubgroupDatum
@@ -94,8 +92,8 @@ class DegenerationResult:
     target: SubgroupDatum
     pi_m: tuple[int, ...]
     u_infinity: tuple[Vector, ...]
-    shift_map: dict = field(repr=False)
-    limit_lines: tuple[Vector, ...] = field(repr=False)
+    shift_map: dict
+    limit_lines: tuple[Vector, ...]
 
 
 def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> DegenerationResult:

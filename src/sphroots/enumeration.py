@@ -15,8 +15,7 @@ is enumerated there.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
@@ -35,8 +34,7 @@ from .tables import _transform_datum, iter_instances, match_datum
 CaseKey = tuple[tuple[int, ...], tuple[Vector, ...]]
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     """One enumerated case, stored by its canonical representative."""
 
     datum: SubgroupDatum
@@ -145,16 +143,16 @@ def _build_record(rs, key, H, perm, solve, check) -> CaseRecord:
     return CaseRecord(canonical, spherical, rank, trivial, sigma, matched)
 
 
-@dataclass
 class DiffReport:
     """Outcome of comparing enumerated cases against table instantiations."""
 
-    scope: str
-    missing: list = field(default_factory=list)   # expected but not found
-    extra: list = field(default_factory=list)     # found but not expected
-    rank_mismatches: list = field(default_factory=list)
-    sigma_mismatches: list = field(default_factory=list)
-    checked: int = 0
+    def __init__(self, scope: str):
+        self.scope = scope
+        self.missing: list = []   # expected but not found
+        self.extra: list = []     # found but not expected
+        self.rank_mismatches: list = []
+        self.sigma_mismatches: list = []
+        self.checked = 0
 
     @property
     def empty(self) -> bool:
@@ -173,8 +171,7 @@ class DiffReport:
         }
 
 
-@dataclass(frozen=True)
-class ExpectedCase:
+class ExpectedCase(NamedTuple):
     key: CaseKey
     rank: int
     sigma: frozenset[Vector]
@@ -221,7 +218,7 @@ def actual_cases(family: str, n: int, check: bool = True) -> dict[CaseKey, CaseR
 
 def diff_cases(scope: str, expected: dict[CaseKey, ExpectedCase],
                actual: dict[CaseKey, CaseRecord]) -> DiffReport:
-    report = DiffReport(scope=scope)
+    report = DiffReport(scope)
     for key in sorted(set(expected) | set(actual)):
         if key not in actual:
             report.missing.append({"case": _key_json(key),
@@ -253,9 +250,10 @@ def verify_tables(family: str, ranks: Optional[Iterable[int]] = None,
                   max_rank: int = 10, check: bool = True) -> DiffReport:
     """Regenerate one type's table rows by enumeration and diff them.
 
-    Classical families default to every rank from their minimum through
-    ``max_rank``; exceptional types have one rank.  The report is empty
-    exactly when the enumeration reproduces the tables.
+    Classical families default to every rank from their minimum (A3, B3,
+    C3, D4) through ``max_rank``; explicit ``ranks`` must be nonempty and
+    keep the same minimum.  Exceptional types have one rank.  The report
+    is empty exactly when the enumeration reproduces the tables.
     """
     family, fixed = _family_ranks(family, ranks, max_rank)
     combined = DiffReport(scope=f"{family}[{','.join(map(str, fixed))}]")
@@ -277,13 +275,11 @@ def _family_ranks(family: str, ranks, max_rank) -> tuple[str, list[int]]:
         return label, [rsmod._FIXED_RANK[label]]
     if label not in ("A", "B", "C", "D"):
         raise rsmod.InvalidType(f"unknown family {family!r}")
-    if ranks is None:
-        lo = {"A": 3, "B": 3, "C": 3, "D": 4}[label]
-        if max_rank < lo:
-            raise rsmod.InvalidType(
-                f"type {label} is verified from rank {lo}, got max rank {max_rank}")
-        ranks = range(lo, max_rank + 1)
-    ranks = sorted(set(ranks))
+    lo = {"A": 3, "B": 3, "C": 3, "D": 4}[label]
+    ranks = sorted(set(range(lo, max_rank + 1) if ranks is None else ranks))
+    if not ranks or ranks[0] < lo:
+        raise rsmod.InvalidType(
+            f"type {label} is verified from rank {lo}, got ranks {ranks}")
     for n in ranks:  # refuse a bad rank before enumerating any other
         rsmod.normalize_type(label, n)
     return label, ranks

@@ -9,11 +9,9 @@ test oracle).  Simple-root indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     DimensionMismatch,
@@ -54,7 +52,6 @@ _POSITIVE_COUNT = {
 }
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystem:
     """Cartan data plus the full set of positive roots.
 
@@ -70,26 +67,22 @@ class RootSystem:
     asked for: its subsystems, its Levi data and its diagram automorphisms.
     """
 
-    type_label: Optional[str]
-    rank: int
-    cartan: tuple[Vector, ...]
-    symmetrizer: Vector
-    positive_roots: tuple[Vector, ...]
-    _subsystems: dict = field(default_factory=dict, init=False, repr=False)
-    _levi_data: dict = field(default_factory=dict, init=False, repr=False)
-    _automorphisms: list = field(default_factory=list, init=False, repr=False)
-    _delta_strings: dict = field(default_factory=dict, init=False, repr=False)
-    _lines: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        gram = tuple(tuple(d * c for c in row)
-                     for d, row in zip(self.symmetrizer, self.cartan))
-        object.__setattr__(self, "_positive_set", frozenset(self.positive_roots))
-        object.__setattr__(self, "_gram", gram)
-
-    @property
-    def positive_set(self) -> frozenset[Vector]:
-        return self._positive_set
+    def __init__(self, type_label: Optional[str], rank: int,
+                 cartan: tuple[Vector, ...], symmetrizer: Vector,
+                 positive_roots: tuple[Vector, ...]):
+        self.type_label = type_label
+        self.rank = rank
+        self.cartan = cartan
+        self.symmetrizer = symmetrizer
+        self.positive_roots = positive_roots
+        self.positive_set = frozenset(positive_roots)
+        self._gram = tuple(tuple(d * c for c in row)
+                           for d, row in zip(symmetrizer, cartan))
+        self._subsystems: dict = {}
+        self._levi_data: dict = {}
+        self._automorphisms: list = []
+        self._delta_strings: dict = {}
+        self._lines: dict = {}
 
     @cached_property
     def root_set(self) -> frozenset[Vector]:
@@ -98,7 +91,7 @@ class RootSystem:
         Built on first use: systems built only for their Cartan matrix,
         as in diagram matching at large rank, never need it.
         """
-        return self._positive_set | {tuple(-x for x in r)
+        return self.positive_set | {tuple(-x for x in r)
                                      for r in self.positive_roots}
 
     def simple_root(self, i: int) -> Vector:
@@ -184,28 +177,37 @@ def standard_cartan(type_label: str, rank: Optional[int] = None) -> tuple[Vector
 
 
 def _symmetrizer_from_cartan(cartan: tuple[Vector, ...]) -> Vector:
-    """Positive integers d with d_i c_ij = d_j c_ji, per connected component."""
+    """Positive integers d with d_i c_ij = d_j c_ji.
+
+    The result is the primitive integer vector proportional to the rational
+    solution with d = 1 at the least node of each connected component.
+    Every entry set so far is ``scale`` times that solution; when a
+    quotient would not be whole, all entries and ``scale`` grow together.
+    """
     n = len(cartan)
-    d: list[Optional[Fraction]] = [None] * n
+    d = [0] * n
+    scale = 1
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = scale
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(n):
-                if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                if i != j and cartan[i][j] != 0 and not d[j]:
+                    num, den = d[i] * abs(cartan[i][j]), abs(cartan[j][i])
+                    factor = den // _gcd(num, den)
+                    if factor != 1:
+                        d = [x * factor for x in d]
+                        scale *= factor
+                        num *= factor
+                    d[j] = num // den
                     queue.append(j)
-    denom = 1
+    divisor = 0
     for x in d:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
-    out = tuple(int(x * denom) for x in d)
-    scale = 0
-    for x in out:
-        scale = _gcd(scale, x)
-    return tuple(x // scale for x in out)
+        divisor = _gcd(divisor, x)
+    return tuple(x // divisor for x in d)
 
 
 def _gcd(a: int, b: int) -> int:
@@ -347,8 +349,7 @@ def support_and_height(w: Iterable[int]) -> tuple[frozenset[int], int]:
     return frozenset(i + 1 for i, x in enumerate(v) if x > 0), sum(v)
 
 
-@dataclass(frozen=True)
-class Subsystem:
+class Subsystem(NamedTuple):
     """A parabolic root subsystem, re-expressed on its own simple basis.
 
     ``nodes[i]`` is the ambient 1-based index of the (i+1)-th simple root of

@@ -12,8 +12,7 @@ the strongest correctness oracle the theory provides and is on by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .degeneration import degenerate, track_component
 from .errors import ExceededIterations, InvariantViolation, NotSpherical
@@ -29,13 +28,12 @@ from .subgroup import (
 from .tables import match_datum
 
 
-@dataclass(frozen=True)
-class SphericalRootSet:
+class SphericalRootSet(NamedTuple):
     """A computed set of spherical roots plus how it was obtained."""
 
     roots: tuple[Vector, ...]
     method: str
-    certificate: dict = field(repr=False, default_factory=dict)
+    certificate: dict = {}  # shared default: results are never mutated
 
     @property
     def root_set(self) -> frozenset[Vector]:

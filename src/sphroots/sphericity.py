@@ -14,8 +14,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import rootsystem as rsmod
 from .errors import InvariantViolation, NoMaximalWeight
@@ -23,8 +22,7 @@ from .rootsystem import RootSystem, Vector
 from .subgroup import SubgroupDatum
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One loop turn: the weight picked, the surviving Levi, the removals."""
 
     omega: Vector
@@ -32,14 +30,13 @@ class ReductionStep:
     removed: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
-class ThetaWitness:
+class ThetaWitness(NamedTuple):
     """Outcome of the reduction: picked weights and the sphericity verdict."""
 
     theta: tuple[Vector, ...]
     spherical: bool
     rank: Optional[int]
-    trace: tuple[ReductionStep, ...] = field(repr=False, default=())
+    trace: tuple[ReductionStep, ...] = ()
 
 
 def integer_rank(vectors: Iterable[Vector]) -> int:

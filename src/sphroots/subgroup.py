@@ -10,8 +10,7 @@ the inactive positive restricted roots are closed under addition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import rootsystem as rsmod
 from .croots import LeviDatum, levi_datum
@@ -97,8 +96,7 @@ def subgroup_from_wire(payload) -> SubgroupDatum:
     return make_subgroup(L, [tuple(int(x) for x in v) for v in payload["psi"]])
 
 
-@dataclass(frozen=True)
-class SMDecomposition:
+class SMDecomposition(NamedTuple):
     """Partition of the active set by shared simple Levi factors.
 
     Two active roots land in the same block when some Dynkin component of

@@ -22,8 +22,7 @@ where these are not forced by the rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import rootsystem as rsmod
 from .errors import ParamsOutOfRange, UnclassifiedCase, UnclassifiedLeaf
@@ -58,8 +57,7 @@ def _units(n: int, lo: int, hi: int) -> list[Vector]:
     return [_e(n, i) for i in range(lo, hi + 1)]
 
 
-@dataclass(frozen=True)
-class RowSpec:
+class RowSpec(NamedTuple):
     table_id: int
     row_id: int
     family: str
@@ -68,8 +66,7 @@ class RowSpec:
     build: Callable[[int, Params], tuple]  # -> (complement, psi, rank, sigma)
 
 
-@dataclass(frozen=True)
-class RowInstance:
+class RowInstance(NamedTuple):
     table_id: int
     row_id: int
     family: str
@@ -568,8 +565,7 @@ def iter_instances(family: str, n: int,
 # --- matching a reduced datum against the tables ----------------------------
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     table_id: int
     row_id: int
     family: str
@@ -609,7 +605,7 @@ def match_datum(H: SubgroupDatum) -> MatchResult:
     n = rs.rank
     all_nodes = tuple(range(1, n + 1))
     matches: list[MatchResult] = []
-    for family in rsmod.FAMILIES:
+    for family, _ in rsmod._candidate_families(n):
         isos = rsmod.diagram_isomorphisms(rs, all_nodes, family, n)
         if not isos:
             continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction as Q
 
 
@@ -213,3 +214,31 @@ def brute_force_isomorphisms(cartan, comp, target):
                for a in comp for b in comp):
             out.append(f)
     return out
+
+
+def rational_symmetrizer(cartan):
+    """Primitive positive integers d with d_i c_ij = d_j c_ji.
+
+    Solves over the rationals with d = 1 at the least node of each
+    connected component, checks that the solution symmetrizes ``cartan``,
+    then clears denominators and common factors of the whole vector.
+    """
+    n = len(cartan)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Q(1)
+        queue = [start]
+        while queue:
+            i = queue.pop(0)
+            for j in range(n):
+                if j != i and cartan[i][j] and d[j] is None:
+                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                    queue.append(j)
+    assert all(d[i] * cartan[i][j] == d[j] * cartan[j][i]
+               for i in range(n) for j in range(n))
+    denom = math.lcm(*(x.denominator for x in d))
+    ints = [int(x * denom) for x in d]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)

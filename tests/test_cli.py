@@ -1,9 +1,13 @@
 """Command-line interface: outputs, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sphroots.cli
 from sphroots.cli import main
 
 
@@ -189,3 +193,17 @@ def test_rank_above_max_rank_exits_2_before_any_closure(capsys, monkeypatch,
     assert out == ""
     assert err.startswith("error: InvalidType: ") and err.count("\n") == 1
     assert "MAX_RANK" in err
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
+    # a fresh interpreter without site, which loads modules of its own
+    src = os.path.dirname(os.path.dirname(sphroots.cli.__file__))
+    code = ("import sys\n"
+            "import sphroots.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'fractions',"
+            " 'decimal') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env=env).stdout
+    assert out.strip() == "[]"

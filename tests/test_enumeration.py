@@ -1,5 +1,7 @@
 """Case enumeration, canonicalization, and the table diff harness."""
 
+import pytest
+
 import sphroots.rootsystem as rsmod
 from sphroots.enumeration import (
     actual_cases,
@@ -10,6 +12,7 @@ from sphroots.enumeration import (
     verify_tables,
     ExpectedCase,
 )
+from sphroots.errors import InvalidType
 from sphroots.sphericity import is_spherical_and_rank
 from sphroots.subgroup import sm_decomposition
 
@@ -99,6 +102,13 @@ def test_verify_tables_f4_empty():
 def test_verify_tables_b_small():
     report = verify_tables("B", ranks=(3, 4))
     assert report.empty
+
+
+@pytest.mark.parametrize("family,ranks", [("B", []), ("A", [1, 2]),
+                                          ("D", [3, 4])])
+def test_verify_tables_refuses_empty_or_low_ranks(family, ranks):
+    with pytest.raises(InvalidType):
+        verify_tables(family, ranks=ranks)
 
 
 def test_diff_detects_corruption():

@@ -24,6 +24,7 @@ from oracles import (
     euclidean_cartan,
     euclidean_positive_roots,
     euclidean_simple_roots,
+    rational_symmetrizer,
 )
 
 ALL_TYPES = (
@@ -240,6 +241,43 @@ def test_symmetrizer_scale_invariance():
             assert rsmod.inner(scaled, v, w) == 3 * rsmod.inner(rs, v, w)
             assert rsmod.coroot_pairing(scaled, v, w) == \
                 rsmod.coroot_pairing(rs, v, w)
+
+
+SYMMETRIZER_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("family,n", SYMMETRIZER_TYPES)
+def test_symmetrizer_of_node_subsets_matches_rational_oracle(family, n):
+    cartan = rsmod.standard_cartan(family, n)
+    for k in range(1, n + 1):
+        for nodes in itertools.combinations(range(n), k):
+            sub = tuple(tuple(cartan[i][j] for j in nodes) for i in nodes)
+            assert rsmod._symmetrizer_from_cartan(sub) == \
+                rational_symmetrizer(sub), nodes
+
+
+def _block_diagonal(a, b):
+    m, n = len(a), len(b)
+    return (tuple(tuple(row) + (0,) * n for row in a)
+            + tuple((0,) * m + tuple(row) for row in b))
+
+
+def test_symmetrizer_of_block_products_matches_rational_oracle():
+    blocks = [rsmod.standard_cartan(*t) for t in
+              [("A", 1), ("B", 2), ("C", 3), ("B", 3), ("G2", 2), ("F4", 4)]]
+    for a, b in itertools.product(blocks, repeat=2):
+        product = _block_diagonal(a, b)
+        assert rsmod._symmetrizer_from_cartan(product) == \
+            rational_symmetrizer(product), (a, b)
+    # B2's nodes get (1, 1/2) and A1's node 1: components share one scale
+    b2_a1 = _block_diagonal(blocks[1], blocks[0])
+    assert rsmod._symmetrizer_from_cartan(b2_a1) == (2, 1, 2)
 
 
 def test_subsystem_examples():

@@ -29,7 +29,7 @@ from .rootsystem import RootSystem, Vector, diagram_automorphisms
 from .solver import base_solve
 from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
-from .tables import _transform_datum, iter_instances, match_datum
+from .tables import _transform_datum, lookup, match_datum, row_index
 
 CaseKey = tuple[tuple[int, ...], tuple[Vector, ...]]
 
@@ -181,24 +181,19 @@ class ExpectedCase(NamedTuple):
 def expected_cases(family: str, n: int) -> dict[CaseKey, ExpectedCase]:
     """Canonicalized table instantiations for one ambient type.
 
-    Several rows may instantiate to the same case (conjugate encodings);
-    they must then agree on rank and canonical root set.
+    The keys of the type's two-root row index that are their own canonical
+    key.  Several rows may share a key (conjugate encodings); the lookup
+    checks that they agree on rank and root set.
     """
     rs = rsmod.build(family, n)
     out: dict[CaseKey, ExpectedCase] = {}
-    for inst in iter_instances(family, n, tables=range(2, 10)):
-        key, perm = canonical_key(rs, inst.complement, inst.psi)
-        sigma = frozenset(rsmod.embed(v, perm, n) for v in inst.sigma)
-        label = f"t{inst.table_id}r{inst.row_id}{list(inst.params)}"
-        if key in out:
-            prev = out[key]
-            if prev.rank != inst.rank or prev.sigma != sigma:
-                raise UnclassifiedCase(
-                    f"conflicting expected rows {prev.rows} vs {label}")
-            out[key] = ExpectedCase(key, prev.rank, prev.sigma,
-                                    prev.rows + (label,))
-        else:
-            out[key] = ExpectedCase(key, inst.rank, sigma, (label,))
+    for key, refs in row_index(rs, 2).items():
+        if canonical_key(rs, *key)[0] != key:
+            continue
+        match = lookup(rs, *key)
+        rows = dict.fromkeys(f"t{t}r{r}{list(p)}" for t, r, p, _ in refs)
+        out[key] = ExpectedCase(key, match.rank, frozenset(match.sigma),
+                                tuple(rows))
     return out
 
 

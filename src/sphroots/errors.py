@@ -17,10 +17,6 @@ class NegativeCoefficient(SphrootsError):
     """A vector expected to lie in the nonnegative root cone has a negative entry."""
 
 
-class UnrecognizedDiagram(SphrootsError):
-    """A Dynkin-diagram component matched no simple type (internal corruption)."""
-
-
 class EmptyFiber(SphrootsError):
     """Requested the fiber of a vector that is not a restricted root."""
 

@@ -18,7 +18,6 @@ from .errors import (
     InvalidType,
     InvariantViolation,
     NegativeCoefficient,
-    UnrecognizedDiagram,
 )
 
 Vector = tuple[int, ...]
@@ -64,7 +63,8 @@ class RootSystem:
     Systems are interned (:func:`build` keeps one per normalized family and
     rank, :func:`from_cartan` one per Cartan matrix) and compare by
     identity.  What is derived from a system is memoized on it when first
-    asked for: its subsystems, its Levi data and its diagram automorphisms.
+    asked for: its subsystems, its Levi data, its diagram automorphisms and
+    its index of table rows.
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
@@ -81,6 +81,7 @@ class RootSystem:
         self._subsystems: dict = {}
         self._levi_data: dict = {}
         self._automorphisms: list = []
+        self._row_index: dict = {}
         self._delta_strings: dict = {}
         self._lines: dict = {}
 
@@ -479,33 +480,6 @@ def _candidate_families(m: int) -> list[tuple[str, int]]:
     for fam, r in _FIXED_RANK.items():
         if r == m:
             out.append((fam, m))
-    return out
-
-
-def classify_diagram(rs: RootSystem, S: Iterable[int]) -> list[tuple[tuple[str, int], dict]]:
-    """Split a node subset into Dynkin components and recognize each one.
-
-    Returns one ``((family, rank), mapping)`` pair per connected component,
-    where ``mapping`` sends each ambient node to its Bourbaki index in the
-    standard diagram of that type.  Among valid relabelings the
-    lexicographically least (ordered by ambient node) is returned; the family
-    chosen is the first match in the order A, B, C, D, E6, E7, E8, F4, G2,
-    so ambiguous shapes get a canonical name (a rank-2 double bond is B2).
-    Only Cartan matrices are read: no standard root system is built.
-    """
-    nodes = tuple(sorted(set(S)))
-    out = []
-    for comp in _components(rs.cartan, nodes):
-        found = None
-        for family, m in _candidate_families(len(comp)):
-            isos = _isomorphisms_onto(rs.cartan, comp, standard_cartan(family, m))
-            if isos:
-                best = min(isos, key=lambda f: tuple(f[a] for a in comp))
-                found = ((family, m), best)
-                break
-        if found is None:
-            raise UnrecognizedDiagram(f"component {comp} matches no simple type")
-        out.append(found)
     return out
 
 

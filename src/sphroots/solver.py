@@ -62,9 +62,7 @@ def leaf_resolve(H: SubgroupDatum) -> SphericalRootSet:
         raise InvariantViolation("leaf_resolve needs at most one active root")
     if not H.psi:
         return SphericalRootSet((), "leaf", {"datum": _wire(H), "leaf": None})
-    reduced, sub = ambient_reduction(H)
-    match = match_datum(reduced)
-    sigma = [embed(s, sub.nodes, H.rs.rank) for s in match.sigma]
+    match, sigma = _table_roots(H)
     certificate = {
         "datum": _wire(H),
         "leaf": {"table": match.table_id, "row": match.row_id,
@@ -72,6 +70,13 @@ def leaf_resolve(H: SubgroupDatum) -> SphericalRootSet:
                  "params": list(match.params)},
     }
     return _result(sigma, "leaf", certificate)
+
+
+def _table_roots(H: SubgroupDatum):
+    """The table row of a one-block datum, and its roots in H's numbering."""
+    reduced, sub = ambient_reduction(H)
+    match = match_datum(reduced)
+    return match, [embed(s, sub.nodes, H.rs.rank) for s in match.sigma]
 
 
 def _wire(H: SubgroupDatum) -> dict:
@@ -204,9 +209,7 @@ def optimized_solve(H: SubgroupDatum, resolution: str = "table",
         elif len(isolated.psi) <= 1:
             part = leaf_resolve(isolated)
         else:
-            reduced, sub = ambient_reduction(isolated)
-            match = match_datum(reduced)
-            sigma = [embed(s, sub.nodes, isolated.rs.rank) for s in match.sigma]
+            match, sigma = _table_roots(isolated)
             part = _result(sigma, "table", {
                 "datum": _wire(isolated),
                 "match": {"table": match.table_id, "row": match.row_id},

@@ -63,12 +63,13 @@ class SubgroupDatum:
 def make_subgroup(L: LeviDatum, psi: Iterable[Iterable[int]]) -> SubgroupDatum:
     """Validated construction of a subgroup datum, interned on ``L``.
 
-    An empty active set is legal and encodes the parabolic itself.  Raises
-    PsiNotInPhiPlus for vectors outside the positive restricted roots and
-    ClosureViolation (naming the offending triple) when some active root
-    decomposes into two inactive positive restricted roots.
+    An empty active set is legal and encodes the parabolic itself; a root
+    listed twice is active once.  Raises PsiNotInPhiPlus for vectors
+    outside the positive restricted roots and ClosureViolation (naming the
+    offending triple) when some active root decomposes into two inactive
+    positive restricted roots.
     """
-    psi_t = tuple(sorted(tuple(v) for v in psi))
+    psi_t = tuple(sorted({tuple(v) for v in psi}))
     if psi_t in L._subgroups:
         return L._subgroups[psi_t]
     psi_set = set(psi_t)

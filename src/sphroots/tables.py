@@ -79,6 +79,7 @@ class RowInstance(NamedTuple):
 
 
 def _instance(spec: RowSpec, n: int, params: Params) -> RowInstance:
+    rsmod.normalize_type(spec.family, n)  # refuses ranks above MAX_RANK
     complement, psi, rank, sigma = spec.build(n, params)
     return RowInstance(
         spec.table_id, spec.row_id, spec.family, n, params,
@@ -527,12 +528,8 @@ _literal_rows(9, "E8", 8, [
 TABLE_IDS = tuple(range(1, 10))
 
 
-def row_specs(table_id: Optional[int] = None,
-              family: Optional[str] = None) -> list[RowSpec]:
-    out = [r for r in _ROWS
-           if (table_id is None or r.table_id == table_id)
-           and (family is None or r.family == family)]
-    return out
+def row_specs(table_id: Optional[int] = None) -> list[RowSpec]:
+    return [r for r in _ROWS if table_id is None or r.table_id == table_id]
 
 
 def instantiate_row(table_id: int, row_id: int, n: int,
@@ -550,16 +547,12 @@ def instantiate_row(table_id: int, row_id: int, n: int,
 
 
 def iter_instances(family: str, n: int,
-                   tables: Optional[Iterable[int]] = None) -> Iterator[RowInstance]:
-    """All concrete rows of a family at a given rank."""
-    wanted = set(tables) if tables is not None else set(TABLE_IDS)
+                   tables: tuple[int, ...] = TABLE_IDS) -> Iterator[RowInstance]:
+    """All concrete rows of a family at a given rank, in table order."""
     for spec in _ROWS:
-        if spec.family != family or spec.table_id not in wanted:
-            continue
-        if not spec.n_ok(n):
-            continue
-        for params in spec.params_for(n):
-            yield _instance(spec, n, tuple(params))
+        if spec.family == family and spec.table_id in tables and spec.n_ok(n):
+            for params in spec.params_for(n):
+                yield _instance(spec, n, tuple(params))
 
 
 # --- matching a reduced datum against the tables ----------------------------
@@ -589,53 +582,75 @@ def _transform_datum(perm: tuple[int, ...], complement, psi):
     return tuple(new_nodes), tuple(sorted(out_psi))
 
 
+def row_index(rs: rsmod.RootSystem, size: int) -> dict:
+    """Every table row equal to a datum on ``rs`` up to diagram relabeling.
+
+    Maps each ``(complement, psi)`` in ``rs``'s own numbering to the rows
+    that relabel onto it, as ``(table, row, params, iso)`` references;
+    ``iso`` sends ``rs``'s nodes to the row's standard nodes.  A datum
+    with one active root (``size`` 1) is looked up in table 1, two in
+    tables 2-9.  Built once per system and table set, memoized on ``rs``.
+    """
+    tables = (1,) if size <= 1 else TABLE_IDS[1:]
+    if tables in rs._row_index:
+        return rs._row_index[tables]
+    n = rs.rank
+    nodes = tuple(range(1, n + 1))
+    index: dict = {}
+    for family, _ in rsmod._candidate_families(n):
+        isos = rsmod.diagram_isomorphisms(rs, nodes, family, n)
+        if not isos:
+            continue
+        inverses = [tuple(sorted(nodes, key=iso.__getitem__)) for iso in isos]
+        for inst in iter_instances(family, n, tables):
+            for iso, inverse in zip(isos, inverses):
+                key = _transform_datum(inverse, inst.complement, inst.psi)
+                index.setdefault(key, []).append(
+                    (inst.table_id, inst.row_id, inst.params, iso))
+    rs._row_index[tables] = index
+    return index
+
+
+def lookup(rs: rsmod.RootSystem, complement: tuple[int, ...],
+           psi: tuple[Vector, ...]) -> Optional[MatchResult]:
+    """The least ``(table, row, iso)`` row matching a datum on ``rs``.
+
+    Each row found under the datum's key is instantiated and its root set
+    pulled back to ``rs``'s numbering; the rows must agree on the rank and
+    the root set, else UnclassifiedCase.  None when no row matches.
+    """
+    refs = row_index(rs, len(psi)).get((complement, psi), ())
+    n = rs.rank
+    matches: list[MatchResult] = []
+    for table, row, params, iso in sorted(
+            refs, key=lambda r: (r[0], r[1], tuple(sorted(r[3].items())))):
+        inst = instantiate_row(table, row, n, params)
+        perm = tuple(iso[a] for a in range(1, n + 1))
+        sigma = tuple(sorted((tuple(s[t - 1] for t in perm) for s in inst.sigma),
+                             key=rsmod.height_key))
+        matches.append(MatchResult(table, row, inst.family, n, params, iso,
+                                   inst.rank, sigma))
+    if len({(m.rank, frozenset(m.sigma)) for m in matches}) > 1:
+        raise UnclassifiedCase(
+            f"inconsistent table matches for complement {complement}, psi "
+            f"{psi}: {[(m.table_id, m.row_id) for m in matches]}")
+    return matches[0] if matches else None
+
+
 def match_datum(H: SubgroupDatum) -> MatchResult:
     """Find the table row equal to a reduced datum up to diagram relabeling.
 
     The datum must already be ambient-reduced with a connected diagram.
-    Its active set picks the tables: one active root is looked up in
-    table 1, two in tables 2-9; more raise UnclassifiedCase.  All matches
-    are located and must agree on the pulled-back rank and spherical-root
-    set; the lowest (table, row) match is reported.
+    More than two active roots raise UnclassifiedCase; otherwise the
+    datum is looked up in the row index of its own system (:func:`lookup`).
     """
     if len(H.psi) > 2:
         raise UnclassifiedCase(f"isolated block has {len(H.psi)} active roots")
-    tables = (1,) if len(H.psi) <= 1 else range(2, 10)
-    rs = H.rs
-    n = rs.rank
-    all_nodes = tuple(range(1, n + 1))
-    matches: list[MatchResult] = []
-    for family, _ in rsmod._candidate_families(n):
-        isos = rsmod.diagram_isomorphisms(rs, all_nodes, family, n)
-        if not isos:
-            continue
-        instances = list(iter_instances(family, n, tables))
-        for iso in isos:
-            perm = tuple(iso[a] for a in all_nodes)
-            complement_std, psi_std = _transform_datum(
-                perm, H.L.complement, H.psi)
-            for inst in instances:
-                if inst.complement == complement_std and \
-                        set(inst.psi) == set(psi_std):
-                    sigma = tuple(sorted(
-                        (tuple(s[t - 1] for t in perm) for s in inst.sigma),
-                        key=rsmod.height_key))
-                    matches.append(MatchResult(
-                        inst.table_id, inst.row_id, family, n, inst.params,
-                        iso, inst.rank, sigma))
-    if not matches:
+    match = lookup(H.rs, H.L.complement, H.psi)
+    if match is None:
         kind = UnclassifiedLeaf if len(H.psi) <= 1 else UnclassifiedCase
         raise kind(f"no table row matches {H!r}")
-    matches.sort(key=lambda m: (m.table_id, m.row_id,
-                                tuple(sorted(m.iso.items()))))
-    first = matches[0]
-    for other in matches[1:]:
-        if other.rank != first.rank or set(other.sigma) != set(first.sigma):
-            raise UnclassifiedCase(
-                f"inconsistent table matches for {H!r}: "
-                f"{(first.table_id, first.row_id)} vs "
-                f"{(other.table_id, other.row_id)}")
-    return first
+    return match
 
 
 def dump_rows(table_id: int, n: Optional[int] = None,
@@ -647,29 +662,25 @@ def dump_rows(table_id: int, n: Optional[int] = None,
     out = []
     instantiable = False
     for spec in row_specs(table_id):
-        if n is not None:
-            candidate_ns = [n] if spec.n_ok(n) else []
-        elif spec.family in rsmod._FIXED_RANK:
-            candidate_ns = [rsmod._FIXED_RANK[spec.family]]
-        else:
-            candidate_ns = []  # parametric rows need an explicit rank
-        for m in candidate_ns:
-            for p in spec.params_for(m):
-                instantiable = True
-                if params is not None and tuple(params) != tuple(p):
-                    continue
-                inst = _instance(spec, m, tuple(p))
-                out.append({
-                    "table": inst.table_id,
-                    "row": inst.row_id,
-                    "family": inst.family,
-                    "n": inst.n,
-                    "params": list(inst.params),
-                    "complement": list(inst.complement),
-                    "psi": [list(v) for v in inst.psi],
-                    "rank": inst.rank,
-                    "sigma": [list(v) for v in inst.sigma],
-                })
+        m = rsmod._FIXED_RANK.get(spec.family) if n is None else n
+        if m is None or not spec.n_ok(m):
+            continue  # parametric rows need an explicit rank
+        for p in spec.params_for(m):
+            instantiable = True
+            if params is not None and tuple(params) != tuple(p):
+                continue
+            inst = _instance(spec, m, tuple(p))
+            out.append({
+                "table": inst.table_id,
+                "row": inst.row_id,
+                "family": inst.family,
+                "n": inst.n,
+                "params": list(inst.params),
+                "complement": list(inst.complement),
+                "psi": [list(v) for v in inst.psi],
+                "rank": inst.rank,
+                "sigma": [list(v) for v in inst.sigma],
+            })
     if not out:
         if instantiable:
             at = "" if n is None else f" at n={n}"

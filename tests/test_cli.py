@@ -63,6 +63,15 @@ def test_compute_both_methods(capsys):
     assert payload["spherical_roots"] == [[0, 0, 1], [0, 1, 1], [1, 1, 0]]
 
 
+@pytest.mark.parametrize("command", ["check", "compute"])
+def test_repeated_active_root_counts_once(capsys, command):
+    datum = (command, "--type", "A", "--rank", "3", "--complement", "2",
+             "--format", "json")
+    once = run(capsys, *datum, "--psi", "1")
+    assert run(capsys, *datum, "--psi", "1;1") == once
+    assert json.loads(once[1])["rank"] == 2
+
+
 def test_compute_not_spherical_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--type", "C", "--rank", "4",
                        "--complement", "2", "--psi", "1;2")
@@ -167,6 +176,7 @@ DATUM = ("--type", "B", "--rank", "3")
      "--psi-size", "1"),
     ("verify-tables", "--type", "A", "--max-rank", "2"),
     ("verify-tables", "--type", "D", "--max-rank", "3"),
+    ("tables", "dump", "--table", "1", "--n", "65"),
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -296,28 +296,6 @@ def test_subsystem_examples():
     assert set(full.system.positive_roots) == set(b3.positive_roots)
 
 
-def test_classify_diagram_examples():
-    b3 = rsmod.build("B", 3)
-    [(label, mapping)] = rsmod.classify_diagram(b3, (2, 3))
-    assert label == ("B", 2)
-    assert mapping == {2: 1, 3: 2}  # long node first, short node second
-
-    a3 = rsmod.build("A", 3)
-    comps = rsmod.classify_diagram(a3, (1, 3))
-    assert [label for label, _ in comps] == [("A", 1), ("A", 1)]
-
-    e6 = rsmod.build("E6")
-    [(label, _)] = rsmod.classify_diagram(e6, (3, 4, 5))
-    assert label == ("A", 3)
-
-    for family, n in (("E7", 7), ("F4", 4), ("G2", 2), ("D", 5), ("C", 6)):
-        rs = rsmod.build(family, n)
-        [(label, mapping)] = rsmod.classify_diagram(rs, range(1, n + 1))
-        assert label == (family, n) or (family in ("A", "B", "C", "D")
-                                        and label == (family, n))
-        assert mapping == {i: i for i in range(1, n + 1)}
-
-
 def test_diagram_automorphism_groups():
     assert rsmod.diagram_automorphisms("A", 1) == ((1,),)
     assert rsmod.diagram_automorphisms("A", 3) == ((1, 2, 3), (3, 2, 1))

@@ -111,8 +111,9 @@ def test_ambient_reduction_examples():
     assert reduced.rs.rank == 2
     assert reduced.psi == ((1,),)
     assert sorted(reduced.L.levi) == [1]
-    [(label, _)] = rsmod.classify_diagram(reduced.rs, (1, 2))
-    assert label == ("B", 2)
+    # B2 in Bourbaki numbering: the long node first, the short node second
+    assert rsmod.diagram_isomorphisms(reduced.rs, (1, 2), "B", 2) == \
+        [{1: 1, 2: 2}]
 
     reduced, sub = ambient_reduction(datum("B", 3, (1, 2, 3), [(0, 0, 1)]))
     assert sub.nodes == (3,)

@@ -7,10 +7,13 @@ from sphroots.errors import ParamsOutOfRange, UnclassifiedCase, UnclassifiedLeaf
 from sphroots.sphericity import is_spherical_and_rank, linearly_independent
 from sphroots.subgroup import ambient_reduction, make_subgroup
 from sphroots.tables import (
+    _transform_datum,
     dump_rows,
     instantiate_row,
     iter_instances,
+    lookup,
     match_datum,
+    row_index,
     row_specs,
 )
 from sphroots.croots import levi_datum
@@ -175,3 +178,71 @@ def test_dump_rows():
     assert {r["row"] for r in rows} >= {1, 2, 3, 4, 6, 9, 10, 12}
     rows = dump_rows(5, n=6, params=(2,))
     assert all(r["params"] == [2] for r in rows)
+
+
+def _standard_systems(max_rank=16):
+    for family in ("A", "B", "C", "D"):
+        lo = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+        for n in range(lo, max_rank + 1):
+            yield rsmod.build(family, n)
+    for family in ("G2", "F4", "E6", "E7", "E8"):
+        yield rsmod.build(family)
+
+
+def test_row_index_keys_resolve_without_conflict():
+    for rs in _standard_systems():
+        for size in (1, 2):
+            for key, refs in row_index(rs, size).items():
+                match = lookup(rs, *key)
+                assert match is not None, (rs, key)
+                assert match.rank == len(match.sigma)
+                assert (match.table_id, match.row_id) == min(r[:2] for r in refs)
+
+
+def test_every_row_is_indexed_under_its_own_key():
+    for rs in _standard_systems():
+        identity = {a: a for a in range(1, rs.rank + 1)}
+        for inst in iter_instances(rs.type_label, rs.rank):
+            refs = row_index(rs, len(inst.psi))[inst.complement, inst.psi]
+            assert (inst.table_id, inst.row_id, inst.params, identity) in refs
+
+
+def test_row_index_is_memoized_per_table_set():
+    rs = rsmod.build("D", 4)
+    assert row_index(rs, 1) is row_index(rs, 1)
+    assert row_index(rs, 1) is not row_index(rs, 2)
+
+
+def test_lookup_refuses_rows_that_disagree(monkeypatch):
+    # D4 node 3 is reached by rows 11 and 13 through triality; a row that
+    # tabulates another rank must be refused, not silently outranked
+    import sphroots.tables as tables
+
+    rs = rsmod.build("D", 4)
+    assert {r[:2] for r in row_index(rs, 1)[(3,), ((1,),)]} == {(1, 11), (1, 13)}
+    real = tables.instantiate_row
+
+    def skewed(table, row, n, params=()):
+        inst = real(table, row, n, params)
+        return inst._replace(rank=inst.rank + 1) if row == 13 else inst
+
+    monkeypatch.setattr(tables, "instantiate_row", skewed)
+    with pytest.raises(UnclassifiedCase, match="inconsistent table matches"):
+        lookup(rs, (3,), ((1,),))
+
+
+def test_match_datum_commutes_with_diagram_automorphisms():
+    # sigma H matches the same row as H, with the sigma-image of its roots
+    for rs in _standard_systems(max_rank=8):
+        family, n = rs.type_label, rs.rank
+        autos = rsmod.diagram_automorphisms(family, n)
+        for inst in iter_instances(family, n):
+            base = match_datum(datum(family, n, inst.complement, inst.psi))
+            for perm in autos:
+                complement, psi = _transform_datum(perm, inst.complement,
+                                                   inst.psi)
+                moved = match_datum(datum(family, n, complement, psi))
+                assert (moved.table_id, moved.row_id) == \
+                    (base.table_id, base.row_id)
+                assert set(moved.sigma) == \
+                    {rsmod.embed(s, perm, n) for s in base.sigma}

@@ -7,11 +7,16 @@ layer; this test fails instead.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -48,3 +53,20 @@ def test_benchmark_name_exists(layer, name):
 def test_checks_run_counter_exists():
     degeneration = importlib.import_module("sphroots.degeneration")
     assert isinstance(degeneration.checks_run, int)
+
+
+def test_regen_pass_matches_by_one_index_per_system(tmp_path):
+    # one traced pass of the benchmark's regen slice in a fresh process:
+    # the row index is built once per system and table set, so relabelings
+    # and row instantiations no longer grow with the number of matches
+    trace = tmp_path / "regen.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, str(ROOT / "bench" / "child.py"), "regen",
+                    "--units", "A5,B5,C5,D6,E6,F4", "--trace", str(trace)],
+                   check=True, capture_output=True, env=env)
+    summary = json.loads(trace.read_text())
+    calls = summary["calls"]
+    assert calls["tables.match_datum"] == 174
+    assert calls["rootsystem.diagram_isomorphisms"] <= 70
+    assert calls["tables.iter_instances"] <= 22
+    assert summary["checks_run"] == 850

@@ -190,18 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spherical-root computations for Levi-split subgroups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, datum=False):
+    def datum_args(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
-        if datum:
-            p.add_argument("--type", required=True)
-            p.add_argument("--rank", type=int, required=True)
-            p.add_argument("--complement", required=True,
-                           help="comma-separated 1-based complement nodes")
-            p.add_argument("--psi", required=True,
-                           help="semicolon-separated restricted roots, e.g. '1;2'")
-            p.add_argument("--assert", dest="check",
-                           action=argparse.BooleanOptionalAction, default=None,
-                           help="toggle runtime invariant checking")
+        p.add_argument("--type", required=True)
+        p.add_argument("--rank", type=int, required=True)
+        p.add_argument("--complement", required=True,
+                       help="comma-separated 1-based complement nodes")
+        p.add_argument("--psi", required=True,
+                       help="semicolon-separated restricted roots, e.g. '1;2'")
+
+    def assert_flag(p):
+        p.add_argument("--assert", dest="check",
+                       action=argparse.BooleanOptionalAction, default=None,
+                       help="toggle runtime invariant checking")
 
     p = sub.add_parser("roots", help="dump a root system")
     p.add_argument("--type", required=True)
@@ -210,17 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("check", help="sphericity and rank of a datum")
-    common(p, datum=True)
+    datum_args(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("compute", help="spherical roots of a datum")
-    common(p, datum=True)
+    datum_args(p)
+    assert_flag(p)
     p.add_argument("--method", choices=("base", "optimized", "both"),
                    default="optimized")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("degenerate", help="degenerate a datum along one active root")
-    common(p, datum=True)
+    datum_args(p)
+    assert_flag(p)
     p.add_argument("--lambda", required=True,
                    help="comma-separated restricted root to degenerate along")
     p.set_defaults(func=_cmd_degenerate)
@@ -239,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-tables", help="regenerate tables and diff")
     p.add_argument("--type", required=True)
     p.add_argument("--max-rank", dest="max_rank", type=int, default=10)
-    p.add_argument("--assert", dest="check",
-                   action=argparse.BooleanOptionalAction, default=None)
+    assert_flag(p)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_verify_tables)
 

@@ -14,16 +14,17 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from . import rootsystem as rsmod
-from .errors import DimensionMismatch, EmptyFiber, NonUniqueExtreme
-from .rootsystem import RootSystem, Vector, height_key, support_and_height
+from .errors import DimensionMismatch, EmptyFiber, InvariantViolation
+from .rootsystem import RootSystem, Vector, support_and_height
 
 
 class LeviDatum:
     """A root system together with a standard Levi subset of its nodes.
 
-    Precomputes the positive restricted roots, their fibers, and the
-    highest/lowest weight of each fiber.  Immutable once built; use
+    Precomputes the positive Levi roots, the positive restricted roots,
+    their fibers, and the highest/lowest weight of each fiber, all from one
+    pass over the positive roots: a root lies in the Levi exactly when it
+    restricts to zero.  Immutable once built; use
     :func:`levi_datum` to get the instance interned on the root system.
     Subgroup data over it are memoized on it by ``make_subgroup``.
     """
@@ -36,19 +37,18 @@ class LeviDatum:
                 f"Levi nodes {sorted(self.levi)} out of range for rank {rs.rank}")
         self.complement = tuple(a for a in range(1, rs.rank + 1)
                                 if a not in self.levi)
-        self.levi_subsystem = rsmod.subsystem(rs, self.levi)
-        self.delta_l_plus = tuple(
-            rsmod.embed(r, self.levi_subsystem.nodes, rs.rank)
-            for r in self.levi_subsystem.system.positive_roots)
-        self._delta_l_set = frozenset(self.delta_l_plus)
 
+        # positive roots come in (height, lex) order, so both lists keep it
+        delta_l_plus: list[Vector] = []
         fibers: dict[Vector, list[Vector]] = {}
         for beta in rs.positive_roots:
             lam = self.restrict(beta)
             if any(lam):
                 fibers.setdefault(lam, []).append(beta)
-        self._fibers = {lam: tuple(sorted(v, key=height_key))
-                        for lam, v in fibers.items()}
+            else:
+                delta_l_plus.append(beta)
+        self.delta_l_plus = tuple(delta_l_plus)
+        self._fibers = {lam: tuple(v) for lam, v in fibers.items()}
         self.phi_plus = tuple(sorted(self._fibers))
         self._phi_set = frozenset(self.phi_plus)
         self._hat: dict[Vector, Vector] = {}
@@ -67,17 +67,19 @@ class LeviDatum:
         self._subgroups: dict = {}
 
     def _unique_extreme(self, fib: tuple[Vector, ...], sign: int) -> Vector:
-        roots = self.rs.root_set
+        # a Levi simple root keeps the restriction, so a raised or lowered
+        # member is a root exactly when it lies in the same fiber
+        members = frozenset(fib)
         steps = [a - 1 for a in self.levi]
         found = None
         for delta in fib:
-            if all(delta[:i] + (delta[i] + sign,) + delta[i + 1:] not in roots
+            if all(delta[:i] + (delta[i] + sign,) + delta[i + 1:] not in members
                    for i in steps):
                 if found is not None:
-                    raise NonUniqueExtreme(f"fiber {fib} has two extremes")
+                    raise InvariantViolation(f"fiber {fib} has two extremes")
                 found = delta
         if found is None:
-            raise NonUniqueExtreme(f"fiber {fib} has no extreme element")
+            raise InvariantViolation(f"fiber {fib} has no extreme element")
         return found
 
     def restrict(self, beta: Iterable[int]) -> Vector:
@@ -87,14 +89,15 @@ class LeviDatum:
 
     @cached_property
     def pu(self) -> frozenset[Vector]:
-        """Roots of the opposite nilradical: negatives of the positive
-        roots outside the Levi.  Built on first use."""
-        return frozenset(tuple(-x for x in beta) for beta in self.rs.positive_roots
-                         if not self.in_levi(beta))
+        """Roots of the opposite nilradical: negatives of the fiber members,
+        which are the positive roots outside the Levi.  Built on first use."""
+        return frozenset(tuple(-x for x in beta)
+                         for fib in self._fibers.values() for beta in fib)
 
     def in_levi(self, beta: Vector) -> bool:
-        return beta in self._delta_l_set or \
-            tuple(-x for x in beta) in self._delta_l_set
+        """Whether a root, positive or negative, lies in the Levi: whether
+        it restricts to zero.  Callers pass roots only."""
+        return not any(beta[a - 1] for a in self.complement)
 
     def has_croot(self, lam: Vector) -> bool:
         return lam in self._phi_set

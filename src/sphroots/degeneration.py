@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
-from .errors import AmbiguousComponent, InvariantViolation, LambdaNotActive
+from .errors import InvariantViolation, LambdaNotActive
 from .rootsystem import RootSystem, Vector, height_key
 from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
@@ -214,7 +214,7 @@ def track_component(d: DegenerationResult, i: int) -> int:
             if line in u_inf:
                 images.append(line)
     if not images:
-        raise AmbiguousComponent(f"block {block} has no image in the limit")
+        raise InvariantViolation(f"block {block} has no image in the limit")
     target_blocks = sm_decomposition(d.target).components
     landed = {
         j
@@ -223,5 +223,5 @@ def track_component(d: DegenerationResult, i: int) -> int:
         if d.target.L.restrict(beta) in tb
     }
     if len(landed) != 1:
-        raise AmbiguousComponent(f"block {block} straddles target blocks {landed}")
+        raise InvariantViolation(f"block {block} straddles target blocks {landed}")
     return landed.pop()

@@ -66,7 +66,7 @@ def canonical_key(rs: RootSystem, complement, psi) -> tuple[CaseKey, tuple[int, 
     """
     best = None
     best_perm = None
-    for perm in diagram_automorphisms(rs.type_label, rs.rank):
+    for perm in diagram_automorphisms(rs):
         key = _transform_datum(perm, complement, psi)
         if best is None or key < best:
             best, best_perm = key, perm

@@ -21,10 +21,6 @@ class EmptyFiber(SphrootsError):
     """Requested the fiber of a vector that is not a restricted root."""
 
 
-class NonUniqueExtreme(SphrootsError):
-    """A fiber has no unique highest/lowest weight (broken module structure)."""
-
-
 class PsiNotInPhiPlus(SphrootsError):
     """An active weight set contains a vector outside the positive restricted roots."""
 
@@ -44,20 +40,12 @@ class ClosureViolation(SphrootsError):
         )
 
 
-class NoMaximalWeight(SphrootsError):
-    """No maximal weight found in a nonempty multiset (internal check)."""
-
-
 class LambdaNotActive(SphrootsError):
     """The degeneration pivot is not an active weight of the datum."""
 
 
 class InvariantViolation(SphrootsError):
     """A theorem-guaranteed runtime assertion failed (implementation bug)."""
-
-
-class AmbiguousComponent(SphrootsError):
-    """Block tracking through a degeneration straddled blocks or landed nowhere."""
 
 
 class ParamsOutOfRange(SphrootsError):
@@ -74,7 +62,3 @@ class UnclassifiedCase(SphrootsError):
 
 class NotSpherical(SphrootsError):
     """The subgroup datum fails the sphericity test."""
-
-
-class ExceededIterations(SphrootsError):
-    """Defensive cap reached in a loop with theorem-guaranteed termination."""

@@ -89,8 +89,9 @@ class RootSystem:
     def root_set(self) -> frozenset[Vector]:
         """All roots, positive and negative.
 
-        Built on first use: systems built only for their Cartan matrix,
-        as in diagram matching at large rank, never need it.
+        Built on first use, and only for the weight lines of delta-strings
+        and for :func:`is_root`: Levi data, table matching and leaf solves
+        read the positive roots alone.
         """
         return self.positive_set | {tuple(-x for x in r)
                                      for r in self.positive_roots}
@@ -496,12 +497,12 @@ def diagram_isomorphisms(rs: RootSystem, comp: Iterable[int], family: str,
     return _isomorphisms_onto(rs.cartan, tuple(sorted(set(comp))), target)
 
 
-def diagram_automorphisms(type_label: str, rank: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
-    """Graph automorphisms of a standard diagram, identity first.
+def diagram_automorphisms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Graph automorphisms of the Dynkin diagram of ``rs``, identity first.
 
     Each permutation is a tuple whose (i-1)-th entry is the image of node i.
+    Memoized on ``rs``.
     """
-    rs = build(type_label, rank)
     if not rs._automorphisms:
         n = rs.rank
         isos = _isomorphisms_onto(rs.cartan, tuple(range(1, n + 1)), rs.cartan)

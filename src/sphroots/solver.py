@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from .degeneration import degenerate, track_component
-from .errors import ExceededIterations, InvariantViolation, NotSpherical
+from .errors import InvariantViolation, NotSpherical
 from .rootsystem import Vector, embed, height_key
 from .sphericity import is_spherical_and_rank, linearly_independent
 from .subgroup import (
@@ -183,7 +183,7 @@ def algorithm_d(H: SubgroupDatum, block_index: int,
         steps.append({"datum": _wire(current), "pivot": list(lam),
                       "block": [list(v) for v in block]})
         current = d.target
-    raise ExceededIterations("block isolation did not terminate")
+    raise InvariantViolation("block isolation did not terminate")
 
 
 def optimized_solve(H: SubgroupDatum, resolution: str = "table",

@@ -17,7 +17,7 @@ from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import rootsystem as rsmod
-from .errors import InvariantViolation, NoMaximalWeight
+from .errors import InvariantViolation
 from .rootsystem import RootSystem, Vector
 from .subgroup import SubgroupDatum
 
@@ -89,7 +89,7 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
             w for w in pool
             if all(w[:i] + (w[i] + 1,) + w[i + 1:] not in pool for i in steps))
         if not maximal:
-            raise NoMaximalWeight(f"no maximal weight in {sorted(pool)}")
+            raise InvariantViolation(f"no maximal weight in {sorted(pool)}")
         w = choose(maximal) if choose is not None else maximal[-1]
         pairings = {gamma: rsmod.coroot_pairing(rs, gamma, w) for gamma in dl}
         if any(v < 0 for v in pairings.values()):

@@ -52,6 +52,32 @@ def test_check_not_spherical_still_exits_zero(capsys):
     assert payload["spherical"] is False and payload["rank"] is None
 
 
+@pytest.mark.parametrize("flag", ["--assert", "--no-assert"])
+def test_check_refuses_assert_flag(capsys, flag):
+    # check runs no invariant checks, so it has no flag to toggle them
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--type", "B", "--rank", "3", "--complement", "3",
+              "--psi", "1;2", flag])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--type", "B", "--rank", "3", "--complement", "3",
+     "--psi", "1;2"),
+    ("degenerate", "--type", "B", "--rank", "3", "--complement", "3",
+     "--psi", "1;2", "--lambda", "1"),
+    ("verify-tables", "--type", "B", "--max-rank", "3"),
+])
+def test_assert_flag_on_the_commands_that_read_it(capsys, argv):
+    outputs = set()
+    for flag in ("--assert", "--no-assert"):
+        code, out, _ = run(capsys, *argv, flag, "--format", "json")
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
 def test_compute_both_methods(capsys):
     code, out, _ = run(capsys, "compute", "--type", "B", "--rank", "3",
                        "--complement", "3", "--psi", "1;2",

@@ -10,6 +10,7 @@ from sphroots.errors import EmptyFiber
 from sphroots.subgroup import make_subgroup
 
 from helpers import levi
+from oracles import euclidean_positive_roots
 
 
 def test_restrict_examples():
@@ -111,6 +112,24 @@ def test_hat_dominates_fiber(family, n):
             assert L.croot_support(lam) == union
             down = tuple(x - t for x, t in zip(hat, tilde))
             assert all(d >= 0 for d in down)
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("C", 4), ("D", 5),
+                                      ("F4", 4), ("E6", 6), ("G2", 2)])
+def test_levi_roots_match_euclidean_oracle(family, n):
+    # every node subset as the Levi, against roots from coordinates
+    rs = rsmod.build(family, n)
+    oracle = euclidean_positive_roots(family, n)
+    for k in range(n + 1):
+        for nodes in itertools.combinations(range(1, n + 1), k):
+            L = croots.levi_datum(rs, nodes)
+            inside = {r for r in oracle
+                      if all(x == 0 or i + 1 in nodes for i, x in enumerate(r))}
+            assert L.delta_l_plus == tuple(sorted(inside, key=lambda r: (sum(r), r)))
+            for r in oracle:
+                neg = tuple(-x for x in r)
+                assert L.in_levi(r) is L.in_levi(neg) is (r in inside)
+            assert L.pu == {tuple(-x for x in r) for r in oracle - inside}
 
 
 def test_croot_support_restricts_to_nonzero_entries():

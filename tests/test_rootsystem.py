@@ -297,18 +297,18 @@ def test_subsystem_examples():
 
 
 def test_diagram_automorphism_groups():
-    assert rsmod.diagram_automorphisms("A", 1) == ((1,),)
-    assert rsmod.diagram_automorphisms("A", 3) == ((1, 2, 3), (3, 2, 1))
-    assert len(rsmod.diagram_automorphisms("D", 4)) == 6
-    d4 = rsmod.diagram_automorphisms("D", 4)
+    assert rsmod.diagram_automorphisms(rsmod.build("A", 1)) == ((1,),)
+    assert rsmod.diagram_automorphisms(rsmod.build("A", 3)) == ((1, 2, 3), (3, 2, 1))
+    assert len(rsmod.diagram_automorphisms(rsmod.build("D", 4))) == 6
+    d4 = rsmod.diagram_automorphisms(rsmod.build("D", 4))
     assert all(p[1] == 2 for p in d4)  # the center node is fixed
-    assert len(rsmod.diagram_automorphisms("D", 6)) == 2
-    assert rsmod.diagram_automorphisms("F4") == ((1, 2, 3, 4),)
-    assert rsmod.diagram_automorphisms("G2") == ((1, 2),)
-    assert rsmod.diagram_automorphisms("E6") == \
+    assert len(rsmod.diagram_automorphisms(rsmod.build("D", 6))) == 2
+    assert rsmod.diagram_automorphisms(rsmod.build("F4")) == ((1, 2, 3, 4),)
+    assert rsmod.diagram_automorphisms(rsmod.build("G2")) == ((1, 2),)
+    assert rsmod.diagram_automorphisms(rsmod.build("E6")) == \
         ((1, 2, 3, 4, 5, 6), (6, 2, 5, 4, 3, 1))
-    assert len(rsmod.diagram_automorphisms("E7")) == 1
-    assert rsmod.diagram_automorphisms("B", 5) == ((1, 2, 3, 4, 5),)
+    assert len(rsmod.diagram_automorphisms(rsmod.build("E7"))) == 1
+    assert rsmod.diagram_automorphisms(rsmod.build("B", 5)) == ((1, 2, 3, 4, 5),)
 
 
 def test_b2_c2_relabeling():
@@ -369,18 +369,22 @@ def test_diagram_isomorphisms_match_brute_force(family, n, full_only):
 
 
 def test_leaf_matching_builds_no_other_standard_system():
-    # a fresh interpreter, so that no earlier test has interned rank 22
+    # a fresh interpreter, so that no earlier test has interned rank 22; the
+    # Levi datum reads its roots off the ambient ones, so no derived system
+    # is interned and no negative root is built
     code = (
         "import sphroots.rootsystem as rsmod\n"
         "from sphroots.cli import main\n"
         "assert main(['compute', '--type', 'C', '--rank', '22', '--complement',"
         " '22', '--psi', '1', '--format', 'json']) == 0\n"
-        "print(sorted(k for k in rsmod._by_type if k[1] == 22))\n")
+        "print(sorted(k for k in rsmod._by_type if k[1] == 22))\n"
+        "print(len(rsmod._by_cartan))\n"
+        "print('root_set' in vars(rsmod.build('C', 22)))\n")
     src = os.path.dirname(os.path.dirname(rsmod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.splitlines()[-1] == "[('C', 22)]"
+    assert out.splitlines()[-3:] == ["[('C', 22)]", "0", "False"]
 
 
 @pytest.mark.parametrize("family,n", [("F4", 4), ("E6", 6), ("D", 5)])

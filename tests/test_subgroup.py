@@ -162,7 +162,7 @@ def test_every_valid_active_set_contains_a_simple_restriction():
 
 def test_sm_decomposition_commutes_with_automorphisms():
     rs = rsmod.build("D", 4)
-    for perm in rsmod.diagram_automorphisms("D", 4):
+    for perm in rsmod.diagram_automorphisms(rs):
         H = datum("D", 4, (1, 4), [(1, 0), (1, 1)])
         mapped_complement = sorted(perm[c - 1] for c in (1, 4))
         by_node = {perm[c - 1]: x for c, x in zip((1, 4), (1, 0))}

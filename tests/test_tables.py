@@ -235,7 +235,7 @@ def test_match_datum_commutes_with_diagram_automorphisms():
     # sigma H matches the same row as H, with the sigma-image of its roots
     for rs in _standard_systems(max_rank=8):
         family, n = rs.type_label, rs.rank
-        autos = rsmod.diagram_automorphisms(family, n)
+        autos = rsmod.diagram_automorphisms(rs)
         for inst in iter_instances(family, n):
             base = match_datum(datum(family, n, inst.complement, inst.psi))
             for perm in autos:

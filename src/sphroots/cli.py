@@ -16,7 +16,7 @@ import sys
 from . import rootsystem as rsmod
 from .croots import levi_datum
 from .degeneration import degenerate
-from .enumeration import enumerate_cases, verify_tables
+from .enumeration import enumerate_cases, enumeration_type, verify_tables
 from .errors import NotSpherical, SphrootsError
 from .solver import base_solve, optimized_solve
 from .sphericity import theta_witness
@@ -149,7 +149,7 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rs = rsmod.build(args.type, args.rank)
+    rs = rsmod.build(*enumeration_type(args.type, args.rank))
     records = enumerate_cases(rs, args.complement_size, args.psi_size,
                               solve=not args.skip_solve)
     payload = [r.to_json() for r in records]

@@ -90,9 +90,11 @@ class LeviDatum:
     @cached_property
     def pu(self) -> frozenset[Vector]:
         """Roots of the opposite nilradical: negatives of the fiber members,
-        which are the positive roots outside the Levi.  Built on first use."""
-        return frozenset(tuple(-x for x in beta)
-                         for fib in self._fibers.values() for beta in fib)
+        which are the positive roots outside the Levi.  Built on first use
+        from the system's one negative tuple per root."""
+        neg = self.rs.negatives
+        return frozenset(neg[beta] for fib in self._fibers.values()
+                         for beta in fib)
 
     def in_levi(self, beta: Vector) -> bool:
         """Whether a root, positive or negative, lies in the Levi: whether
@@ -109,7 +111,8 @@ class LeviDatum:
             return self._fibers[v]
         neg = tuple(-x for x in v)
         if neg in self._fibers:
-            return tuple(tuple(-x for x in r) for r in self._fibers[neg])
+            negatives = self.rs.negatives
+            return tuple(negatives[r] for r in self._fibers[neg])
         raise EmptyFiber(f"{v} is not a restricted root for this Levi")
 
     def hat(self, lam: Iterable[int]) -> Vector:

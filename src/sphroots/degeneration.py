@@ -61,12 +61,15 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     if delta in rs._delta_strings:
         return rs._delta_strings[delta]
     lines = _weight_lines(rs)
+    form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
     strings = []
     seen = 0
     for alpha in lines:
         if not any(alpha) or tuple(a + d for a, d in zip(alpha, delta)) in lines:
             continue
-        p = rsmod.coroot_pairing(rs, delta, alpha)
+        p, remainder = divmod(sum(alpha[i] * x for i, x in form), delta_norm)
+        if remainder:
+            raise InvariantViolation(f"non-integral coroot pairing for {delta}")
         if p < 0:
             raise InvariantViolation(f"negative string length at top {alpha}")
         string = []
@@ -123,7 +126,8 @@ def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> Degeneratio
             shift[string.lines[i]] = target_line
             limit.append(target_line)
 
-    pi_m = tuple(a for a in sorted(L.levi) if rsmod.pairing(rs, a, delta) == 0)
+    moved = {i + 1 for i, _ in rsmod.pairing_form(rs, delta)}
+    pi_m = tuple(a for a in sorted(L.levi) if a not in moved)
     u_inf = sorted(
         (w for w in limit
          if any(w) and min(w) >= 0 and not L.in_levi(w)),
@@ -162,12 +166,13 @@ def _check_limit_structure(d: DegenerationResult, pu: frozenset) -> None:
     # Levi part of the limit: negatives of the Levi roots moved by delta
     levi_part = {r for r in limit_roots if L.in_levi(r)}
     expected = set()
+    form = rsmod.pairing_form(rs, d.delta)
     for gamma in L.delta_l_plus:
-        value = rsmod.inner(rs, gamma, d.delta)
+        value = sum(gamma[i] * x for i, x in form)
         if value < 0:
             raise InvariantViolation("highest fiber weight not Levi-dominant")
         if value > 0:
-            expected.add(tuple(-x for x in gamma))
+            expected.add(rs.negatives[gamma])
     if levi_part != expected:
         raise InvariantViolation("limit Levi part has the wrong shape")
 

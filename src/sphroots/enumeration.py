@@ -33,6 +33,24 @@ from .tables import _transform_datum, lookup, match_datum, row_index
 
 CaseKey = tuple[tuple[int, ...], tuple[Vector, ...]]
 
+#: largest A-D rank that enumeration accepts, below ``MAX_RANK``.  The
+#: slowest enumeration (type D, two complement nodes, two active roots,
+#: solved) takes about 8 s in a fresh process at this rank on a 2-vCPU
+#: host, and its cost about doubles with each further rank, so larger
+#: ranks are refused before any closure runs.
+ENUMERATION_MAX_RANK = 13
+
+
+def enumeration_type(type_label: str, rank: Optional[int] = None) -> tuple[str, int]:
+    """:func:`rootsystem.normalize_type`, refusing ranks above
+    ``ENUMERATION_MAX_RANK``."""
+    family, n = rsmod.normalize_type(type_label, rank)
+    if n > ENUMERATION_MAX_RANK:
+        raise rsmod.InvalidType(
+            f"type {family} rank {n} exceeds ENUMERATION_MAX_RANK = "
+            f"{ENUMERATION_MAX_RANK}")
+    return family, n
+
 
 class CaseRecord(NamedTuple):
     """One enumerated case, stored by its canonical representative."""
@@ -247,7 +265,8 @@ def verify_tables(family: str, ranks: Optional[Iterable[int]] = None,
 
     Classical families default to every rank from their minimum (A3, B3,
     C3, D4) through ``max_rank``; explicit ``ranks`` must be nonempty and
-    keep the same minimum.  Exceptional types have one rank.  The report
+    keep the same minimum.  Ranks above ``ENUMERATION_MAX_RANK`` are
+    refused.  Exceptional types have one rank.  The report
     is empty exactly when the enumeration reproduces the tables.
     """
     family, fixed = _family_ranks(family, ranks, max_rank)
@@ -277,4 +296,5 @@ def _family_ranks(family: str, ranks, max_rank) -> tuple[str, list[int]]:
             f"type {label} is verified from rank {lo}, got ranks {ranks}")
     for n in ranks:  # refuse a bad rank before enumerating any other
         rsmod.normalize_type(label, n)
+    enumeration_type(label, ranks[-1])
     return label, ranks

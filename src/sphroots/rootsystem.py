@@ -33,9 +33,10 @@ FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
-#: largest rank accepted for A-D.  Every table-1 leaf of A-D at this rank
-#: computes in a few seconds; cost grows about as the fourth power of the
-#: rank, so larger ranks are refused before any closure runs.
+#: largest rank accepted for A-D; larger ranks are refused before any
+#: closure runs.  The slowest table-1 leaf of A-D (type C, complement the
+#: last node) takes 1.3-1.4 s in one process on a 2-vCPU host at this rank
+#: and 5.6-5.9 s at rank 96 with the cap lifted.
 MAX_RANK = 64
 
 _POSITIVE_COUNT = {
@@ -63,8 +64,9 @@ class RootSystem:
     Systems are interned (:func:`build` keeps one per normalized family and
     rank, :func:`from_cartan` one per Cartan matrix) and compare by
     identity.  What is derived from a system is memoized on it when first
-    asked for: its subsystems, its Levi data, its diagram automorphisms and
-    its index of table rows.
+    asked for: its subsystems, its Levi data, its diagram automorphisms,
+    its index of table rows, the squared length of each positive root and
+    the negative of each.
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
@@ -76,8 +78,10 @@ class RootSystem:
         self.symmetrizer = symmetrizer
         self.positive_roots = positive_roots
         self.positive_set = frozenset(positive_roots)
-        self._gram = tuple(tuple(d * c for c in row)
-                           for d, row in zip(symmetrizer, cartan))
+        # the nonzero (i, c_ij) of each Cartan column j
+        self._columns = tuple(tuple((i, c) for i, c in enumerate(col) if c)
+                              for col in zip(*cartan))
+        self._norms: dict[Vector, int] = {}
         self._subsystems: dict = {}
         self._levi_data: dict = {}
         self._automorphisms: list = []
@@ -86,15 +90,21 @@ class RootSystem:
         self._lines: dict = {}
 
     @cached_property
-    def root_set(self) -> frozenset[Vector]:
-        """All roots, positive and negative.
+    def negatives(self) -> dict[Vector, Vector]:
+        """Each positive root mapped to its negative, one tuple per root.
 
-        Built on first use, and only for the weight lines of delta-strings
-        and for :func:`is_root`: Levi data, table matching and leaf solves
-        read the positive roots alone.
+        Built on first use, for opposite nilradicals, negative fibers and
+        :attr:`root_set`: Levi data, table matching and leaf solves read
+        the positive roots alone.
         """
-        return self.positive_set | {tuple(-x for x in r)
-                                     for r in self.positive_roots}
+        return {r: tuple(-x for x in r) for r in self.positive_roots}
+
+    @cached_property
+    def root_set(self) -> frozenset[Vector]:
+        """All roots, positive and negative, sharing the tuples of
+        :attr:`negatives`.  Built on first use, for the weight lines of
+        delta-strings and for :func:`is_root`."""
+        return self.positive_set.union(self.negatives.values())
 
     def simple_root(self, i: int) -> Vector:
         """Coefficient vector of the i-th simple root (1-based)."""
@@ -236,13 +246,11 @@ def _close_positive_roots(cartan: tuple[Vector, ...]) -> tuple[Vector, ...]:
         for beta, b in level:
             for i in range(n):
                 # beta + alpha_i is a root iff more than <beta, alpha_i^vee>
-                # steps down from beta stay roots; at most beta[i] can
+                # steps down from beta stay roots; at most beta[i] can, and
+                # root strings have no gaps, so the last step decides
                 if b[i] >= 0:
-                    if beta[i] <= b[i]:
-                        continue
-                    head, tail = beta[:i], beta[i + 1:]
-                    if not all(head + (beta[i] - s,) + tail in pairings
-                               for s in range(1, b[i] + 2)):
+                    if beta[i] <= b[i] or (beta[:i] + (beta[i] - b[i] - 1,)
+                                           + beta[i + 1:]) not in pairings:
                         continue
                 up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                 if up not in pairings and up not in fresh:
@@ -302,30 +310,63 @@ def is_root(rs: RootSystem, w: Iterable[int]) -> bool:
 
 def pairing(rs: RootSystem, i: int, w: Iterable[int]) -> int:
     """Pairing of the i-th simple coroot (1-based) with a lattice vector."""
-    v = _check_length(rs, w)
-    row = rs.cartan[i - 1]
-    return sum(row[j] * v[j] for j in range(rs.rank))
+    return pairings(rs, w)[i - 1]
+
+
+def pairings(rs: RootSystem, w: Iterable[int]) -> list[int]:
+    """Pairings of every simple coroot with a lattice vector.
+
+    Entry i is <alpha_{i+1}^vee, w>, summed over the sparse Cartan columns
+    of the support of ``w`` only.  This is the one pairing kernel: inner
+    products, norms and coroot pairings are read off it.
+    """
+    b = [0] * rs.rank
+    for x, column in zip(_check_length(rs, w), rs._columns):
+        if x:
+            for i, c in column:
+                b[i] += x * c
+    return b
+
+
+def pairing_form(rs: RootSystem, w: Iterable[int]) -> list[tuple[int, int]]:
+    """The linear form ``v -> 2 inner(v, w)`` as its nonzero terms
+    ``(i, 2 d_i <alpha_{i+1}^vee, w>)``.
+
+    Evaluated at a root gamma and divided by ``norm(gamma)`` it gives
+    <gamma^vee, w>; divided by ``norm(w)`` it gives <w^vee, gamma>.  The
+    indices are the simple coroots that do not vanish on ``w``.
+    """
+    return [(i, 2 * d * x)
+            for i, (d, x) in enumerate(zip(rs.symmetrizer, pairings(rs, w)))
+            if x]
 
 
 def inner(rs: RootSystem, v: Iterable[int], w: Iterable[int]):
-    """Weyl-invariant inner product via the symmetrized Cartan matrix.
+    """Weyl-invariant inner product sum_i v_i d_i <alpha_i^vee, w>.
 
     The normalization depends on the symmetrizer scale; only signs and
     ratios of these values are meaningful.
     """
     a = _check_length(rs, v)
-    b = _check_length(rs, w)
-    total = 0
-    for x, row in zip(a, rs._gram):
-        if x:
-            total += x * sum(map(mul, row, b))
-    return total
+    return sum(map(mul, map(mul, a, rs.symmetrizer), pairings(rs, w)))
+
+
+def norm(rs: RootSystem, gamma: Iterable[int]) -> int:
+    """The squared length ``inner(gamma, gamma)``, memoized on ``rs`` for
+    positive roots as one integer each."""
+    g = tuple(gamma)
+    value = rs._norms.get(g)
+    if value is None:
+        value = sum(map(mul, map(mul, g, rs.symmetrizer), pairings(rs, g)))
+        if g in rs.positive_set:
+            rs._norms[g] = value
+    return value
 
 
 def coroot_pairing(rs: RootSystem, gamma: Iterable[int], w: Iterable[int]) -> int:
     """Pairing of the coroot of an arbitrary root with a lattice vector."""
     g = tuple(gamma)
-    value, remainder = divmod(2 * inner(rs, g, w), inner(rs, g, g))
+    value, remainder = divmod(2 * inner(rs, g, w), norm(rs, g))
     if remainder:
         raise InvariantViolation(f"non-integral coroot pairing for {g}")
     return value

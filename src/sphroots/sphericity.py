@@ -77,41 +77,78 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     ``choose`` picks among the maximal weights at each step (ascending lex
     order); the default takes the lexicographically largest.  The verdict
     and the number of picked weights are independent of this choice.
+
+    Each step pairs the picked weight with the simple coroots once
+    (:func:`rootsystem.pairing_form`); the coroot pairing of a Levi root
+    is then a sum over the nonzero terms, divided by the root's memoized
+    squared length.  ``blocked[w]`` counts the Levi simple roots that
+    raise a pool weight ``w`` into the pool, so the maximal weights are
+    those it counts zero.
     """
     pi = tuple(sorted(set(pi_l)))
-    dl = tuple(tuple(v) for v in delta_l_plus)
+    dl = [(gamma, rsmod.norm(rs, gamma)) for gamma in map(tuple, delta_l_plus)]
     pool = Counter(tuple(v) for v in omega)
+    blocked = {w: sum(_step(w, a, 1) in pool for a in pi) for w in pool}
+    free = {w for w, count in blocked.items() if not count}
+
+    def unblock(u):
+        blocked[u] -= 1
+        if not blocked[u]:
+            free.add(u)
+
     theta: list[Vector] = []
     trace: list[ReductionStep] = []
     while pool:
-        steps = [a - 1 for a in pi]
-        maximal = sorted(
-            w for w in pool
-            if all(w[:i] + (w[i] + 1,) + w[i + 1:] not in pool for i in steps))
-        if not maximal:
+        if not free:
             raise InvariantViolation(f"no maximal weight in {sorted(pool)}")
+        maximal = sorted(free)
         w = choose(maximal) if choose is not None else maximal[-1]
-        pairings = {gamma: rsmod.coroot_pairing(rs, gamma, w) for gamma in dl}
-        if any(v < 0 for v in pairings.values()):
+        form = rsmod.pairing_form(rs, w)
+        values = []
+        for gamma, gamma_norm in dl:
+            total = 0
+            for i, x in form:
+                total += gamma[i] * x
+            value, remainder = divmod(total, gamma_norm)
+            if remainder:
+                raise InvariantViolation(
+                    f"non-integral coroot pairing for {gamma}")
+            values.append(value)
+        if any(v < 0 for v in values):
             raise InvariantViolation(f"picked weight {w} is not dominant")
-        pi_m = tuple(a for a in pi if rsmod.pairing(rs, a, w) == 0)
-        dropped = [gamma for gamma in dl if pairings[gamma] > 0]
+        moved = {i + 1 for i, _ in form}
+        pi_m = tuple(a for a in pi if a not in moved)
         removals = [w] + [tuple(x - y for x, y in zip(w, gamma))
-                          for gamma in dropped]
+                          for (gamma, _), value in zip(dl, values) if value > 0]
         removed = []
         for v in removals:
             if pool[v] > 0:
                 pool[v] -= 1
-                if pool[v] == 0:
-                    del pool[v]
                 removed.append(v)
+                if not pool[v]:
+                    del pool[v], blocked[v]
+                    free.discard(v)
+                    for a in pi:
+                        u = _step(v, a, -1)
+                        if u in pool:
+                            unblock(u)
+        for a in moved.intersection(pi):
+            for u in pool:
+                if _step(u, a, 1) in pool:
+                    unblock(u)
         theta.append(w)
         trace.append(ReductionStep(w, pi_m, tuple(removed)))
         pi = pi_m
-        dl = tuple(gamma for gamma in dl if pairings[gamma] == 0)
+        dl = [pair for pair, value in zip(dl, values) if not value]
     spherical = linearly_independent(theta)
     return ThetaWitness(tuple(theta), spherical,
                         len(theta) if spherical else None, tuple(trace))
+
+
+def _step(w: Vector, a: int, sign: int) -> Vector:
+    """``w`` plus ``sign`` times the a-th simple root (1-based)."""
+    i = a - 1
+    return w[:i] + (w[i] + sign,) + w[i + 1:]
 
 
 def is_spherical_and_rank(H: SubgroupDatum,

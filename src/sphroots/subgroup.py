@@ -135,10 +135,10 @@ def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
             x = parent[x]
         return x
 
+    pairs = {lam: rsmod.pairings(rs, L.hat(lam)) for lam in H.psi}
     touches: dict[tuple, list[Vector]] = {}
     for comp in levi_comps:
-        touched = [lam for lam in H.psi
-                   if any(rsmod.pairing(rs, a, L.hat(lam)) != 0 for a in comp)]
+        touched = [lam for lam in H.psi if any(pairs[lam][a - 1] for a in comp)]
         if touched:
             touches[comp] = touched
             first = touched[0]

@@ -6,6 +6,11 @@ each root in the simple-root basis through an exact left inverse of that
 basis, checking each solution by multiplying it back.  It shares no code
 with the Cartan-matrix closure in the package, so agreement of the two
 constructions is a meaningful check.
+
+``knop_reduce`` is the plain form of the package's highest-weight
+reduction: each step rescans every pool weight for maximality and pairs
+each Levi root through ``coroot_pairing``.  The package keeps the
+maximal weights incrementally and must return the same witness.
 """
 
 from __future__ import annotations
@@ -13,7 +18,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as Q
+from typing import Callable, Iterable, Optional
+
+from sphroots import rootsystem as rsmod
+from sphroots.errors import InvariantViolation
+from sphroots.rootsystem import RootSystem, Vector
+from sphroots.sphericity import ReductionStep, ThetaWitness, linearly_independent
 
 
 def _inverse(matrix):
@@ -242,3 +254,48 @@ def rational_symmetrizer(cartan):
     ints = [int(x * denom) for x in d]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
+
+
+def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
+                delta_l_plus: Iterable[Vector], omega: Iterable[Vector],
+                choose: Optional[Callable] = None) -> ThetaWitness:
+    """Run the highest-weight reduction on a weight multiset.
+
+    ``choose`` picks among the maximal weights at each step (ascending lex
+    order); the default takes the lexicographically largest.  The verdict
+    and the number of picked weights are independent of this choice.
+    """
+    pi = tuple(sorted(set(pi_l)))
+    dl = tuple(tuple(v) for v in delta_l_plus)
+    pool = Counter(tuple(v) for v in omega)
+    theta: list[Vector] = []
+    trace: list[ReductionStep] = []
+    while pool:
+        steps = [a - 1 for a in pi]
+        maximal = sorted(
+            w for w in pool
+            if all(w[:i] + (w[i] + 1,) + w[i + 1:] not in pool for i in steps))
+        if not maximal:
+            raise InvariantViolation(f"no maximal weight in {sorted(pool)}")
+        w = choose(maximal) if choose is not None else maximal[-1]
+        pairings = {gamma: rsmod.coroot_pairing(rs, gamma, w) for gamma in dl}
+        if any(v < 0 for v in pairings.values()):
+            raise InvariantViolation(f"picked weight {w} is not dominant")
+        pi_m = tuple(a for a in pi if rsmod.pairing(rs, a, w) == 0)
+        dropped = [gamma for gamma in dl if pairings[gamma] > 0]
+        removals = [w] + [tuple(x - y for x, y in zip(w, gamma))
+                          for gamma in dropped]
+        removed = []
+        for v in removals:
+            if pool[v] > 0:
+                pool[v] -= 1
+                if pool[v] == 0:
+                    del pool[v]
+                removed.append(v)
+        theta.append(w)
+        trace.append(ReductionStep(w, pi_m, tuple(removed)))
+        pi = pi_m
+        dl = tuple(gamma for gamma in dl if pairings[gamma] == 0)
+    spherical = linearly_independent(theta)
+    return ThetaWitness(tuple(theta), spherical,
+                        len(theta) if spherical else None, tuple(trace))

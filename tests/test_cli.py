@@ -231,6 +231,29 @@ def test_rank_above_max_rank_exits_2_before_any_closure(capsys, monkeypatch,
     assert "MAX_RANK" in err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify-tables"])
+def test_rank_above_enumeration_cap_exits_2_before_any_closure(
+        capsys, monkeypatch, command):
+    import sphroots.rootsystem as rsmod
+    from sphroots.enumeration import ENUMERATION_MAX_RANK
+
+    def no_closure(cartan):
+        raise AssertionError("closure ran for a refused rank")
+
+    monkeypatch.setattr(rsmod, "_close_positive_roots", no_closure)
+    rank = str(ENUMERATION_MAX_RANK + 1)
+    if command == "enumerate":
+        argv = ("enumerate", "--type", "A", "--rank", rank,
+                "--complement-size", "2", "--psi-size", "2")
+    else:
+        argv = ("verify-tables", "--type", "B", "--max-rank", rank)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidType: ") and err.count("\n") == 1
+    assert "ENUMERATION_MAX_RANK" in err
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
     # a fresh interpreter without site, which loads modules of its own
     src = os.path.dirname(os.path.dirname(sphroots.cli.__file__))

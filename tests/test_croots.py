@@ -44,6 +44,25 @@ def test_fiber_examples():
         L.fiber((5,))
 
 
+@pytest.mark.parametrize("family,n", [("B", 4), ("D", 5), ("F4", 4)])
+def test_negative_roots_are_one_tuple_per_root(family, n):
+    # the opposite nilradical and the negative fibers of every Levi hold
+    # the system's own negative tuples, not copies
+    rs = rsmod.build(family, n)
+    shared = {id(r) for r in rs.negatives.values()}
+    assert rs.root_set == rs.positive_set | set(rs.negatives.values())
+    assert {id(r) for r in rs.root_set} == \
+        {id(r) for r in rs.positive_roots} | shared
+    for k in range(n):
+        for nodes in itertools.combinations(range(1, n + 1), k):
+            L = croots.levi_datum(rs, nodes)
+            assert {id(r) for r in L.pu} <= shared
+            for lam in L.phi_plus:
+                negative = L.fiber(tuple(-x for x in lam))
+                assert {id(r) for r in negative} <= shared
+                assert negative == tuple(rs.negatives[r] for r in L.fiber(lam))
+
+
 def test_extreme_weights_examples():
     L = levi("B", 3, (3,))
     assert (L.hat((1,)), L.tilde((1,))) == ((1, 1, 1), (0, 0, 1))

@@ -8,6 +8,7 @@ import itertools
 import os
 import subprocess
 import sys
+from operator import mul
 
 import pytest
 
@@ -125,26 +126,43 @@ def test_is_root_holds_for_negative_roots(family, n):
     assert not rsmod.is_root(rs, rs.zero())
 
 
-@pytest.mark.parametrize("family,n", [("G2", 2), ("F4", 4), ("E6", 6),
-                                      ("B", 4), ("C", 4), ("D", 4)])
+@pytest.mark.parametrize("family,n", ALL_TYPES)
 def test_coroot_pairing_matches_euclidean_model(family, n):
-    # <gamma^vee, w> == 2 (gamma, w) / (gamma, gamma) for all roots gamma, w
+    # on every pair of roots gamma, w, negatives included:
+    # <alpha_i^vee, w> == 2 (alpha_i, w) / (alpha_i, alpha_i),
+    # inner(gamma, w) is (gamma, w) up to one scale for the system,
+    # <gamma^vee, w> == 2 (gamma, w) / (gamma, gamma), and
+    # norm(gamma) == inner(gamma, gamma)
     rs = rsmod.build(family, n)
     simple = euclidean_simple_roots(family, n)
     roots = list(rs.positive_roots) + [tuple(-x for x in r)
                                        for r in rs.positive_roots]
-    coords = {r: [sum(c * s[k] for c, s in zip(r, simple))
-                  for k in range(len(simple[0]))] for r in roots}
+    # twice the Euclidean coordinates, which are integers for every type
+    coords = {}
+    for r in roots:
+        twice = [2 * sum(c * s[k] for c, s in zip(r, simple))
+                 for k in range(len(simple[0]))]
+        assert all(x.denominator == 1 for x in twice)
+        coords[r] = [int(x) for x in twice]
 
     def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
+        return sum(map(mul, a, b))
 
+    unit = [coords[rs.simple_root(i)] for i in range(1, n + 1)]
+    scale = (rsmod.inner(rs, rs.simple_root(1), rs.simple_root(1)),
+             dot(unit[0], unit[0]))
     for gamma in roots:
         g = coords[gamma]
-        norm = dot(g, g)
+        g_norm = dot(g, g)
+        assert [b * dot(a, a) for b, a in zip(rsmod.pairings(rs, gamma), unit)] \
+            == [2 * dot(a, g) for a in unit], gamma
+        assert rsmod.norm(rs, gamma) == rsmod.inner(rs, gamma, gamma)
         for w in roots:
-            assert rsmod.coroot_pairing(rs, gamma, w) == \
-                2 * dot(g, coords[w]) / norm, (gamma, w)
+            e = dot(g, coords[w])
+            assert rsmod.inner(rs, gamma, w) * scale[1] == e * scale[0], \
+                (gamma, w)
+            assert rsmod.coroot_pairing(rs, gamma, w) * g_norm == 2 * e, \
+                (gamma, w)
 
 
 def test_coroot_pairing_rejects_fractional_value():
@@ -379,12 +397,13 @@ def test_leaf_matching_builds_no_other_standard_system():
         " '22', '--psi', '1', '--format', 'json']) == 0\n"
         "print(sorted(k for k in rsmod._by_type if k[1] == 22))\n"
         "print(len(rsmod._by_cartan))\n"
-        "print('root_set' in vars(rsmod.build('C', 22)))\n")
+        "print('root_set' in vars(rsmod.build('C', 22)))\n"
+        "print('negatives' in vars(rsmod.build('C', 22)))\n")
     src = os.path.dirname(os.path.dirname(rsmod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.splitlines()[-3:] == ["[('C', 22)]", "0", "False"]
+    assert out.splitlines()[-4:] == ["[('C', 22)]", "0", "False", "False"]
 
 
 @pytest.mark.parametrize("family,n", [("F4", 4), ("E6", 6), ("D", 5)])

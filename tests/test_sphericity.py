@@ -1,7 +1,13 @@
 """Weight-multiset reduction: verdicts, ranks, choice independence."""
 
+import importlib.util
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +24,9 @@ from sphroots.sphericity import (
 from sphroots.subgroup import make_subgroup
 
 from helpers import datum, levi
+from oracles import knop_reduce as reference_knop_reduce
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_integer_rank():
@@ -138,3 +147,52 @@ def test_submodule_monotonicity():
                             except ClosureViolation:
                                 continue
                             assert is_spherical_and_rank(sub)[0]
+
+
+def _bench_data():
+    """Every datum of the benchmark's CLI references, then every large-rank
+    leaf at the benchmark's tiny ranks, as (type, rank, complement, psi)."""
+    with open(BENCH / "refs" / "cli_queries.json") as fh:
+        cases = json.load(fh)["cases"]
+    out = [(c["type"], c["rank"], c["complement"], c["psi"]) for c in cases]
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for query in workloads.all_leaf_queries("tiny"):
+        argv = query["argv"]
+        out.append((argv[argv.index("--type") + 1], query["n"],
+                    [int(argv[argv.index("--complement") + 1])], [[1]]))
+    return out
+
+
+def test_reduction_witness_matches_reference_on_bench_data():
+    # the whole witness, trace included, equals the plain reduction's under
+    # the default choice and under three seeded random choices per datum
+    data = _bench_data()
+    assert len(data) > 500
+    for family, n, complement, psi in data:
+        H = datum(family, n, complement, psi)
+        args = (H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots)
+        assert knop_reduce(*args) == reference_knop_reduce(*args), H
+        for seed in range(3):
+            got = knop_reduce(*args, choose=_random_chooser(random.Random(seed)))
+            want = reference_knop_reduce(
+                *args, choose=_random_chooser(random.Random(seed)))
+            assert got == want, (H, seed)
+
+
+def test_leaf_solve_pairs_through_the_kernel_only():
+    # a fresh interpreter, so no earlier test has interned rank 22
+    code = (
+        "import sphroots.rootsystem as rsmod\n"
+        "from sphroots.cli import main\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('pairing helper called')\n"
+        "rsmod.inner = rsmod.coroot_pairing = refuse\n"
+        "assert main(['compute', '--type', 'C', '--rank', '22', '--complement',"
+        " '22', '--psi', '1', '--format', 'json']) == 0\n")
+    src = os.path.dirname(os.path.dirname(rsmod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], capture_output=True,
+                   text=True, check=True, env=env)

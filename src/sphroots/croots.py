@@ -11,7 +11,6 @@ unique highest and lowest elements.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable
 
 from .errors import DimensionMismatch, EmptyFiber, InvariantViolation
@@ -24,9 +23,12 @@ class LeviDatum:
     Precomputes the positive Levi roots, the positive restricted roots,
     their fibers, and the highest/lowest weight of each fiber, all from one
     pass over the positive roots: a root lies in the Levi exactly when it
-    restricts to zero.  Immutable once built; use
-    :func:`levi_datum` to get the instance interned on the root system.
-    Subgroup data over it are memoized on it by ``make_subgroup``.
+    restricts to zero.  The same pass gives three masks in the line
+    numbering of the system (:attr:`RootSystem.lines`): ``pu_mask``, the
+    opposite nilradical; ``outside_mask``, the positive roots outside the
+    Levi; and ``levi_mask``, the Levi roots of both signs.  Immutable once
+    built; use :func:`levi_datum` to get the instance interned on the root
+    system.  Subgroup data over it are memoized on it by ``make_subgroup``.
     """
 
     def __init__(self, rs: RootSystem, levi: Iterable[int]):
@@ -38,17 +40,27 @@ class LeviDatum:
         self.complement = tuple(a for a in range(1, rs.rank + 1)
                                 if a not in self.levi)
 
-        # positive roots come in (height, lex) order, so both lists keep it
+        # positive roots come in (height, lex) order, so both lists keep it;
+        # positive root i is line bit i
         delta_l_plus: list[Vector] = []
         fibers: dict[Vector, list[Vector]] = {}
-        for beta in rs.positive_roots:
+        fiber_masks: dict[Vector, int] = {}
+        inside = 0
+        for i, beta in enumerate(rs.positive_roots):
             lam = self.restrict(beta)
             if any(lam):
                 fibers.setdefault(lam, []).append(beta)
+                fiber_masks[lam] = fiber_masks.get(lam, 0) | 1 << i
             else:
                 delta_l_plus.append(beta)
+                inside |= 1 << i
+        n = len(rs.positive_roots)
+        self.outside_mask = ((1 << n) - 1) ^ inside
+        self.pu_mask = self.outside_mask << n
+        self.levi_mask = inside | inside << n
         self.delta_l_plus = tuple(delta_l_plus)
         self._fibers = {lam: tuple(v) for lam, v in fibers.items()}
+        self._fiber_masks = fiber_masks
         self.phi_plus = tuple(sorted(self._fibers))
         self._phi_set = frozenset(self.phi_plus)
         self._hat: dict[Vector, Vector] = {}
@@ -56,14 +68,7 @@ class LeviDatum:
         for lam, fib in self._fibers.items():
             self._hat[lam] = self._unique_extreme(fib, sign=+1)
             self._tilde[lam] = self._unique_extreme(fib, sign=-1)
-        # decompositions of each positive C-root as an unordered sum of two
-        self.decompositions: dict[Vector, list[tuple[Vector, Vector]]] = {
-            lam: [] for lam in self.phi_plus}
-        for i, a in enumerate(self.phi_plus):
-            for b in self.phi_plus[i:]:
-                total = tuple(x + y for x, y in zip(a, b))
-                if total in self._phi_set:
-                    self.decompositions[total].append((a, b))
+        self._decompositions: dict[Vector, list[tuple[Vector, Vector]]] = {}
         self._subgroups: dict = {}
 
     def _unique_extreme(self, fib: tuple[Vector, ...], sign: int) -> Vector:
@@ -87,22 +92,23 @@ class LeviDatum:
         b = tuple(beta)
         return tuple(b[a - 1] for a in self.complement)
 
-    @cached_property
-    def pu(self) -> frozenset[Vector]:
-        """Roots of the opposite nilradical: negatives of the fiber members,
-        which are the positive roots outside the Levi.  Built on first use
-        from the system's one negative tuple per root."""
-        neg = self.rs.negatives
-        return frozenset(neg[beta] for fib in self._fibers.values()
-                         for beta in fib)
-
-    def in_levi(self, beta: Vector) -> bool:
-        """Whether a root, positive or negative, lies in the Levi: whether
-        it restricts to zero.  Callers pass roots only."""
-        return not any(beta[a - 1] for a in self.complement)
-
     def has_croot(self, lam: Vector) -> bool:
         return lam in self._phi_set
+
+    def decompositions(self, lam: Vector) -> list[tuple[Vector, Vector]]:
+        """The pairs ``(a, b)`` of positive C-roots with ``a + b = lam`` and
+        ``a <= b``, by ascending ``a``; built on first use per C-root."""
+        pairs = self._decompositions.get(lam)
+        if pairs is None:
+            pairs = []
+            for a in self.phi_plus:
+                if 2 * a[0] > lam[0]:  # b[0] < a[0] from here on
+                    break
+                b = tuple(x - y for x, y in zip(lam, a))
+                if a <= b and b in self._phi_set:
+                    pairs.append((a, b))
+            self._decompositions[lam] = pairs
+        return pairs
 
     def fiber(self, lam: Iterable[int]) -> tuple[Vector, ...]:
         """All roots restricting to a given C-root, sorted by (height, lex)."""

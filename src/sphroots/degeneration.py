@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import rootsystem as rsmod
 from .croots import levi_datum
 from .errors import InvariantViolation, LambdaNotActive
-from .rootsystem import RootSystem, Vector, height_key
+from .rootsystem import RootSystem, Vector
 from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
 
@@ -28,24 +28,14 @@ class DeltaString(NamedTuple):
 
     ``lines[i]`` is the weight ``top - i*delta``: a root, or the zero
     weight of the Cartan line (possible only in the string topped by delta
-    itself).
+    itself).  ``mask`` has the bits of the lines in the numbering of
+    :attr:`RootSystem.lines`.
     """
 
     top: Vector
     p: int
     lines: tuple[Vector, ...]
-
-
-def _weight_lines(rs: RootSystem) -> dict[Vector, Vector]:
-    """Each root of ``rs``, and the zero weight, mapped to itself.
-
-    Built once per system, so all its delta-strings share one tuple per
-    weight; keys run by descending height, then lexicographically.
-    """
-    if not rs._lines:
-        weights = sorted(rs.root_set | {rs.zero()}, key=lambda r: (-sum(r), r))
-        rs._lines.update((w, w) for w in weights)
-    return rs._lines
+    mask: int
 
 
 def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
@@ -53,19 +43,21 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
 
     Tops are the roots that cannot be raised by delta to a root or to the
     zero weight (so -delta is no top: its string is the one topped by
-    delta), and every root appears in exactly one string.  The partition
-    is built once per (system, delta) and memoized on the system.
+    delta), and every root appears in exactly one string.  Strings come by
+    descending height of their tops, then lexicographically, and hold the
+    weight tuples of :attr:`RootSystem.lines`, one per weight.  The
+    partition is built once per (system, delta) and memoized on the system.
     """
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
     if delta in rs._delta_strings:
         return rs._delta_strings[delta]
-    lines = _weight_lines(rs)
+    weights, bit = rs.lines
     form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
     strings = []
     seen = 0
-    for alpha in lines:
-        if not any(alpha) or tuple(a + d for a, d in zip(alpha, delta)) in lines:
+    for alpha in bit:
+        if not any(alpha) or tuple(a + d for a, d in zip(alpha, delta)) in bit:
             continue
         p, remainder = divmod(sum(alpha[i] * x for i, x in form), delta_norm)
         if remainder:
@@ -73,14 +65,16 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
         if p < 0:
             raise InvariantViolation(f"negative string length at top {alpha}")
         string = []
+        mask = 0
         for i in range(p + 1):
-            line = lines.get(tuple(a - i * d for a, d in zip(alpha, delta)))
-            if line is None:
+            b = bit.get(tuple(a - i * d for a, d in zip(alpha, delta)))
+            if b is None:
                 raise InvariantViolation(f"string through {alpha} leaves the roots")
-            string.append(line)
+            string.append(weights[b])
+            mask |= 1 << b
         seen += len(string)
-        strings.append(DeltaString(alpha, p, tuple(string)))
-    if seen != len(lines):
+        strings.append(DeltaString(alpha, p, tuple(string), mask))
+    if seen != len(bit):
         raise InvariantViolation("delta-strings do not partition the roots")
     rs._delta_strings[delta] = tuple(strings)
     return rs._delta_strings[delta]
@@ -113,34 +107,43 @@ def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> Degeneratio
         raise LambdaNotActive(f"{lam} is not active in {H!r}")
     rs, L = H.rs, H.L
     delta = L.hat(lam)
-    pu = L.pu
-    h_perp = pu | set(H.u_roots)
+    bit = rs.lines.bit
+    h_perp = L.pu_mask | H.u_mask
 
     shift: dict[Vector, Vector] = {}
-    limit: list[Vector] = []
+    limit_lines: list[Vector] = []
+    limit = 0
     for string in delta_strings(rs, delta):
-        members = [i for i, w in enumerate(string.lines) if w in h_perp]
+        lines = string.lines
+        hit = h_perp & string.mask
+        if not hit:
+            continue
+        if hit == string.mask:  # the whole string: every line stays put
+            shift.update(zip(lines, lines))
+            limit_lines.extend(lines)
+            limit |= hit
+            continue
+        members = [i for i, w in enumerate(lines) if h_perp >> bit[w] & 1]
         base = string.p - len(members) + 1
-        for j, i in enumerate(members):
-            target_line = string.lines[base + j]
-            shift[string.lines[i]] = target_line
-            limit.append(target_line)
+        for j, i in enumerate(members, base):
+            shift[lines[i]] = lines[j]
+            limit_lines.append(lines[j])
+            limit |= 1 << bit[lines[j]]
 
     moved = {i + 1 for i, _ in rsmod.pairing_form(rs, delta)}
     pi_m = tuple(a for a in sorted(L.levi) if a not in moved)
-    u_inf = sorted(
-        (w for w in limit
-         if any(w) and min(w) >= 0 and not L.in_levi(w)),
-        key=height_key)
+    # positive bits decode in (height, lex) order
+    u_inf = tuple(rs.positive_roots[b]
+                  for b in rsmod.mask_bits(limit & L.outside_mask))
 
     L_target = levi_datum(rs, pi_m)
     psi_target = sorted({L_target.restrict(beta) for beta in u_inf})
     target = make_subgroup(L_target, psi_target)
 
     result = DegenerationResult(H, lam, delta, target, pi_m,
-                                tuple(u_inf), shift, tuple(limit))
+                                u_inf, shift, tuple(limit_lines))
     if check:
-        _check_limit_structure(result, pu)
+        _check_limit_structure(result, limit)
     return result
 
 
@@ -148,40 +151,38 @@ def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> Degeneratio
 checks_run = 0
 
 
-def _check_limit_structure(d: DegenerationResult, pu: frozenset) -> None:
+def _check_limit_structure(d: DegenerationResult, limit: int) -> None:
+    """Verify a limit, given as the mask of its lines, against the structure
+    the theory guarantees; raise InvariantViolation on the first failure."""
     global checks_run
     checks_run += 1
     H, rs, L = d.source, d.source.rs, d.source.L
-    limit_roots = {w for w in d.limit_lines if any(w)}
-    cartan_count = sum(1 for w in d.limit_lines if not any(w))
-    if cartan_count != 1:
+    n = len(rs.positive_roots)
+    if not limit >> 2 * n & 1 or limit.bit_count() != len(d.limit_lines):
         raise InvariantViolation("limit must contain the Cartan line exactly once")
-    if len(d.limit_lines) != len(pu) + len(H.u_roots):
+    if len(d.limit_lines) != L.pu_mask.bit_count() + len(H.u_roots):
         raise InvariantViolation("limit changed dimension")
 
     # the opposite nilradical survives untouched
-    if not pu <= limit_roots:
+    if L.pu_mask & ~limit:
         raise InvariantViolation("limit lost part of the opposite nilradical")
 
     # Levi part of the limit: negatives of the Levi roots moved by delta
-    levi_part = {r for r in limit_roots if L.in_levi(r)}
-    expected = set()
+    bit = rs.lines.bit
+    expected = 0
     form = rsmod.pairing_form(rs, d.delta)
     for gamma in L.delta_l_plus:
         value = sum(gamma[i] * x for i, x in form)
         if value < 0:
             raise InvariantViolation("highest fiber weight not Levi-dominant")
         if value > 0:
-            expected.add(rs.negatives[gamma])
-    if levi_part != expected:
+            expected |= 1 << (n + bit[gamma])
+    if limit & L.levi_mask != expected:
         raise InvariantViolation("limit Levi part has the wrong shape")
 
     # the new module is a union of full fibers
     target = d.target
-    fiber_union = set()
-    for mu in target.psi:
-        fiber_union.update(target.L.fiber(mu))
-    if fiber_union != set(d.u_infinity):
+    if target.u_mask != limit & L.outside_mask:
         raise InvariantViolation("limit module is not fiber-saturated")
 
     # dim N = dim H + 1, in root-counting form

@@ -110,8 +110,10 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
     Candidate active sets pair a complement simple root with any other
     positive restricted root; the subalgebra closure condition prunes the
     rest.  Two-root cases where either fiber is a line are dropped (their
-    block structure is never trivial).  Spherical cases with one block are
-    solved and matched against the tables when ``solve`` is set.
+    block structure is never trivial).  When ``solve`` is set, every
+    spherical case is solved by ``base_solve`` (its ``sigma``), and the
+    ones with a single block are also matched against the tables; a case
+    with several blocks keeps its sigma and no matched row.
     """
     if psi_size not in (1, 2):
         raise SphrootsError("psi_size must be 1 or 2")

@@ -52,6 +52,23 @@ _POSITIVE_COUNT = {
 }
 
 
+class LineNumbering(NamedTuple):
+    """The lines of a root system as bits of one integer mask.
+
+    ``weights[b]`` is the weight naming line ``b``, one tuple per weight;
+    ``bit`` maps each weight back to its bit, with keys by descending
+    height, then lexicographically.
+    """
+
+    weights: tuple[Vector, ...]
+    bit: dict[Vector, int]
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    return [b for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
 class RootSystem:
     """Cartan data plus the full set of positive roots.
 
@@ -65,8 +82,8 @@ class RootSystem:
     rank, :func:`from_cartan` one per Cartan matrix) and compare by
     identity.  What is derived from a system is memoized on it when first
     asked for: its subsystems, its Levi data, its diagram automorphisms,
-    its index of table rows, the squared length of each positive root and
-    the negative of each.
+    its index of table rows, the squared length of each positive root, the
+    negative of each and the numbering of its lines.
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
@@ -87,7 +104,6 @@ class RootSystem:
         self._automorphisms: list = []
         self._row_index: dict = {}
         self._delta_strings: dict = {}
-        self._lines: dict = {}
 
     @cached_property
     def negatives(self) -> dict[Vector, Vector]:
@@ -102,9 +118,27 @@ class RootSystem:
     @cached_property
     def root_set(self) -> frozenset[Vector]:
         """All roots, positive and negative, sharing the tuples of
-        :attr:`negatives`.  Built on first use, for the weight lines of
-        delta-strings and for :func:`is_root`."""
+        :attr:`negatives`.  Built on first use, for :func:`is_root`."""
         return self.positive_set.union(self.negatives.values())
+
+    @cached_property
+    def lines(self) -> LineNumbering:
+        """One bit per torus-stable line of the Lie algebra, built on first
+        use, for delta-strings and degenerations.
+
+        Positive root i of :attr:`positive_roots` takes bit i, its negative
+        bit ``N + i`` (N positive roots), and the Cartan line, named by the
+        zero weight, bit ``2N``.  So a mask of positive roots decodes in
+        (height, lex) order.
+        """
+        n = len(self.positive_roots)
+        negatives = self.negatives
+        weights = (self.positive_roots
+                   + tuple(negatives[r] for r in self.positive_roots)
+                   + (self.zero(),))
+        by_height = sorted(range(2 * n + 1),
+                           key=lambda b: (-sum(weights[b]), weights[b]))
+        return LineNumbering(weights, {weights[b]: b for b in by_height})
 
     def simple_root(self, i: int) -> Vector:
         """Coefficient vector of the i-th simple root (1-based)."""

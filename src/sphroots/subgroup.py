@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Optional
 from . import rootsystem as rsmod
 from .croots import LeviDatum, levi_datum
 from .errors import ClosureViolation, InvariantViolation, PsiNotInPhiPlus
-from .rootsystem import RootSystem, Subsystem, Vector, height_key
+from .rootsystem import RootSystem, Subsystem, Vector
 
 
 class SubgroupDatum:
@@ -23,6 +23,7 @@ class SubgroupDatum:
 
     ``u_roots`` is the derived union of the fibers of the active set: the
     weight set of the module whose sphericity governs everything downstream.
+    ``u_mask`` holds the same roots in the line numbering of the system.
     Instances are interned on their Levi datum by :func:`make_subgroup`;
     the block decomposition, the sphericity verdict and the base-solve
     results are memoized on the instance when first computed.
@@ -31,10 +32,13 @@ class SubgroupDatum:
     def __init__(self, L: LeviDatum, psi: Iterable[Vector]):
         self.L = L
         self.psi = tuple(sorted(tuple(v) for v in psi))
-        roots: list[Vector] = []
+        mask = 0
         for lam in self.psi:
-            roots.extend(L.fiber(lam))
-        self.u_roots = tuple(sorted(roots, key=height_key))
+            mask |= L._fiber_masks[lam]
+        self.u_mask = mask
+        # positive bits decode in (height, lex) order
+        roots = L.rs.positive_roots
+        self.u_roots = tuple(roots[b] for b in rsmod.mask_bits(mask))
         self._blocks: Optional[SMDecomposition] = None
         self._verdict: Optional[tuple[bool, Optional[int]]] = None
         self._solved: dict = {}  # base-solve result per value of ``check``
@@ -77,7 +81,7 @@ def make_subgroup(L: LeviDatum, psi: Iterable[Iterable[int]]) -> SubgroupDatum:
         if not L.has_croot(lam):
             raise PsiNotInPhiPlus(f"{lam} is not a positive restricted root")
     for lam in psi_t:
-        for a, b in L.decompositions[lam]:
+        for a, b in L.decompositions(lam):
             if a not in psi_set and b not in psi_set:
                 raise ClosureViolation(a, b, lam)
     L._subgroups[psi_t] = SubgroupDatum(L, psi_t)

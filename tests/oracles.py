@@ -11,6 +11,13 @@ constructions is a meaningful check.
 reduction: each step rescans every pool weight for maximality and pairs
 each Levi root through ``coroot_pairing``.  The package keeps the
 maximal weights incrementally and must return the same witness.
+
+``degenerate``, ``check_limit_structure`` and ``delta_strings`` are the
+set-based form of the package's limit construction: the limit, the
+opposite nilradical and the Levi test are sets of weights, and every
+weight names its own line.  The package runs the same construction on
+line masks and must give the same result.  ``decompositions`` lists the
+two-term sums of every restricted root of a Levi datum at once.
 """
 
 from __future__ import annotations
@@ -20,12 +27,20 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction as Q
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from sphroots import rootsystem as rsmod
-from sphroots.errors import InvariantViolation
-from sphroots.rootsystem import RootSystem, Vector
-from sphroots.sphericity import ReductionStep, ThetaWitness, linearly_independent
+from sphroots.croots import LeviDatum, levi_datum
+from sphroots.degeneration import DegenerationResult
+from sphroots.errors import InvariantViolation, LambdaNotActive
+from sphroots.rootsystem import RootSystem, Vector, height_key
+from sphroots.sphericity import (
+    ReductionStep,
+    ThetaWitness,
+    is_spherical_and_rank,
+    linearly_independent,
+)
+from sphroots.subgroup import SubgroupDatum, make_subgroup
 
 
 def _inverse(matrix):
@@ -299,3 +314,154 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     spherical = linearly_independent(theta)
     return ThetaWitness(tuple(theta), spherical,
                         len(theta) if spherical else None, tuple(trace))
+
+
+def decompositions(L: LeviDatum) -> dict[Vector, list[tuple[Vector, Vector]]]:
+    """Every positive C-root mapped to its pairs ``(a, b)``, ``a + b`` the
+    root and ``a <= b``, from one double loop over the positive C-roots."""
+    phi = L.phi_plus
+    out: dict[Vector, list[tuple[Vector, Vector]]] = {lam: [] for lam in phi}
+    for i, a in enumerate(phi):
+        for b in phi[i:]:
+            total = tuple(x + y for x, y in zip(a, b))
+            if total in out:
+                out[total].append((a, b))
+    return out
+
+
+# --- the set-based limit construction -------------------------------------
+
+def _pu(L: LeviDatum) -> frozenset[Vector]:
+    """Roots of the opposite nilradical: negatives of the fiber members."""
+    neg = L.rs.negatives
+    return frozenset(neg[beta] for lam in L.phi_plus for beta in L.fiber(lam))
+
+
+def _in_levi(L: LeviDatum, beta: Vector) -> bool:
+    """Whether a root, positive or negative, restricts to zero."""
+    return not any(beta[a - 1] for a in L.complement)
+
+
+class DeltaString(NamedTuple):
+    top: Vector
+    p: int
+    lines: tuple[Vector, ...]
+
+
+def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
+    """All root lines plus the Cartan line, partitioned into delta-strings;
+    the lines are walked by descending height, then lexicographically."""
+    if delta not in rs.positive_set:
+        raise LambdaNotActive(f"{delta} is not a positive root")
+    weights = sorted(rs.root_set | {rs.zero()}, key=lambda r: (-sum(r), r))
+    lines = {w: w for w in weights}
+    form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
+    strings = []
+    seen = 0
+    for alpha in lines:
+        if not any(alpha) or tuple(a + d for a, d in zip(alpha, delta)) in lines:
+            continue
+        p, remainder = divmod(sum(alpha[i] * x for i, x in form), delta_norm)
+        if remainder:
+            raise InvariantViolation(f"non-integral coroot pairing for {delta}")
+        if p < 0:
+            raise InvariantViolation(f"negative string length at top {alpha}")
+        string = []
+        for i in range(p + 1):
+            line = lines.get(tuple(a - i * d for a, d in zip(alpha, delta)))
+            if line is None:
+                raise InvariantViolation(f"string through {alpha} leaves the roots")
+            string.append(line)
+        seen += len(string)
+        strings.append(DeltaString(alpha, p, tuple(string)))
+    if seen != len(lines):
+        raise InvariantViolation("delta-strings do not partition the roots")
+    return tuple(strings)
+
+
+def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> DegenerationResult:
+    """Degenerate a datum along one of its active roots, on sets of weights."""
+    lam = tuple(lam)
+    if lam not in H.psi:
+        raise LambdaNotActive(f"{lam} is not active in {H!r}")
+    rs, L = H.rs, H.L
+    delta = L.hat(lam)
+    pu = _pu(L)
+    h_perp = pu | set(H.u_roots)
+
+    shift: dict[Vector, Vector] = {}
+    limit: list[Vector] = []
+    for string in delta_strings(rs, delta):
+        members = [i for i, w in enumerate(string.lines) if w in h_perp]
+        base = string.p - len(members) + 1
+        for j, i in enumerate(members):
+            target_line = string.lines[base + j]
+            shift[string.lines[i]] = target_line
+            limit.append(target_line)
+
+    moved = {i + 1 for i, _ in rsmod.pairing_form(rs, delta)}
+    pi_m = tuple(a for a in sorted(L.levi) if a not in moved)
+    u_inf = sorted(
+        (w for w in limit
+         if any(w) and min(w) >= 0 and not _in_levi(L, w)),
+        key=height_key)
+
+    L_target = levi_datum(rs, pi_m)
+    psi_target = sorted({L_target.restrict(beta) for beta in u_inf})
+    target = make_subgroup(L_target, psi_target)
+
+    result = DegenerationResult(H, lam, delta, target, pi_m,
+                                tuple(u_inf), shift, tuple(limit))
+    if check:
+        check_limit_structure(result, pu)
+    return result
+
+
+def check_limit_structure(d: DegenerationResult, pu: frozenset) -> None:
+    H, rs, L = d.source, d.source.rs, d.source.L
+    limit_roots = {w for w in d.limit_lines if any(w)}
+    cartan_count = sum(1 for w in d.limit_lines if not any(w))
+    if cartan_count != 1:
+        raise InvariantViolation("limit must contain the Cartan line exactly once")
+    if len(d.limit_lines) != len(pu) + len(H.u_roots):
+        raise InvariantViolation("limit changed dimension")
+
+    # the opposite nilradical survives untouched
+    if not pu <= limit_roots:
+        raise InvariantViolation("limit lost part of the opposite nilradical")
+
+    # Levi part of the limit: negatives of the Levi roots moved by delta
+    levi_part = {r for r in limit_roots if _in_levi(L, r)}
+    expected = set()
+    form = rsmod.pairing_form(rs, d.delta)
+    for gamma in L.delta_l_plus:
+        value = sum(gamma[i] * x for i, x in form)
+        if value < 0:
+            raise InvariantViolation("highest fiber weight not Levi-dominant")
+        if value > 0:
+            expected.add(rs.negatives[gamma])
+    if levi_part != expected:
+        raise InvariantViolation("limit Levi part has the wrong shape")
+
+    # the new module is a union of full fibers
+    target = d.target
+    fiber_union = set()
+    for mu in target.psi:
+        fiber_union.update(target.L.fiber(mu))
+    if fiber_union != set(d.u_infinity):
+        raise InvariantViolation("limit module is not fiber-saturated")
+
+    # dim N = dim H + 1, in root-counting form
+    dl = len(L.delta_l_plus)
+    dm = len(target.L.delta_l_plus)
+    total = len(rs.positive_roots)
+    lhs = 2 * dl + (total - dl) - len(H.u_roots) + 1
+    rhs = 2 * dm + (total - dm) - len(d.u_infinity)
+    if lhs != rhs:
+        raise InvariantViolation("degeneration dimension bookkeeping failed")
+
+    spherical, rank = is_spherical_and_rank(H)
+    if spherical:
+        t_spherical, t_rank = is_spherical_and_rank(target)
+        if not t_spherical or t_rank != rank - 1:
+            raise InvariantViolation("rank did not drop by exactly one")

@@ -10,7 +10,16 @@ from sphroots.errors import EmptyFiber
 from sphroots.subgroup import make_subgroup
 
 from helpers import levi
-from oracles import euclidean_positive_roots
+from oracles import decompositions, euclidean_positive_roots
+
+
+def _lines(rs, mask):
+    """The weights of the lines in a mask."""
+    return [rs.lines.weights[b] for b in rsmod.mask_bits(mask)]
+
+
+def _has(rs, mask, w):
+    return bool(mask >> rs.lines.bit[w] & 1)
 
 
 def test_restrict_examples():
@@ -56,7 +65,7 @@ def test_negative_roots_are_one_tuple_per_root(family, n):
     for k in range(n):
         for nodes in itertools.combinations(range(1, n + 1), k):
             L = croots.levi_datum(rs, nodes)
-            assert {id(r) for r in L.pu} <= shared
+            assert {id(r) for r in _lines(rs, L.pu_mask)} <= shared
             for lam in L.phi_plus:
                 negative = L.fiber(tuple(-x for x in lam))
                 assert {id(r) for r in negative} <= shared
@@ -147,8 +156,24 @@ def test_levi_roots_match_euclidean_oracle(family, n):
             assert L.delta_l_plus == tuple(sorted(inside, key=lambda r: (sum(r), r)))
             for r in oracle:
                 neg = tuple(-x for x in r)
-                assert L.in_levi(r) is L.in_levi(neg) is (r in inside)
-            assert L.pu == {tuple(-x for x in r) for r in oracle - inside}
+                assert _has(rs, L.levi_mask, r) is _has(rs, L.levi_mask, neg) \
+                    is (r in inside)
+            assert set(_lines(rs, L.pu_mask)) == \
+                {tuple(-x for x in r) for r in oracle - inside}
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("C", 4), ("D", 5),
+                                      ("F4", 4), ("G2", 2), ("E6", 6)])
+def test_decompositions_match_eager_reference(family, n):
+    # every Levi, built fresh so that no earlier call has filled the memo
+    rs = rsmod.build(family, n)
+    for k in range(n + 1):
+        for nodes in itertools.combinations(range(1, n + 1), k):
+            L = croots.LeviDatum(rs, nodes)
+            expected = decompositions(L)
+            for lam in L.phi_plus:
+                assert L.decompositions(lam) == expected[lam]
+                assert L.decompositions(lam) is L.decompositions(lam)
 
 
 def test_croot_support_restricts_to_nonzero_entries():

@@ -1,13 +1,23 @@
 """Delta-strings and the limit construction."""
 
+import copy
+import itertools
+
 import pytest
 
+import oracles
 import sphroots.rootsystem as rsmod
+from sphroots import degeneration
 from sphroots.degeneration import degenerate, delta_strings, track_component
-from sphroots.errors import LambdaNotActive
-from sphroots.subgroup import sm_decomposition
+from sphroots.croots import levi_datum
+from sphroots.errors import ClosureViolation, InvariantViolation, LambdaNotActive
+from sphroots.sphericity import is_spherical_and_rank
+from sphroots.subgroup import make_subgroup, sm_decomposition
 
 from helpers import datum
+
+#: the types whose degenerations are checked against the set-based reference
+REFERENCE_TYPES = [("B", 4), ("C", 4), ("D", 5), ("F4", 4), ("G2", 2)]
 
 
 def test_delta_strings_b3_example():
@@ -174,3 +184,143 @@ def test_degeneration_checks_pass_along_full_orbits(family, n, complement, psi):
         for lam in current.psi:
             d = degenerate(current, lam, check=True)
             stack.append(d.target)
+
+
+def _reached(family, n):
+    """Every (datum, pivot) the default base-solve recursion degenerates,
+    from every spherical datum with two active roots on every Levi of one
+    type."""
+    rs = rsmod.build(family, n)
+    stack = []
+    for k in range(n):
+        for levi in itertools.combinations(range(1, n + 1), k):
+            L = levi_datum(rs, levi)
+            for psi in itertools.combinations(L.phi_plus, 2):
+                try:
+                    H = make_subgroup(L, psi)
+                except ClosureViolation:
+                    continue
+                if is_spherical_and_rank(H)[0]:
+                    stack.append(H)
+    seen = set()
+    while stack:
+        H = stack.pop()
+        if H in seen or len(H.psi) <= 1:
+            continue
+        seen.add(H)
+        for lam in H.psi[:2]:
+            yield H, lam
+            stack.append(degenerate(H, lam, check=False).target)
+
+
+@pytest.mark.parametrize("family,n", REFERENCE_TYPES)
+def test_degenerate_matches_set_based_reference(family, n):
+    count = 0
+    for H, lam in _reached(family, n):
+        got = degenerate(H, lam)
+        want = oracles.degenerate(H, lam)
+        assert got.target is want.target
+        assert got.pi_m == want.pi_m
+        assert got.u_infinity == want.u_infinity
+        assert got.shift_map == want.shift_map
+        assert got.limit_lines == want.limit_lines
+        count += 1
+    assert count >= 10
+
+
+@pytest.mark.parametrize("family,n", REFERENCE_TYPES)
+def test_delta_strings_match_set_based_reference(family, n):
+    rs = rsmod.build(family, n)
+    weights, bit = rs.lines
+    for delta in rs.positive_roots:
+        strings = delta_strings(rs, delta)
+        assert [s[:3] for s in strings] == \
+            [tuple(s) for s in oracles.delta_strings(rs, delta)]
+        for s in strings:
+            assert s.mask == sum(1 << bit[w] for w in s.lines)
+            assert all(weights[bit[w]] is w for w in s.lines)
+
+
+# --- each limit-structure check, fed one corrupted line -------------------
+
+def _case():
+    """A checked degeneration whose limit has roots of every kind, its
+    limit mask, and one line outside the limit."""
+    H = datum("B", 4, (2, 4), [(1, 0), (0, 1)])
+    d = degenerate(H, (0, 1))
+    rs = H.rs
+    bit = rs.lines.bit
+    limit = 0
+    for w in d.limit_lines:
+        limit |= 1 << bit[w]
+    assert d.u_infinity and limit & H.L.levi_mask
+    outside = next(w for w in rs.lines.weights if w not in d.limit_lines)
+    return d, limit, bit, outside
+
+
+def _swap(d, limit, bit, drop, add):
+    """The limit with line ``drop`` exchanged for line ``add``."""
+    lines = tuple(add if w == drop else w for w in d.limit_lines)
+    return d._replace(limit_lines=lines), \
+        limit ^ (1 << bit[drop]) ^ (1 << bit[add])
+
+
+def _fails(d, limit, message):
+    with pytest.raises(InvariantViolation, match=message):
+        degeneration._check_limit_structure(d, limit)
+
+
+def test_limit_check_passes_uncorrupted():
+    d, limit, _, _ = _case()
+    degeneration._check_limit_structure(d, limit)
+
+
+def test_limit_check_catches_dropped_cartan_bit():
+    d, limit, bit, _ = _case()
+    _fails(d, limit ^ (1 << bit[d.source.rs.zero()]),
+           "Cartan line exactly once")
+
+
+def test_limit_check_catches_lost_line():
+    d, limit, bit, _ = _case()
+    lost = d.u_infinity[0]
+    d = d._replace(limit_lines=tuple(w for w in d.limit_lines if w != lost))
+    _fails(d, limit ^ (1 << bit[lost]), "limit changed dimension")
+
+
+def test_limit_check_catches_dropped_pu_bit():
+    d, limit, bit, outside = _case()
+    L = d.source.L
+    pu_line = d.source.rs.lines.weights[rsmod.mask_bits(L.pu_mask)[0]]
+    _fails(*_swap(d, limit, bit, pu_line, outside),
+           "lost part of the opposite nilradical")
+
+
+def test_limit_check_catches_extra_levi_bit():
+    d, limit, bit, _ = _case()
+    L = d.source.L
+    extra = L.delta_l_plus[0]
+    assert extra not in d.limit_lines
+    _fails(*_swap(d, limit, bit, d.u_infinity[0], extra),
+           "Levi part has the wrong shape")
+
+
+def test_limit_check_catches_target_mask_off_by_one_bit():
+    d, limit, bit, _ = _case()
+    target = copy.copy(d.target)
+    target.u_mask ^= 1 << bit[d.u_infinity[0]]
+    _fails(d._replace(target=target), limit, "not fiber-saturated")
+
+
+def test_limit_check_catches_dimension_off_by_one():
+    d, limit, _, _ = _case()
+    _fails(d._replace(u_infinity=d.u_infinity[1:]), limit,
+           "dimension bookkeeping failed")
+
+
+def test_limit_check_catches_rank_not_dropping(monkeypatch):
+    d, limit, _, _ = _case()
+    verdicts = {d.source: (True, 2), d.target: (True, 2)}
+    monkeypatch.setattr(degeneration, "is_spherical_and_rank",
+                        verdicts.__getitem__)
+    _fails(d, limit, "rank did not drop by exactly one")

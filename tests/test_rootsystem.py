@@ -389,12 +389,13 @@ def test_diagram_isomorphisms_match_brute_force(family, n, full_only):
 def test_leaf_matching_builds_no_other_standard_system():
     # a fresh interpreter, so that no earlier test has interned rank 22; the
     # Levi datum reads its roots off the ambient ones, so no derived system
-    # is interned and no negative root is built
+    # is interned, no negative root is built and no line is numbered
     code = (
         "import sphroots.rootsystem as rsmod\n"
         "from sphroots.cli import main\n"
         "assert main(['compute', '--type', 'C', '--rank', '22', '--complement',"
         " '22', '--psi', '1', '--format', 'json']) == 0\n"
+        "print('lines' in vars(rsmod.build('C', 22)))\n"
         "print(sorted(k for k in rsmod._by_type if k[1] == 22))\n"
         "print(len(rsmod._by_cartan))\n"
         "print('root_set' in vars(rsmod.build('C', 22)))\n"
@@ -404,6 +405,7 @@ def test_leaf_matching_builds_no_other_standard_system():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.splitlines()[-4:] == ["[('C', 22)]", "0", "False", "False"]
+    assert out.splitlines()[-5] == "False"  # no line numbering either
 
 
 @pytest.mark.parametrize("family,n", [("F4", 4), ("E6", 6), ("D", 5)])

@@ -102,13 +102,17 @@ class LeviDatum:
         if pairs is None:
             pairs = []
             for a in self.phi_plus:
-                if 2 * a[0] > lam[0]:  # b[0] < a[0] from here on
-                    break
                 b = tuple(x - y for x, y in zip(lam, a))
                 if a <= b and b in self._phi_set:
                     pairs.append((a, b))
             self._decompositions[lam] = pairs
         return pairs
+
+    def fiber_mask(self, lam: Vector) -> int:
+        """The fiber of a positive C-root as a mask of positive root lines."""
+        if lam not in self._fiber_masks:
+            raise EmptyFiber(f"{lam} is not a positive restricted root")
+        return self._fiber_masks[lam]
 
     def fiber(self, lam: Iterable[int]) -> tuple[Vector, ...]:
         """All roots restricting to a given C-root, sorted by (height, lex)."""

@@ -118,11 +118,6 @@ def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> Degeneratio
         hit = h_perp & string.mask
         if not hit:
             continue
-        if hit == string.mask:  # the whole string: every line stays put
-            shift.update(zip(lines, lines))
-            limit_lines.extend(lines)
-            limit |= hit
-            continue
         members = [i for i, w in enumerate(lines) if h_perp >> bit[w] & 1]
         base = string.p - len(members) + 1
         for j, i in enumerate(members, base):
@@ -157,8 +152,8 @@ def _check_limit_structure(d: DegenerationResult, limit: int) -> None:
     global checks_run
     checks_run += 1
     H, rs, L = d.source, d.source.rs, d.source.L
-    n = len(rs.positive_roots)
-    if not limit >> 2 * n & 1 or limit.bit_count() != len(d.limit_lines):
+    bit = rs.lines.bit
+    if not limit >> bit[rs.zero()] & 1 or limit.bit_count() != len(d.limit_lines):
         raise InvariantViolation("limit must contain the Cartan line exactly once")
     if len(d.limit_lines) != L.pu_mask.bit_count() + len(H.u_roots):
         raise InvariantViolation("limit changed dimension")
@@ -168,7 +163,7 @@ def _check_limit_structure(d: DegenerationResult, limit: int) -> None:
         raise InvariantViolation("limit lost part of the opposite nilradical")
 
     # Levi part of the limit: negatives of the Levi roots moved by delta
-    bit = rs.lines.bit
+    negatives = rs.negatives
     expected = 0
     form = rsmod.pairing_form(rs, d.delta)
     for gamma in L.delta_l_plus:
@@ -176,7 +171,7 @@ def _check_limit_structure(d: DegenerationResult, limit: int) -> None:
         if value < 0:
             raise InvariantViolation("highest fiber weight not Levi-dominant")
         if value > 0:
-            expected |= 1 << (n + bit[gamma])
+            expected |= 1 << bit[negatives[gamma]]
     if limit & L.levi_mask != expected:
         raise InvariantViolation("limit Levi part has the wrong shape")
 

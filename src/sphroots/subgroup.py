@@ -34,7 +34,7 @@ class SubgroupDatum:
         self.psi = tuple(sorted(tuple(v) for v in psi))
         mask = 0
         for lam in self.psi:
-            mask |= L._fiber_masks[lam]
+            mask |= L.fiber_mask(lam)
         self.u_mask = mask
         # positive bits decode in (height, lex) order
         roots = L.rs.positive_roots

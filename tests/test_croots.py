@@ -103,6 +103,9 @@ def test_fiber_partition(family, n):
             assert total == len(rs.positive_roots) - len(L.delta_l_plus)
             for lam in L.phi_plus:
                 assert any(lam) and all(x >= 0 for x in lam)
+                assert _lines(rs, L.fiber_mask(lam)) == list(L.fiber(lam))
+            with pytest.raises(EmptyFiber):
+                L.fiber_mask(tuple(-x for x in L.phi_plus[0]))
 
 
 @pytest.mark.parametrize("family,n", [("B", 4), ("C", 4), ("F4", 4), ("A", 5)])

@@ -19,7 +19,7 @@ from .degeneration import degenerate
 from .enumeration import enumerate_cases, enumeration_type, verify_tables
 from .errors import NotSpherical, SphrootsError
 from .solver import base_solve, optimized_solve
-from .sphericity import theta_witness
+from .sphericity import knop_reduce
 from .subgroup import make_subgroup
 from .tables import TABLE_IDS, dump_rows
 
@@ -87,7 +87,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_check(args) -> int:
     H = _datum_from_args(args)
-    witness = theta_witness(H)
+    witness = knop_reduce(H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots)
     payload = {
         "spherical": witness.spherical,
         "rank": witness.rank,

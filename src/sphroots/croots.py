@@ -20,15 +20,15 @@ from .rootsystem import RootSystem, Vector, support_and_height
 class LeviDatum:
     """A root system together with a standard Levi subset of its nodes.
 
-    Precomputes the positive Levi roots, the positive restricted roots,
-    their fibers, and the highest/lowest weight of each fiber, all from one
-    pass over the positive roots: a root lies in the Levi exactly when it
-    restricts to zero.  The same pass gives three masks in the line
-    numbering of the system (:attr:`RootSystem.lines`): ``pu_mask``, the
-    opposite nilradical; ``outside_mask``, the positive roots outside the
-    Levi; and ``levi_mask``, the Levi roots of both signs.  Immutable once
-    built; use :func:`levi_datum` to get the instance interned on the root
-    system.  Subgroup data over it are memoized on it by ``make_subgroup``.
+    Precomputes the positive Levi roots, the positive restricted roots and
+    their fibers, all from one pass over the positive roots: a root lies in
+    the Levi exactly when it restricts to zero.  The same pass gives three
+    masks in the line numbering of the system (:attr:`RootSystem.lines`):
+    ``pu_mask``, the opposite nilradical; ``outside_mask``, the positive
+    roots outside the Levi; and ``levi_mask``, the Levi roots of both
+    signs.  Immutable once built; use :func:`levi_datum` to get the
+    instance interned on the root system.  Subgroup data over it are
+    memoized on it by ``make_subgroup``.
     """
 
     def __init__(self, rs: RootSystem, levi: Iterable[int]):
@@ -63,29 +63,15 @@ class LeviDatum:
         self._fiber_masks = fiber_masks
         self.phi_plus = tuple(sorted(self._fibers))
         self._phi_set = frozenset(self.phi_plus)
-        self._hat: dict[Vector, Vector] = {}
-        self._tilde: dict[Vector, Vector] = {}
-        for lam, fib in self._fibers.items():
-            self._hat[lam] = self._unique_extreme(fib, sign=+1)
-            self._tilde[lam] = self._unique_extreme(fib, sign=-1)
+        for fib in self._fibers.values():
+            # fibers are sorted by (height, lex), and the highest (lowest)
+            # weight of a simple Levi module is the one weight of top
+            # (bottom) height, so the extremes are the last and first members
+            if len(fib) > 1 and (sum(fib[-1]) == sum(fib[-2])
+                                 or sum(fib[0]) == sum(fib[1])):
+                raise InvariantViolation(f"fiber {fib} has two extremes")
         self._decompositions: dict[Vector, list[tuple[Vector, Vector]]] = {}
         self._subgroups: dict = {}
-
-    def _unique_extreme(self, fib: tuple[Vector, ...], sign: int) -> Vector:
-        # a Levi simple root keeps the restriction, so a raised or lowered
-        # member is a root exactly when it lies in the same fiber
-        members = frozenset(fib)
-        steps = [a - 1 for a in self.levi]
-        found = None
-        for delta in fib:
-            if all(delta[:i] + (delta[i] + sign,) + delta[i + 1:] not in members
-                   for i in steps):
-                if found is not None:
-                    raise InvariantViolation(f"fiber {fib} has two extremes")
-                found = delta
-        if found is None:
-            raise InvariantViolation(f"fiber {fib} has no extreme element")
-        return found
 
     def restrict(self, beta: Iterable[int]) -> Vector:
         """Coefficient subvector of a root on the complement nodes."""
@@ -127,17 +113,17 @@ class LeviDatum:
 
     def hat(self, lam: Iterable[int]) -> Vector:
         """Highest weight of the fiber of a positive C-root."""
-        v = tuple(lam)
-        if v not in self._hat:
-            raise EmptyFiber(f"{v} is not a positive restricted root")
-        return self._hat[v]
+        return self._positive_fiber(lam)[-1]
 
     def tilde(self, lam: Iterable[int]) -> Vector:
         """Lowest weight of the fiber of a positive C-root."""
+        return self._positive_fiber(lam)[0]
+
+    def _positive_fiber(self, lam: Iterable[int]) -> tuple[Vector, ...]:
         v = tuple(lam)
-        if v not in self._tilde:
+        if v not in self._fibers:
             raise EmptyFiber(f"{v} is not a positive restricted root")
-        return self._tilde[v]
+        return self._fibers[v]
 
     def croot_support(self, lam: Iterable[int]) -> frozenset[int]:
         """Ambient support of a C-root, read off its highest fiber element."""

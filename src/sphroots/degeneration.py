@@ -41,12 +41,13 @@ class DeltaString(NamedTuple):
 def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     """Partition all root lines plus the Cartan line into delta-strings.
 
-    Tops are the roots that cannot be raised by delta to a root or to the
-    zero weight (so -delta is no top: its string is the one topped by
-    delta), and every root appears in exactly one string.  Strings come by
-    descending height of their tops, then lexicographically, and hold the
-    weight tuples of :attr:`RootSystem.lines`, one per weight.  The
-    partition is built once per (system, delta) and memoized on the system.
+    Tops are the nonzero lines that no line steps down to by delta (so
+    -delta is no top: its string is the one topped by delta), and each
+    string is walked from its top through the step-down map, built once.
+    Every root appears in exactly one string.  Strings come by descending
+    height of their tops, then lexicographically, and hold the weight
+    tuples of :attr:`RootSystem.lines`, one per weight.  The partition is
+    built once per (system, delta) and memoized on the system.
     """
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
@@ -54,24 +55,32 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
         return rs._delta_strings[delta]
     weights, bit = rs.lines
     form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
+    down = {}
+    for w, b in bit.items():
+        c = bit.get(tuple(x - d for x, d in zip(w, delta)))
+        if c is not None:
+            down[b] = c
+    # delta steps down to the zero weight, so the zero weight is no top
+    stepped_to = set(down.values())
     strings = []
     seen = 0
-    for alpha in bit:
-        if not any(alpha) or tuple(a + d for a, d in zip(alpha, delta)) in bit:
+    for alpha, b in bit.items():
+        if b in stepped_to:
             continue
         p, remainder = divmod(sum(alpha[i] * x for i, x in form), delta_norm)
         if remainder:
             raise InvariantViolation(f"non-integral coroot pairing for {delta}")
         if p < 0:
             raise InvariantViolation(f"negative string length at top {alpha}")
-        string = []
-        mask = 0
-        for i in range(p + 1):
-            b = bit.get(tuple(a - i * d for a, d in zip(alpha, delta)))
-            if b is None:
-                raise InvariantViolation(f"string through {alpha} leaves the roots")
+        string = [alpha]
+        mask = 1 << b
+        while b in down:
+            b = down[b]
             string.append(weights[b])
             mask |= 1 << b
+        if len(string) != p + 1:
+            raise InvariantViolation(
+                f"string through {alpha} has {len(string)} lines, not {p + 1}")
         seen += len(string)
         strings.append(DeltaString(alpha, p, tuple(string), mask))
     if seen != len(bit):

@@ -21,6 +21,7 @@ from .errors import (
 )
 
 Vector = tuple[int, ...]
+PairingForm = tuple[tuple[int, int], ...]
 
 
 def height_key(w: Vector) -> tuple[int, Vector]:
@@ -35,8 +36,8 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 #: largest rank accepted for A-D; larger ranks are refused before any
 #: closure runs.  The slowest table-1 leaf of A-D (type C, complement the
-#: last node) takes 1.3-1.4 s in one process on a 2-vCPU host at this rank
-#: and 5.6-5.9 s at rank 96 with the cap lifted.
+#: last node) takes about 0.7 s in one process on a 2-vCPU host at this
+#: rank and 3.0 s at rank 96 with the cap lifted.
 MAX_RANK = 64
 
 _POSITIVE_COUNT = {
@@ -82,7 +83,8 @@ class RootSystem:
     rank, :func:`from_cartan` one per Cartan matrix) and compare by
     identity.  What is derived from a system is memoized on it when first
     asked for: its subsystems, its Levi data, its diagram automorphisms,
-    its index of table rows, the squared length of each positive root, the
+    its index of table rows, the pairing form and squared length of each
+    positive root (one ``(form, norm)`` tuple per root in ``_forms``), the
     negative of each and the numbering of its lines.
     """
 
@@ -98,7 +100,7 @@ class RootSystem:
         # the nonzero (i, c_ij) of each Cartan column j
         self._columns = tuple(tuple((i, c) for i, c in enumerate(col) if c)
                               for col in zip(*cartan))
-        self._norms: dict[Vector, int] = {}
+        self._forms: dict[Vector, tuple[PairingForm, int]] = {}
         self._subsystems: dict = {}
         self._levi_data: dict = {}
         self._automorphisms: list = []
@@ -362,17 +364,30 @@ def pairings(rs: RootSystem, w: Iterable[int]) -> list[int]:
     return b
 
 
-def pairing_form(rs: RootSystem, w: Iterable[int]) -> list[tuple[int, int]]:
+def _form_and_norm(rs: RootSystem, w: Iterable[int]) -> tuple[PairingForm, int]:
+    """``(pairing_form(w), norm(w))``, computed once per positive root and
+    memoized on ``rs``; other vectors are computed afresh on each call."""
+    v = tuple(w)
+    entry = rs._forms.get(v)
+    if entry is None:
+        form = tuple((i, 2 * d * x) for i, (d, x)
+                     in enumerate(zip(rs.symmetrizer, pairings(rs, v))) if x)
+        entry = form, sum(v[i] * x for i, x in form) // 2
+        if v in rs.positive_set:
+            rs._forms[v] = entry
+    return entry
+
+
+def pairing_form(rs: RootSystem, w: Iterable[int]) -> PairingForm:
     """The linear form ``v -> 2 inner(v, w)`` as its nonzero terms
     ``(i, 2 d_i <alpha_{i+1}^vee, w>)``.
 
     Evaluated at a root gamma and divided by ``norm(gamma)`` it gives
     <gamma^vee, w>; divided by ``norm(w)`` it gives <w^vee, gamma>.  The
-    indices are the simple coroots that do not vanish on ``w``.
+    indices are the simple coroots that do not vanish on ``w``.  Memoized
+    on ``rs`` for positive roots, so callers share the tuple.
     """
-    return [(i, 2 * d * x)
-            for i, (d, x) in enumerate(zip(rs.symmetrizer, pairings(rs, w)))
-            if x]
+    return _form_and_norm(rs, w)[0]
 
 
 def inner(rs: RootSystem, v: Iterable[int], w: Iterable[int]):
@@ -387,14 +402,8 @@ def inner(rs: RootSystem, v: Iterable[int], w: Iterable[int]):
 
 def norm(rs: RootSystem, gamma: Iterable[int]) -> int:
     """The squared length ``inner(gamma, gamma)``, memoized on ``rs`` for
-    positive roots as one integer each."""
-    g = tuple(gamma)
-    value = rs._norms.get(g)
-    if value is None:
-        value = sum(map(mul, map(mul, g, rs.symmetrizer), pairings(rs, g)))
-        if g in rs.positive_set:
-            rs._norms[g] = value
-    return value
+    positive roots together with their pairing form."""
+    return _form_and_norm(rs, gamma)[1]
 
 
 def coroot_pairing(rs: RootSystem, gamma: Iterable[int], w: Iterable[int]) -> int:

@@ -78,17 +78,29 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     order); the default takes the lexicographically largest.  The verdict
     and the number of picked weights are independent of this choice.
 
-    Each step pairs the picked weight with the simple coroots once
+    Each step reads the picked weight's memoized pairing form
     (:func:`rootsystem.pairing_form`); the coroot pairing of a Levi root
-    is then a sum over the nonzero terms, divided by the root's memoized
-    squared length.  ``blocked[w]`` counts the Levi simple roots that
-    raise a pool weight ``w`` into the pool, so the maximal weights are
-    those it counts zero.
+    is then a sum over its nonzero terms, divided by the root's memoized
+    squared length.  The pool's simple-root edges ``w -> w + alpha_a``
+    are listed once per call, by Levi node; ``blocked[w]`` counts the live
+    edges up from ``w``, so the maximal weights are those it counts zero.
+    A weight whose last copy leaves the pool, or a node that leaves the
+    Levi, releases its edges.
     """
     pi = tuple(sorted(set(pi_l)))
     dl = [(gamma, rsmod.norm(rs, gamma)) for gamma in map(tuple, delta_l_plus)]
     pool = Counter(tuple(v) for v in omega)
-    blocked = {w: sum(_step(w, a, 1) in pool for a in pi) for w in pool}
+    # a node's edges are dropped when it leaves the Levi
+    edges: dict[int, list[tuple[Vector, Vector]]] = {a: [] for a in pi}
+    below: dict[Vector, list[tuple[int, Vector]]] = {w: [] for w in pool}
+    blocked = dict.fromkeys(pool, 0)
+    for w in pool:
+        for a in pi:
+            up = w[:a - 1] + (w[a - 1] + 1,) + w[a:]
+            if up in pool:
+                edges[a].append((w, up))
+                below[up].append((a, w))
+                blocked[w] += 1
     free = {w for w, count in blocked.items() if not count}
 
     def unblock(u):
@@ -128,13 +140,12 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                 if not pool[v]:
                     del pool[v], blocked[v]
                     free.discard(v)
-                    for a in pi:
-                        u = _step(v, a, -1)
-                        if u in pool:
+                    for a, u in below[v]:
+                        if a in edges and u in pool:
                             unblock(u)
         for a in moved.intersection(pi):
-            for u in pool:
-                if _step(u, a, 1) in pool:
+            for u, up in edges.pop(a):
+                if u in pool and up in pool:
                     unblock(u)
         theta.append(w)
         trace.append(ReductionStep(w, pi_m, tuple(removed)))
@@ -143,12 +154,6 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     spherical = linearly_independent(theta)
     return ThetaWitness(tuple(theta), spherical,
                         len(theta) if spherical else None, tuple(trace))
-
-
-def _step(w: Vector, a: int, sign: int) -> Vector:
-    """``w`` plus ``sign`` times the a-th simple root (1-based)."""
-    i = a - 1
-    return w[:i] + (w[i] + sign,) + w[i + 1:]
 
 
 def is_spherical_and_rank(H: SubgroupDatum,
@@ -169,7 +174,3 @@ def is_spherical_and_rank(H: SubgroupDatum,
         H._verdict = result
     return result
 
-
-def theta_witness(H: SubgroupDatum) -> ThetaWitness:
-    """Full reduction data for the datum's module."""
-    return knop_reduce(H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots)

@@ -139,10 +139,12 @@ def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
             x = parent[x]
         return x
 
-    pairs = {lam: rsmod.pairings(rs, L.hat(lam)) for lam in H.psi}
+    # the simple coroots (1-based) that do not vanish on each highest weight
+    moved = {lam: {i + 1 for i, _ in rsmod.pairing_form(rs, L.hat(lam))}
+             for lam in H.psi}
     touches: dict[tuple, list[Vector]] = {}
     for comp in levi_comps:
-        touched = [lam for lam in H.psi if any(pairs[lam][a - 1] for a in comp)]
+        touched = [lam for lam in H.psi if not moved[lam].isdisjoint(comp)]
         if touched:
             touches[comp] = touched
             first = touched[0]

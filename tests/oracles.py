@@ -12,6 +12,11 @@ reduction: each step rescans every pool weight for maximality and pairs
 each Levi root through ``coroot_pairing``.  The package keeps the
 maximal weights incrementally and must return the same witness.
 
+``fiber_extreme`` is the plain search for a fiber's highest or lowest
+weight: the one member that no Levi simple root raises (lowers) within
+the fiber.  The package reads the extremes off the ends of the sorted
+fiber and must find the same members.
+
 ``degenerate``, ``check_limit_structure`` and ``delta_strings`` are the
 set-based form of the package's limit construction: the limit, the
 opposite nilradical and the Levi test are sets of weights, and every
@@ -314,6 +319,26 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     spherical = linearly_independent(theta)
     return ThetaWitness(tuple(theta), spherical,
                         len(theta) if spherical else None, tuple(trace))
+
+
+def fiber_extreme(L: LeviDatum, lam: Vector, sign: int) -> Vector:
+    """The member of a positive C-root's fiber that no Levi simple root
+    raises (``sign=+1``) or lowers (``sign=-1``) within the fiber."""
+    # a Levi simple root keeps the restriction, so a raised or lowered
+    # member is a root exactly when it lies in the same fiber
+    fib = L.fiber(lam)
+    members = frozenset(fib)
+    steps = [a - 1 for a in L.levi]
+    found = None
+    for delta in fib:
+        if all(delta[:i] + (delta[i] + sign,) + delta[i + 1:] not in members
+               for i in steps):
+            if found is not None:
+                raise InvariantViolation(f"fiber {fib} has two extremes")
+            found = delta
+    if found is None:
+        raise InvariantViolation(f"fiber {fib} has no extreme element")
+    return found
 
 
 def decompositions(L: LeviDatum) -> dict[Vector, list[tuple[Vector, Vector]]]:

@@ -6,11 +6,11 @@ import pytest
 
 import sphroots.rootsystem as rsmod
 from sphroots import croots
-from sphroots.errors import EmptyFiber
+from sphroots.errors import EmptyFiber, InvariantViolation
 from sphroots.subgroup import make_subgroup
 
 from helpers import levi
-from oracles import decompositions, euclidean_positive_roots
+from oracles import decompositions, euclidean_positive_roots, fiber_extreme
 
 
 def _lines(rs, mask):
@@ -143,6 +143,36 @@ def test_hat_dominates_fiber(family, n):
             assert L.croot_support(lam) == union
             down = tuple(x - t for x, t in zip(hat, tilde))
             assert all(d >= 0 for d in down)
+
+
+def test_fiber_extremes_match_reference_scan():
+    # every Levi of each system, built fresh: hat and tilde are the members
+    # that no Levi simple root raises or lowers within the fiber
+    fibers = 0
+    for family, n in (("A", 6), ("B", 5), ("C", 5), ("D", 6), ("E6", 6),
+                      ("E7", 7), ("F4", 4), ("G2", 2)):
+        rs = rsmod.build(family, n)
+        for k in range(n + 1):
+            for nodes in itertools.combinations(range(1, n + 1), k):
+                L = croots.LeviDatum(rs, nodes)
+                for lam in L.phi_plus:
+                    assert L.hat(lam) == fiber_extreme(L, lam, +1), (L, lam)
+                    assert L.tilde(lam) == fiber_extreme(L, lam, -1), (L, lam)
+                    fibers += 1
+    assert fibers == 4837
+
+
+@pytest.mark.parametrize("dropped", [(1, 1, 1), (0, 1, 0)])
+def test_fiber_with_a_shared_extreme_height_is_refused(dropped):
+    # A3 without one root: over the Levi {1, 3} the fiber of (1,) keeps two
+    # members at its top height 2 (without (1,1,1)) or at its bottom
+    # height 2 (without (0,1,0)), so it is no simple Levi module
+    a3 = rsmod.build("A", 3)
+    doctored = rsmod.RootSystem("A", 3, a3.cartan, a3.symmetrizer,
+                                tuple(r for r in a3.positive_roots
+                                      if r != dropped))
+    with pytest.raises(InvariantViolation, match="two extremes"):
+        croots.LeviDatum(doctored, (1, 3))
 
 
 @pytest.mark.parametrize("family,n", [("B", 4), ("C", 4), ("D", 5),

@@ -92,6 +92,23 @@ def test_degenerate_first_pivot_b3():
     assert d.u_infinity == ((0, 0, 1), (0, 1, 1), (0, 1, 2))
 
 
+def test_checked_degeneration_computes_the_delta_form_once(monkeypatch):
+    H = datum("B", 3, (3,), [(1,), (2,)])
+    delta = H.L.hat((1,))
+    H.rs._forms.pop(delta, None)
+    calls = []
+    pairings = rsmod.pairings
+
+    def counting(rs, w):
+        calls.append(tuple(w))
+        return pairings(rs, w)
+
+    monkeypatch.setattr(rsmod, "pairings", counting)
+    d = degenerate(H, (1,), check=True)
+    assert d.delta == delta
+    assert calls.count(delta) == 1
+
+
 def test_degenerate_second_pivot_b3():
     H = datum("B", 3, (3,), [(1,), (2,)])
     d = degenerate(H, (2,))

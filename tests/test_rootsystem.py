@@ -165,6 +165,36 @@ def test_coroot_pairing_matches_euclidean_model(family, n):
                 (gamma, w)
 
 
+@pytest.mark.parametrize("family,n", ALL_TYPES)
+def test_pairing_form_memo_matches_fresh_computation(family, n):
+    rs = rsmod.build(family, n)
+    for gamma in rs.positive_roots:
+        form = rsmod.pairing_form(rs, gamma)
+        fresh = [(i, 2 * d * x) for i, (d, x)
+                 in enumerate(zip(rs.symmetrizer, rsmod.pairings(rs, gamma)))
+                 if x]
+        assert list(form) == fresh, gamma
+        assert rsmod.norm(rs, gamma) == rsmod.inner(rs, gamma, gamma), gamma
+        # one shared, immutable entry per positive root
+        entry = rs._forms[gamma]
+        assert entry == (form, rsmod.norm(rs, gamma))
+        assert rsmod.pairing_form(rs, list(gamma)) is form
+        assert isinstance(entry, tuple) and isinstance(form, tuple)
+        assert all(isinstance(term, tuple) for term in form)
+
+
+def test_pairing_form_memoizes_positive_roots_only():
+    rs = rsmod.build("B", 3)
+    for w in ((-1, -1, -1), (2, 0, 0)):
+        fresh = [(i, 2 * d * x) for i, (d, x)
+                 in enumerate(zip(rs.symmetrizer, rsmod.pairings(rs, w)))
+                 if x]
+        assert list(rsmod.pairing_form(rs, w)) == fresh
+        assert rsmod.norm(rs, w) == rsmod.inner(rs, w, w)
+        assert w not in rs._forms
+    assert rsmod.norm(rs, (2, 0, 0)) == 4 * rsmod.norm(rs, (1, 0, 0))
+
+
 def test_coroot_pairing_rejects_fractional_value():
     # <(2 alpha_1)^vee, alpha_2> = -1/2 in A2: 2 alpha_1 is no root
     with pytest.raises(InvariantViolation):

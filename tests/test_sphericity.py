@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,6 @@ from sphroots.sphericity import (
     is_spherical_and_rank,
     knop_reduce,
     linearly_independent,
-    theta_witness,
 )
 from sphroots.subgroup import make_subgroup
 
@@ -82,7 +82,7 @@ def test_nonspherical_g2_second_node():
 
 def test_theta_lies_in_root_lattice_span():
     H = datum("C", 4, (1, 3), [(1, 0), (0, 1)])
-    w = theta_witness(H)
+    w = knop_reduce(H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots)
     assert w.spherical
     u = set(H.u_roots)
     for t in w.theta:
@@ -180,6 +180,39 @@ def test_reduction_witness_matches_reference_on_bench_data():
             want = reference_knop_reduce(
                 *args, choose=_random_chooser(random.Random(seed)))
             assert got == want, (H, seed)
+
+
+def _multisets():
+    """Levi data with weight multisets beyond a datum's module: every
+    positive root outside the Levi twice, and the weights of the tensor
+    product of two fibers' modules (repeated weights, most of them no
+    roots)."""
+    for family, n, complement in (("A", 4, (2,)), ("B", 3, (3,)),
+                                  ("C", 4, (2, 4)), ("D", 5, (1, 5)),
+                                  ("F4", 4, (1,)), ("G2", 2, (2,))):
+        L = levi(family, n, complement)
+        outside = [beta for lam in L.phi_plus for beta in L.fiber(lam)]
+        yield L, outside * 2
+        for lam, mu in itertools.combinations_with_replacement(L.phi_plus[:3], 2):
+            yield L, [tuple(map(add, b, g))
+                      for b in L.fiber(lam) for g in L.fiber(mu)]
+
+
+def test_reduction_matches_reference_on_multisets():
+    # repeated and non-root weights: the edge bookkeeping keeps a weight's
+    # edges until its last copy leaves the pool
+    repeated = non_root = 0
+    for L, omega in _multisets():
+        args = (L.rs, L.levi, L.delta_l_plus, omega)
+        for seed in (None, 0, 1, 2):
+            got, want = (
+                reduce(*args, choose=None if seed is None else
+                       _random_chooser(random.Random(seed)))
+                for reduce in (knop_reduce, reference_knop_reduce))
+            assert got == want, (L, omega, seed)
+        repeated += len(set(omega)) < len(omega)
+        non_root += any(not rsmod.is_root(L.rs, w) for w in omega)
+    assert (repeated, non_root) == (24, 22)
 
 
 def test_leaf_solve_pairs_through_the_kernel_only():

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
 from .degeneration import degenerate
-from .enumeration import enumerate_cases, enumeration_type, verify_tables
 from .errors import NotSpherical, SphrootsError
 from .solver import base_solve, optimized_solve
 from .sphericity import knop_reduce
@@ -149,6 +149,8 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_cases, enumeration_type
+
     rs = rsmod.build(*enumeration_type(args.type, args.rank))
     records = enumerate_cases(rs, args.complement_size, args.psi_size,
                               solve=not args.skip_solve)
@@ -159,6 +161,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    from .enumeration import verify_tables
+
     check = args.check if args.check is not None else True
     report = verify_tables(args.type, max_rank=args.max_rank, check=check)
     payload = report.to_json()
@@ -184,51 +188,55 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sphroots",
-        description="Exact spherical-root computations for Levi-split subgroups")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format_arg(p):
+    p.add_argument("--format", choices=("json", "text"), default="text")
 
-    def datum_args(p):
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--type", required=True)
-        p.add_argument("--rank", type=int, required=True)
-        p.add_argument("--complement", required=True,
-                       help="comma-separated 1-based complement nodes")
-        p.add_argument("--psi", required=True,
-                       help="semicolon-separated restricted roots, e.g. '1;2'")
 
-    def assert_flag(p):
-        p.add_argument("--assert", dest="check",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="toggle runtime invariant checking")
+def _datum_args(p):
+    _format_arg(p)
+    p.add_argument("--type", required=True)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--complement", required=True,
+                   help="comma-separated 1-based complement nodes")
+    p.add_argument("--psi", required=True,
+                   help="semicolon-separated restricted roots, e.g. '1;2'")
 
-    p = sub.add_parser("roots", help="dump a root system")
+
+def _assert_flag(p):
+    p.add_argument("--assert", dest="check",
+                   action=argparse.BooleanOptionalAction, default=None,
+                   help="toggle runtime invariant checking")
+
+
+def _roots_args(p):
     p.add_argument("--type", required=True)
     p.add_argument("--rank", type=int)
-    p.add_argument("--format", choices=("json", "text"), default="text")
+    _format_arg(p)
     p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("check", help="sphericity and rank of a datum")
-    datum_args(p)
+
+def _check_args(p):
+    _datum_args(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("compute", help="spherical roots of a datum")
-    datum_args(p)
-    assert_flag(p)
+
+def _compute_args(p):
+    _datum_args(p)
+    _assert_flag(p)
     p.add_argument("--method", choices=("base", "optimized", "both"),
                    default="optimized")
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("degenerate", help="degenerate a datum along one active root")
-    datum_args(p)
-    assert_flag(p)
+
+def _degenerate_args(p):
+    _datum_args(p)
+    _assert_flag(p)
     p.add_argument("--lambda", required=True,
                    help="comma-separated restricted root to degenerate along")
     p.set_defaults(func=_cmd_degenerate)
 
-    p = sub.add_parser("enumerate", help="enumerate canonical cases")
+
+def _enumerate_args(p):
     p.add_argument("--type", required=True)
     p.add_argument("--rank", type=int)
     p.add_argument("--complement-size", dest="complement_size", type=int,
@@ -236,31 +244,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi-size", dest="psi_size", type=int, choices=(1, 2),
                    required=True)
     p.add_argument("--skip-solve", action="store_true")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+    _format_arg(p)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify-tables", help="regenerate tables and diff")
+
+def _verify_tables_args(p):
     p.add_argument("--type", required=True)
     p.add_argument("--max-rank", dest="max_rank", type=int, default=10)
-    assert_flag(p)
-    p.add_argument("--format", choices=("json", "text"), default="text")
+    _assert_flag(p)
+    _format_arg(p)
     p.set_defaults(func=_cmd_verify_tables)
 
-    p = sub.add_parser("tables", help="table row instantiations")
+
+def _tables_args(p):
     tsub = p.add_subparsers(dest="table_command", required=True)
     pd = tsub.add_parser("dump")
     pd.add_argument("--table", type=int, choices=TABLE_IDS, required=True)
     pd.add_argument("--n", type=int)
     pd.add_argument("--params")
-    pd.add_argument("--format", choices=("json", "text"), default="text")
+    _format_arg(pd)
     pd.set_defaults(func=_cmd_tables)
 
+
+#: each command's help line and the function adding its arguments, in the
+#: order ``sphroots --help`` lists them
+_COMMANDS = {
+    "roots": ("dump a root system", _roots_args),
+    "check": ("sphericity and rank of a datum", _check_args),
+    "compute": ("spherical roots of a datum", _compute_args),
+    "degenerate": ("degenerate a datum along one active root",
+                   _degenerate_args),
+    "enumerate": ("enumerate canonical cases", _enumerate_args),
+    "verify-tables": ("regenerate tables and diff", _verify_tables_args),
+    "tables": ("table row instantiations", _tables_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    An argv that starts with a command needs only that command's
+    subparser.  Its usage line still names every command, so that usage
+    and error text are the same as the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sphroots",
+        description="Exact spherical-root computations for Levi-split subgroups")
+    # the full parser keeps the default metavar: argparse names a missing
+    # command by it ("required: command")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    for name, (help_text, add_args) in _COMMANDS.items():
+        if command is None or name == command:
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except NotSpherical as exc:

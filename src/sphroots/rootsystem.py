@@ -36,8 +36,8 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 #: largest rank accepted for A-D; larger ranks are refused before any
 #: closure runs.  The slowest table-1 leaf of A-D (type C, complement the
-#: last node) takes about 0.7 s in one process on a 2-vCPU host at this
-#: rank and 3.0 s at rank 96 with the cap lifted.
+#: last node) takes about 0.23 s in one process on a 2-vCPU host at this
+#: rank and 0.73 s at rank 96 with the cap lifted.
 MAX_RANK = 64
 
 _POSITIVE_COUNT = {
@@ -81,16 +81,17 @@ class RootSystem:
 
     Systems are interned (:func:`build` keeps one per normalized family and
     rank, :func:`from_cartan` one per Cartan matrix) and compare by
-    identity.  What is derived from a system is memoized on it when first
-    asked for: its subsystems, its Levi data, its diagram automorphisms,
-    its index of table rows, the pairing form and squared length of each
-    positive root (one ``(form, norm)`` tuple per root in ``_forms``), the
-    negative of each and the numbering of its lines.
+    identity.  The closure yields the squared length of every positive
+    root, kept in ``_norms``.  What else is derived from a system is
+    memoized on it when first asked for: its subsystems, its Levi data,
+    its diagram automorphisms, its index of table rows, the pairing form
+    of each positive root whose form is asked for (in ``_forms``), the
+    negative of each positive root and the numbering of its lines.
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
                  cartan: tuple[Vector, ...], symmetrizer: Vector,
-                 positive_roots: tuple[Vector, ...]):
+                 positive_roots: tuple[Vector, ...], norms: dict[Vector, int]):
         self.type_label = type_label
         self.rank = rank
         self.cartan = cartan
@@ -100,7 +101,8 @@ class RootSystem:
         # the nonzero (i, c_ij) of each Cartan column j
         self._columns = tuple(tuple((i, c) for i, c in enumerate(col) if c)
                               for col in zip(*cartan))
-        self._forms: dict[Vector, tuple[PairingForm, int]] = {}
+        self._norms = norms
+        self._forms: dict[Vector, PairingForm] = {}
         self._subsystems: dict = {}
         self._levi_data: dict = {}
         self._automorphisms: list = []
@@ -264,36 +266,53 @@ def _gcd(a: int, b: int) -> int:
     return abs(a)
 
 
-def _close_positive_roots(cartan: tuple[Vector, ...]) -> tuple[Vector, ...]:
+def _close_positive_roots(cartan: tuple[Vector, ...], symmetrizer: Vector
+                          ) -> tuple[tuple[Vector, ...], dict[Vector, int]]:
     """Generate all positive roots from the Cartan matrix by string closure.
 
-    Each root carries its pairings with the simple coroots, so stepping by
-    the i-th simple root adds the i-th Cartan column.  A root of height h
-    is known once every root of height below h is, so the strings are
-    walked one height level at a time.
+    Returns the roots sorted by :func:`height_key` and the squared length
+    of each.  Each root carries its pairings with the simple coroots, so
+    stepping by the i-th simple root adds the i-th Cartan column, and
+    ``norm(beta + alpha_i) = norm(beta) + 2 d_i (<alpha_i^vee, beta> + 1)``.
+    A root of height h is known once every root of height below h is, so
+    the strings are walked one height level at a time.  Each root of a
+    level records the nodes by which the level below stepped up to it:
+    these are exactly the i with beta - alpha_i a root.
     """
     n = len(cartan)
     columns = [tuple(row[i] for row in cartan) for i in range(n)]
-    pairings = {tuple(int(i == j) for j in range(n)): columns[i]
-                for i in range(n)}
-    level = list(pairings.items())
+    norms: dict[Vector, int] = {}
+    level: dict[Vector, tuple[Vector, list[int]]] = {}
+    for i, d in enumerate(symmetrizer):
+        alpha = tuple(int(i == j) for j in range(n))
+        level[alpha] = columns[i], []
+        norms[alpha] = 2 * d
+    ordered: list[Vector] = []
     while level:
-        fresh: dict[Vector, Vector] = {}
-        for beta, b in level:
-            for i in range(n):
+        ordered.extend(sorted(level))
+        fresh: dict[Vector, tuple[Vector, list[int]]] = {}
+        for beta, (b, via) in level.items():
+            for i, (x, bi) in enumerate(zip(beta, b)):
                 # beta + alpha_i is a root iff more than <beta, alpha_i^vee>
                 # steps down from beta stay roots; at most beta[i] can, and
                 # root strings have no gaps, so the last step decides
-                if b[i] >= 0:
-                    if beta[i] <= b[i] or (beta[:i] + (beta[i] - b[i] - 1,)
-                                           + beta[i + 1:]) not in pairings:
+                if x <= bi:
+                    continue
+                if bi == 0:
+                    if i not in via:
                         continue
-                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                if up not in pairings and up not in fresh:
-                    fresh[up] = tuple(map(add, b, columns[i]))
-        pairings.update(fresh)
-        level = list(fresh.items())
-    return tuple(sorted(pairings, key=height_key))
+                elif bi > 0 and (beta[:i] + (x - bi - 1,)
+                                 + beta[i + 1:]) not in norms:
+                    continue
+                up = beta[:i] + (x + 1,) + beta[i + 1:]
+                entry = fresh.get(up)
+                if entry is None:
+                    fresh[up] = tuple(map(add, b, columns[i])), [i]
+                    norms[up] = norms[beta] + 2 * symmetrizer[i] * (bi + 1)
+                else:
+                    entry[1].append(i)
+        level = fresh
+    return tuple(ordered), norms
 
 
 _by_type: dict[tuple[str, int], RootSystem] = {}
@@ -310,14 +329,15 @@ def build(type_label: str, rank: Optional[int] = None) -> RootSystem:
     if (family, n) in _by_type:
         return _by_type[family, n]
     cartan = standard_cartan(family, n)
-    positive = _close_positive_roots(cartan)
+    symmetrizer = _symmetrizer_from_cartan(cartan)
+    positive, norms = _close_positive_roots(cartan, symmetrizer)
     expected = _POSITIVE_COUNT[family](n)
     if len(positive) != expected:
         raise InvariantViolation(
             f"{family}{n}: closure produced {len(positive)} positive roots, "
             f"expected {expected}"
         )
-    rs = RootSystem(family, n, cartan, _symmetrizer_from_cartan(cartan), positive)
+    rs = RootSystem(family, n, cartan, symmetrizer, positive, norms)
     _by_type[family, n] = rs
     return rs
 
@@ -326,9 +346,9 @@ def from_cartan(cartan: Iterable[Iterable[int]]) -> RootSystem:
     """The interned, unlabeled root system of a (semisimple) Cartan matrix."""
     key = tuple(tuple(row) for row in cartan)
     if key not in _by_cartan:
-        _by_cartan[key] = RootSystem(None, len(key), key,
-                                     _symmetrizer_from_cartan(key),
-                                     _close_positive_roots(key))
+        symmetrizer = _symmetrizer_from_cartan(key)
+        _by_cartan[key] = RootSystem(None, len(key), key, symmetrizer,
+                                     *_close_positive_roots(key, symmetrizer))
     return _by_cartan[key]
 
 
@@ -364,20 +384,6 @@ def pairings(rs: RootSystem, w: Iterable[int]) -> list[int]:
     return b
 
 
-def _form_and_norm(rs: RootSystem, w: Iterable[int]) -> tuple[PairingForm, int]:
-    """``(pairing_form(w), norm(w))``, computed once per positive root and
-    memoized on ``rs``; other vectors are computed afresh on each call."""
-    v = tuple(w)
-    entry = rs._forms.get(v)
-    if entry is None:
-        form = tuple((i, 2 * d * x) for i, (d, x)
-                     in enumerate(zip(rs.symmetrizer, pairings(rs, v))) if x)
-        entry = form, sum(v[i] * x for i, x in form) // 2
-        if v in rs.positive_set:
-            rs._forms[v] = entry
-    return entry
-
-
 def pairing_form(rs: RootSystem, w: Iterable[int]) -> PairingForm:
     """The linear form ``v -> 2 inner(v, w)`` as its nonzero terms
     ``(i, 2 d_i <alpha_{i+1}^vee, w>)``.
@@ -385,9 +391,17 @@ def pairing_form(rs: RootSystem, w: Iterable[int]) -> PairingForm:
     Evaluated at a root gamma and divided by ``norm(gamma)`` it gives
     <gamma^vee, w>; divided by ``norm(w)`` it gives <w^vee, gamma>.  The
     indices are the simple coroots that do not vanish on ``w``.  Memoized
-    on ``rs`` for positive roots, so callers share the tuple.
+    on ``rs`` for positive roots, so callers share the tuple; other
+    vectors are computed afresh on each call.
     """
-    return _form_and_norm(rs, w)[0]
+    v = tuple(w)
+    form = rs._forms.get(v)
+    if form is None:
+        form = tuple((i, 2 * d * x) for i, (d, x)
+                     in enumerate(zip(rs.symmetrizer, pairings(rs, v))) if x)
+        if v in rs.positive_set:
+            rs._forms[v] = form
+    return form
 
 
 def inner(rs: RootSystem, v: Iterable[int], w: Iterable[int]):
@@ -401,9 +415,11 @@ def inner(rs: RootSystem, v: Iterable[int], w: Iterable[int]):
 
 
 def norm(rs: RootSystem, gamma: Iterable[int]) -> int:
-    """The squared length ``inner(gamma, gamma)``, memoized on ``rs`` for
-    positive roots together with their pairing form."""
-    return _form_and_norm(rs, gamma)[1]
+    """The squared length ``inner(gamma, gamma)``, read from the closure's
+    table for positive roots and computed afresh for other vectors."""
+    v = tuple(gamma)
+    value = rs._norms.get(v)
+    return value if value is not None else inner(rs, v, v)
 
 
 def coroot_pairing(rs: RootSystem, gamma: Iterable[int], w: Iterable[int]) -> int:

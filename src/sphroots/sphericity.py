@@ -14,6 +14,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from collections import Counter
+from operator import sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import rootsystem as rsmod
@@ -69,6 +70,29 @@ def linearly_independent(vectors: Iterable[Vector]) -> bool:
     return integer_rank(vs) == len(vs)
 
 
+#: bits per coefficient in the integer code of a pool weight, the number
+#: whose little-endian bytes are the weight's coefficients: adding a simple
+#: root to a weight adds a power of two to its code, without a carry while
+#: every coefficient is below _TOP.
+_DIGIT = 8
+_TOP = (1 << _DIGIT) - 1
+
+
+def _weight_codes(weights: Iterable[Vector], rank: int) -> dict[int, Vector]:
+    """Each weight keyed by its integer code.
+
+    Raises InvariantViolation for a weight of another length or with a
+    coefficient outside ``[0, _TOP)``, rather than list a false edge.
+    """
+    codes = {}
+    for w in weights:
+        if len(w) != rank or min(w) < 0 or max(w) >= _TOP:
+            raise InvariantViolation(
+                f"weight {w} is outside the coding range of rank {rank}")
+        codes[int.from_bytes(bytes(w), "little")] = w
+    return codes
+
+
 def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                 delta_l_plus: Iterable[Vector], omega: Iterable[Vector],
                 choose: Optional[Callable] = None) -> ThetaWitness:
@@ -80,12 +104,13 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
 
     Each step reads the picked weight's memoized pairing form
     (:func:`rootsystem.pairing_form`); the coroot pairing of a Levi root
-    is then a sum over its nonzero terms, divided by the root's memoized
-    squared length.  The pool's simple-root edges ``w -> w + alpha_a``
-    are listed once per call, by Levi node; ``blocked[w]`` counts the live
-    edges up from ``w``, so the maximal weights are those it counts zero.
-    A weight whose last copy leaves the pool, or a node that leaves the
-    Levi, releases its edges.
+    is then a sum over its nonzero terms, divided by the root's squared
+    length from the closure.  The pool's simple-root edges
+    ``w -> w + alpha_a`` are listed once per call, by Levi node, on the
+    weights' integer codes; ``blocked[w]`` counts the live edges up from
+    ``w``, so the maximal weights are those it counts zero.  A weight
+    whose last copy leaves the pool, or a node that leaves the Levi,
+    releases its edges.
     """
     pi = tuple(sorted(set(pi_l)))
     dl = [(gamma, rsmod.norm(rs, gamma)) for gamma in map(tuple, delta_l_plus)]
@@ -94,10 +119,12 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     edges: dict[int, list[tuple[Vector, Vector]]] = {a: [] for a in pi}
     below: dict[Vector, list[tuple[int, Vector]]] = {w: [] for w in pool}
     blocked = dict.fromkeys(pool, 0)
-    for w in pool:
-        for a in pi:
-            up = w[:a - 1] + (w[a - 1] + 1,) + w[a:]
-            if up in pool:
+    by_code = _weight_codes(pool, rs.rank)
+    steps = [(a, 1 << (_DIGIT * (a - 1))) for a in pi]
+    for code, w in by_code.items():
+        for a, step in steps:
+            up = by_code.get(code + step)
+            if up is not None:
                 edges[a].append((w, up))
                 below[up].append((a, w))
                 blocked[w] += 1
@@ -130,7 +157,7 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
             raise InvariantViolation(f"picked weight {w} is not dominant")
         moved = {i + 1 for i, _ in form}
         pi_m = tuple(a for a in pi if a not in moved)
-        removals = [w] + [tuple(x - y for x, y in zip(w, gamma))
+        removals = [w] + [tuple(map(sub, w, gamma))
                           for (gamma, _), value in zip(dl, values) if value > 0]
         removed = []
         for v in removals:

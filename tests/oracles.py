@@ -7,6 +7,12 @@ basis, checking each solution by multiplying it back.  It shares no code
 with the Cartan-matrix closure in the package, so agreement of the two
 constructions is a meaningful check.
 
+``close_positive_roots`` is the plain string closure: it tests every
+string by building the root ``b_i + 1`` steps down, and returns the roots
+alone.  The package's closure reads the one-step-down test off the nodes
+by which each root was reached, yields each root's squared length, and
+must return the same roots.
+
 ``knop_reduce`` is the plain form of the package's highest-weight
 reduction: each step rescans every pool weight for maximality and pairs
 each Levi root through ``coroot_pairing``.  The package keeps the
@@ -31,6 +37,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from operator import add
 from fractions import Fraction as Q
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -274,6 +281,38 @@ def rational_symmetrizer(cartan):
     ints = [int(x * denom) for x in d]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
+
+
+def close_positive_roots(cartan: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """Generate all positive roots from the Cartan matrix by string closure.
+
+    Each root carries its pairings with the simple coroots, so stepping by
+    the i-th simple root adds the i-th Cartan column.  A root of height h
+    is known once every root of height below h is, so the strings are
+    walked one height level at a time.
+    """
+    n = len(cartan)
+    columns = [tuple(row[i] for row in cartan) for i in range(n)]
+    pairings = {tuple(int(i == j) for j in range(n)): columns[i]
+                for i in range(n)}
+    level = list(pairings.items())
+    while level:
+        fresh: dict[Vector, Vector] = {}
+        for beta, b in level:
+            for i in range(n):
+                # beta + alpha_i is a root iff more than <beta, alpha_i^vee>
+                # steps down from beta stay roots; at most beta[i] can, and
+                # root strings have no gaps, so the last step decides
+                if b[i] >= 0:
+                    if beta[i] <= b[i] or (beta[:i] + (beta[i] - b[i] - 1,)
+                                           + beta[i + 1:]) not in pairings:
+                        continue
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if up not in pairings and up not in fresh:
+                    fresh[up] = tuple(map(add, b, columns[i]))
+        pairings.update(fresh)
+        level = list(fresh.items())
+    return tuple(sorted(pairings, key=height_key))
 
 
 def knop_reduce(rs: RootSystem, pi_l: Iterable[int],

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import sphroots.cli
-from sphroots.cli import main
+from sphroots.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -220,7 +220,7 @@ def test_rank_above_max_rank_exits_2_before_any_closure(capsys, monkeypatch,
                                                         argv):
     import sphroots.rootsystem as rsmod
 
-    def no_closure(cartan):
+    def no_closure(cartan, symmetrizer):
         raise AssertionError("closure ran for a refused rank")
 
     monkeypatch.setattr(rsmod, "_close_positive_roots", no_closure)
@@ -237,7 +237,7 @@ def test_rank_above_enumeration_cap_exits_2_before_any_closure(
     import sphroots.rootsystem as rsmod
     from sphroots.enumeration import ENUMERATION_MAX_RANK
 
-    def no_closure(cartan):
+    def no_closure(cartan, symmetrizer):
         raise AssertionError("closure ran for a refused rank")
 
     monkeypatch.setattr(rsmod, "_close_positive_roots", no_closure)
@@ -255,14 +255,90 @@ def test_rank_above_enumeration_cap_exits_2_before_any_closure(
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
-    # a fresh interpreter without site, which loads modules of its own
+    # a fresh interpreter without site, which loads modules of its own;
+    # enumeration is imported by the two commands that use it
     src = os.path.dirname(os.path.dirname(sphroots.cli.__file__))
     code = ("import sys\n"
             "import sphroots.cli\n"
             "print(sorted(m for m in ('dataclasses', 'inspect', 'fractions',"
-            " 'decimal') if m in sys.modules))\n")
+            " 'decimal', 'sphroots.enumeration') if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True,
                          env=env).stdout
     assert out.strip() == "[]"
+
+
+TOP_USAGE = """\
+usage: sphroots [-h]
+                {roots,check,compute,degenerate,enumerate,verify-tables,tables}
+                ...
+"""
+
+TOP_HELP = TOP_USAGE + """
+Exact spherical-root computations for Levi-split subgroups
+
+positional arguments:
+  {roots,check,compute,degenerate,enumerate,verify-tables,tables}
+    roots               dump a root system
+    check               sphericity and rank of a datum
+    compute             spherical roots of a datum
+    degenerate          degenerate a datum along one active root
+    enumerate           enumerate canonical cases
+    verify-tables       regenerate tables and diff
+    tables              table row instantiations
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def parse_exit(capsys, parser, argv):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("words", [
+    ("roots",), ("check",), ("compute",), ("degenerate",), ("enumerate",),
+    ("verify-tables",), ("tables",), ("tables", "dump"),
+])
+def test_one_command_parser_matches_full_parser(capsys, monkeypatch, words):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = build_parser(), build_parser(words[0])
+    helps = [parse_exit(capsys, p, [*words, "--help"]) for p in (full, one)]
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].startswith("usage: sphroots ")
+    # every command has a required argument, so the bare words miss one
+    missing = [parse_exit(capsys, p, list(words)) for p in (full, one)]
+    assert missing[0] == missing[1]
+    assert missing[0][0] == 2 and "required" in missing[0][2]
+    # the one-command parser knows no other command
+    other = "roots" if words[0] != "roots" else "check"
+    assert parse_exit(capsys, one, [other])[0] == 2
+
+
+def test_one_command_parser_keeps_the_full_usage_line(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["roots", "--type", "B", "stray"]
+    errors = [parse_exit(capsys, p, argv)
+              for p in (build_parser(), build_parser("roots"))]
+    assert errors[0] == errors[1] == (
+        2, "", TOP_USAGE + "sphroots: error: unrecognized arguments: stray\n")
+
+
+def test_top_level_help_and_unknown_command_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (TOP_HELP, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", TOP_USAGE + (
+        "sphroots: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'roots', 'check', 'compute', 'degenerate', "
+        "'enumerate', 'verify-tables', 'tables')\n"))

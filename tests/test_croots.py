@@ -170,7 +170,9 @@ def test_fiber_with_a_shared_extreme_height_is_refused(dropped):
     a3 = rsmod.build("A", 3)
     doctored = rsmod.RootSystem("A", 3, a3.cartan, a3.symmetrizer,
                                 tuple(r for r in a3.positive_roots
-                                      if r != dropped))
+                                      if r != dropped),
+                                {r: x for r, x in a3._norms.items()
+                                 if r != dropped})
     with pytest.raises(InvariantViolation, match="two extremes"):
         croots.LeviDatum(doctored, (1, 3))
 

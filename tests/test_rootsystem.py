@@ -22,6 +22,7 @@ from sphroots.errors import (
 
 from oracles import (
     brute_force_isomorphisms,
+    close_positive_roots,
     euclidean_cartan,
     euclidean_positive_roots,
     euclidean_simple_roots,
@@ -175,11 +176,10 @@ def test_pairing_form_memo_matches_fresh_computation(family, n):
                  if x]
         assert list(form) == fresh, gamma
         assert rsmod.norm(rs, gamma) == rsmod.inner(rs, gamma, gamma), gamma
-        # one shared, immutable entry per positive root
-        entry = rs._forms[gamma]
-        assert entry == (form, rsmod.norm(rs, gamma))
+        # one shared, immutable form per positive root asked for
+        assert rs._forms[gamma] is form
         assert rsmod.pairing_form(rs, list(gamma)) is form
-        assert isinstance(entry, tuple) and isinstance(form, tuple)
+        assert isinstance(form, tuple)
         assert all(isinstance(term, tuple) for term in form)
 
 
@@ -283,7 +283,8 @@ def test_symmetrizer_scale_invariance():
     rs = rsmod.build("F4", 4)
     scaled = rsmod.RootSystem(rs.type_label, rs.rank, rs.cartan,
                               tuple(3 * d for d in rs.symmetrizer),
-                              rs.positive_roots)
+                              rs.positive_roots,
+                              {r: 3 * x for r, x in rs._norms.items()})
     for v in rs.positive_roots[:8]:
         for w in rs.positive_roots[:8]:
             assert rsmod.inner(scaled, v, w) == 3 * rsmod.inner(rs, v, w)
@@ -453,8 +454,25 @@ def test_from_cartan_of_node_subsets_matches_ambient_roots(family, n):
             assert len(sub.positive_roots) == len(supported)
 
 
+@pytest.mark.parametrize(
+    "family,n",
+    ALL_TYPES + [(f, 30) for f in "ABCD"] + [("C", 64)])
+def test_closure_matches_plain_closure_and_pairing_lengths(family, n):
+    cartan = rsmod.standard_cartan(family, n)
+    symmetrizer = rsmod._symmetrizer_from_cartan(cartan)
+    roots, norms = rsmod._close_positive_roots(cartan, symmetrizer)
+    assert roots == close_positive_roots(cartan)
+    assert norms.keys() == set(roots)
+    rs = rsmod.build(family, n)
+    for beta in roots:
+        assert norms[beta] == sum(map(mul, map(mul, beta, symmetrizer),
+                                      rsmod.pairings(rs, beta))), beta
+
+
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_closure_count_at_rank_30(family):
-    roots = rsmod._close_positive_roots(rsmod.standard_cartan(family, 30))
+    cartan = rsmod.standard_cartan(family, 30)
+    roots, _ = rsmod._close_positive_roots(
+        cartan, rsmod._symmetrizer_from_cartan(cartan))
     assert len(roots) == len(set(roots)) == COUNTS[family](30)
     assert all(min(r) >= 0 for r in roots)

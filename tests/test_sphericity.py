@@ -14,7 +14,7 @@ import pytest
 
 import sphroots.rootsystem as rsmod
 from sphroots.croots import levi_datum
-from sphroots.errors import ClosureViolation
+from sphroots.errors import ClosureViolation, InvariantViolation
 from sphroots.sphericity import (
     integer_rank,
     is_spherical_and_rank,
@@ -215,6 +215,30 @@ def test_reduction_matches_reference_on_multisets():
     assert (repeated, non_root) == (24, 22)
 
 
+def test_reduction_refuses_weights_outside_the_edge_coding():
+    # edges are listed on integer codes with 8 bits per coefficient; a
+    # weight whose step up could carry into the next coefficient, or that
+    # has a negative coefficient or another length, is refused rather than
+    # given a false edge
+    rs = rsmod.build("A", 3)
+    top = (1 << 8) - 2
+    for w in ((0, top, 0), (top, 0, top)):
+        assert knop_reduce(rs, (), (), [w]).theta == (w,)
+    edge = knop_reduce(rs, (1,), [(1, 0, 0)], [(top - 1, 0, 0), (top, 0, 0)])
+    assert edge.theta == ((top, 0, 0),)
+    for w in ((0, top + 1, 0), (0, -1, 0), (0, 1)):
+        with pytest.raises(InvariantViolation, match="coding range"):
+            knop_reduce(rs, (), (), [w])
+    # in D4 a carry out of node 3 lands on node 4, which is no neighbour,
+    # so a false edge would change the picks without any other error
+    d4 = rsmod.build("D", 4)
+    omega = [(0, 0, top + 1, 0), (0, 0, 0, 1)]
+    assert reference_knop_reduce(d4, (3,), [(0, 0, 1, 0)], omega).theta == (
+        (0, 0, top + 1, 0), (0, 0, 0, 1))
+    with pytest.raises(InvariantViolation, match="coding range"):
+        knop_reduce(d4, (3,), [(0, 0, 1, 0)], omega)
+
+
 def test_leaf_solve_pairs_through_the_kernel_only():
     # a fresh interpreter, so no earlier test has interned rank 22
     code = (
@@ -229,3 +253,30 @@ def test_leaf_solve_pairs_through_the_kernel_only():
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], capture_output=True,
                    text=True, check=True, env=env)
+
+
+def test_leaf_memoizes_the_forms_of_picked_weights_only():
+    # a fresh interpreter, so the forms memo holds what this leaf asked for:
+    # the picked weights' forms, no Levi root's (a leaf degenerates no δ);
+    # norms come from the closure and write no form
+    code = (
+        "import sphroots.rootsystem as rsmod\n"
+        "from sphroots.cli import main\n"
+        "from sphroots.croots import levi_datum\n"
+        "from sphroots.sphericity import knop_reduce\n"
+        "from sphroots.subgroup import make_subgroup\n"
+        "assert main(['compute', '--type', 'C', '--rank', '22', '--complement',"
+        " '22', '--psi', '1', '--format', 'json']) == 0\n"
+        "rs = rsmod.build('C', 22)\n"
+        "forms = dict(rs._forms)\n"
+        "H = make_subgroup(levi_datum(rs, range(1, 22)), [(1,)])\n"
+        "theta = set(knop_reduce(rs, H.L.levi, H.L.delta_l_plus,"
+        " H.u_roots).theta)\n"
+        "norms = [rsmod.norm(rs, r) for r in rs.positive_roots]\n"
+        "print(len(forms), set(forms) == theta,"
+        " bool(set(forms) & set(H.L.delta_l_plus)), rs._forms == forms)\n")
+    src = os.path.dirname(os.path.dirname(rsmod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.splitlines()[-1] == "22 True False True"

@@ -179,8 +179,6 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    if args.table_command != "dump":
-        raise SphrootsError("unknown tables subcommand")
     params = _parse_ints(args.params, "--params") if args.params else None
     rows = dump_rows(args.table, n=args.n, params=params)
     _emit(rows, args.format,

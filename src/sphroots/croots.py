@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DimensionMismatch, EmptyFiber, InvariantViolation
-from .rootsystem import RootSystem, Vector, support_and_height
+from .rootsystem import RootSystem, Vector
 
 
 class LeviDatum:
@@ -101,34 +101,19 @@ class LeviDatum:
         return self._fiber_masks[lam]
 
     def fiber(self, lam: Iterable[int]) -> tuple[Vector, ...]:
-        """All roots restricting to a given C-root, sorted by (height, lex)."""
-        v = tuple(lam)
-        if v in self._fibers:
-            return self._fibers[v]
-        neg = tuple(-x for x in v)
-        if neg in self._fibers:
-            negatives = self.rs.negatives
-            return tuple(negatives[r] for r in self._fibers[neg])
-        raise EmptyFiber(f"{v} is not a restricted root for this Levi")
-
-    def hat(self, lam: Iterable[int]) -> Vector:
-        """Highest weight of the fiber of a positive C-root."""
-        return self._positive_fiber(lam)[-1]
-
-    def tilde(self, lam: Iterable[int]) -> Vector:
-        """Lowest weight of the fiber of a positive C-root."""
-        return self._positive_fiber(lam)[0]
-
-    def _positive_fiber(self, lam: Iterable[int]) -> tuple[Vector, ...]:
+        """All roots restricting to a positive C-root, by (height, lex)."""
         v = tuple(lam)
         if v not in self._fibers:
             raise EmptyFiber(f"{v} is not a positive restricted root")
         return self._fibers[v]
 
+    def hat(self, lam: Iterable[int]) -> Vector:
+        """Highest weight of the fiber of a positive C-root."""
+        return self.fiber(lam)[-1]
+
     def croot_support(self, lam: Iterable[int]) -> frozenset[int]:
         """Ambient support of a C-root, read off its highest fiber element."""
-        supp, _ = support_and_height(self.hat(lam))
-        return supp
+        return frozenset(i + 1 for i, x in enumerate(self.hat(lam)) if x)
 
     def __repr__(self):
         return f"LeviDatum({self.rs!r}, levi={sorted(self.levi)})"

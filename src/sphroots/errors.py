@@ -13,10 +13,6 @@ class DimensionMismatch(SphrootsError):
     """A vector has the wrong length for the ambient root system."""
 
 
-class NegativeCoefficient(SphrootsError):
-    """A vector expected to lie in the nonnegative root cone has a negative entry."""
-
-
 class EmptyFiber(SphrootsError):
     """Requested the fiber of a vector that is not a restricted root."""
 

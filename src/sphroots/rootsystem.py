@@ -13,12 +13,7 @@ from functools import cached_property
 from operator import add, mul
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import (
-    DimensionMismatch,
-    InvalidType,
-    InvariantViolation,
-    NegativeCoefficient,
-)
+from .errors import DimensionMismatch, InvalidType, InvariantViolation
 
 Vector = tuple[int, ...]
 PairingForm = tuple[tuple[int, int], ...]
@@ -113,17 +108,11 @@ class RootSystem:
     def negatives(self) -> dict[Vector, Vector]:
         """Each positive root mapped to its negative, one tuple per root.
 
-        Built on first use, for opposite nilradicals, negative fibers and
-        :attr:`root_set`: Levi data, table matching and leaf solves read
-        the positive roots alone.
+        Built on first use, for the line numbering (:attr:`lines`) and the
+        limit checks of degenerations: Levi data, table matching and leaf
+        solves read the positive roots alone.
         """
         return {r: tuple(-x for x in r) for r in self.positive_roots}
-
-    @cached_property
-    def root_set(self) -> frozenset[Vector]:
-        """All roots, positive and negative, sharing the tuples of
-        :attr:`negatives`.  Built on first use, for :func:`is_root`."""
-        return self.positive_set.union(self.negatives.values())
 
     @cached_property
     def lines(self) -> LineNumbering:
@@ -359,16 +348,6 @@ def _check_length(rs: RootSystem, w: Iterable[int]) -> Vector:
     return v
 
 
-def is_root(rs: RootSystem, w: Iterable[int]) -> bool:
-    """Membership test in the full root set (positives and negatives)."""
-    return _check_length(rs, w) in rs.root_set
-
-
-def pairing(rs: RootSystem, i: int, w: Iterable[int]) -> int:
-    """Pairing of the i-th simple coroot (1-based) with a lattice vector."""
-    return pairings(rs, w)[i - 1]
-
-
 def pairings(rs: RootSystem, w: Iterable[int]) -> list[int]:
     """Pairings of every simple coroot with a lattice vector.
 
@@ -441,14 +420,6 @@ def embed(w: Iterable[int], nodes: tuple[int, ...], rank: int) -> Vector:
     for pos, coeff in enumerate(w):
         out[nodes[pos] - 1] = coeff
     return tuple(out)
-
-
-def support_and_height(w: Iterable[int]) -> tuple[frozenset[int], int]:
-    """Support (1-based index set) and height of a nonnegative vector."""
-    v = tuple(w)
-    if any(x < 0 for x in v):
-        raise NegativeCoefficient(f"negative entry in {v}")
-    return frozenset(i + 1 for i, x in enumerate(v) if x > 0), sum(v)
 
 
 class Subsystem(NamedTuple):

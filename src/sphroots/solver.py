@@ -61,22 +61,24 @@ def leaf_resolve(H: SubgroupDatum) -> SphericalRootSet:
     if len(H.psi) > 1:
         raise InvariantViolation("leaf_resolve needs at most one active root")
     if not H.psi:
-        return SphericalRootSet((), "leaf", {"datum": _wire(H), "leaf": None})
-    match, sigma = _table_roots(H)
-    certificate = {
-        "datum": _wire(H),
-        "leaf": {"table": match.table_id, "row": match.row_id,
-                 "family": match.family, "n": match.n,
-                 "params": list(match.params)},
-    }
-    return _result(sigma, "leaf", certificate)
+        return SphericalRootSet((), "leaf", {"datum": _wire(H), "match": None})
+    return _table_resolve(H, "leaf")
 
 
-def _table_roots(H: SubgroupDatum):
-    """The table row of a one-block datum, and its roots in H's numbering."""
+def _table_resolve(H: SubgroupDatum, method: str) -> SphericalRootSet:
+    """The roots of a one-block datum read off its table row, in H's
+    numbering; the certificate names the row and its instance, so that
+    ``tables.instantiate_row`` can replay it."""
     reduced, sub = ambient_reduction(H)
     match = match_datum(reduced)
-    return match, [embed(s, sub.nodes, H.rs.rank) for s in match.sigma]
+    certificate = {
+        "datum": _wire(H),
+        "match": {"table": match.table_id, "row": match.row_id,
+                  "family": match.family, "n": match.n,
+                  "params": list(match.params)},
+    }
+    return _result([embed(s, sub.nodes, H.rs.rank) for s in match.sigma],
+                   method, certificate)
 
 
 def _wire(H: SubgroupDatum) -> dict:
@@ -209,11 +211,7 @@ def optimized_solve(H: SubgroupDatum, resolution: str = "table",
         elif len(isolated.psi) <= 1:
             part = leaf_resolve(isolated)
         else:
-            match, sigma = _table_roots(isolated)
-            part = _result(sigma, "table", {
-                "datum": _wire(isolated),
-                "match": {"table": match.table_id, "row": match.row_id},
-            })
+            part = _table_resolve(isolated, "table")
         parts.append(part)
         cert_blocks.append({"block": [list(v) for v in block],
                             "steps": steps,

@@ -118,12 +118,6 @@ class SMDecomposition(NamedTuple):
     def trivial(self) -> bool:
         return len(self.components) <= 1
 
-    def block_of(self, lam: Vector) -> int:
-        for i, block in enumerate(self.components):
-            if lam in block:
-                return i
-        raise KeyError(lam)
-
 
 def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
     if H._blocks is not None:

@@ -37,7 +37,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from operator import add
+from operator import add, mul
 from fractions import Fraction as Q
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -340,7 +340,8 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
         pairings = {gamma: rsmod.coroot_pairing(rs, gamma, w) for gamma in dl}
         if any(v < 0 for v in pairings.values()):
             raise InvariantViolation(f"picked weight {w} is not dominant")
-        pi_m = tuple(a for a in pi if rsmod.pairing(rs, a, w) == 0)
+        pi_m = tuple(a for a in pi
+                     if sum(map(mul, rs.cartan[a - 1], w)) == 0)
         dropped = [gamma for gamma in dl if pairings[gamma] > 0]
         removals = [w] + [tuple(x - y for x, y in zip(w, gamma))
                           for gamma in dropped]
@@ -417,7 +418,9 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     the lines are walked by descending height, then lexicographically."""
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
-    weights = sorted(rs.root_set | {rs.zero()}, key=lambda r: (-sum(r), r))
+    roots = set(rs.positive_roots)
+    roots |= {tuple(-x for x in r) for r in rs.positive_roots}
+    weights = sorted(roots | {rs.zero()}, key=lambda r: (-sum(r), r))
     lines = {w: w for w in weights}
     form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
     strings = []

@@ -342,3 +342,11 @@ def test_top_level_help_and_unknown_command_text(capsys, monkeypatch):
         "sphroots: error: argument command: invalid choice: 'bogus' "
         "(choose from 'roots', 'check', 'compute', 'degenerate', "
         "'enumerate', 'verify-tables', 'tables')\n"))
+    # an unknown tables subcommand is refused by argparse, not by the command
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "nope"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", (
+        "usage: sphroots tables [-h] {dump} ...\n"
+        "sphroots tables: error: argument table_command: invalid choice: "
+        "'nope' (choose from 'dump')\n"))

@@ -178,7 +178,7 @@ def test_track_component_examples():
 
     H2 = datum("A", 2, (1, 2), [(1, 0), (0, 1)])
     d2 = degenerate(H2, (1, 0))
-    j2 = track_component(d2, sm_decomposition(H2).block_of((0, 1)))
+    j2 = track_component(d2, sm_decomposition(H2).components.index(((0, 1),)))
     assert sm_decomposition(d2.target).components[j2] == ((0, 1),)
 
 

@@ -13,12 +13,7 @@ from operator import mul
 import pytest
 
 import sphroots.rootsystem as rsmod
-from sphroots.errors import (
-    DimensionMismatch,
-    InvalidType,
-    InvariantViolation,
-    NegativeCoefficient,
-)
+from sphroots.errors import DimensionMismatch, InvalidType, InvariantViolation
 
 from oracles import (
     brute_force_isomorphisms,
@@ -97,8 +92,6 @@ def test_e8_highest_root():
     top = rs.positive_roots[-1]
     assert top == (2, 3, 4, 6, 5, 4, 3, 2)
     assert sum(top) == 29
-    supp, ht = rsmod.support_and_height(top)
-    assert supp == frozenset(range(1, 9)) and ht == 29
 
 
 def test_invalid_types():
@@ -107,24 +100,6 @@ def test_invalid_types():
             rsmod.build(family, n)
     with pytest.raises(InvalidType):
         rsmod.build("H", 4)
-
-
-def test_is_root():
-    b3 = rsmod.build("B", 3)
-    assert rsmod.is_root(b3, (0, 1, 2))
-    assert rsmod.is_root(b3, (0, -1, -2))
-    assert not rsmod.is_root(b3, (1, 0, 1))
-    assert not rsmod.is_root(b3, (2, 0, 0))  # twice a root is never a root
-    with pytest.raises(DimensionMismatch):
-        rsmod.is_root(b3, (1, 0))
-
-
-@pytest.mark.parametrize("family,n", ALL_TYPES)
-def test_is_root_holds_for_negative_roots(family, n):
-    rs = rsmod.build(family, n)
-    for beta in rs.positive_roots:
-        assert rsmod.is_root(rs, tuple(-x for x in beta))
-    assert not rsmod.is_root(rs, rs.zero())
 
 
 @pytest.mark.parametrize("family,n", ALL_TYPES)
@@ -203,10 +178,12 @@ def test_coroot_pairing_rejects_fractional_value():
 
 def test_pairing_examples():
     b3 = rsmod.build("B", 3)
-    assert rsmod.pairing(b3, 3, b3.simple_root(2)) == -2
-    assert rsmod.pairing(b3, 1, b3.simple_root(1)) == 2
+    assert rsmod.pairings(b3, b3.simple_root(2))[2] == -2
+    assert rsmod.pairings(b3, b3.simple_root(1))[0] == 2
     a3 = rsmod.build("A", 3)
-    assert rsmod.pairing(a3, 1, a3.simple_root(3)) == 0
+    assert rsmod.pairings(a3, a3.simple_root(3))[0] == 0
+    with pytest.raises(DimensionMismatch):
+        rsmod.pairings(b3, (1, 0))
 
 
 @pytest.mark.parametrize("family,n", [("B", 3), ("C", 4), ("G2", 2), ("F4", 4)])
@@ -217,23 +194,16 @@ def test_pairing_consistent_with_inner(family, n):
         ai = rs.simple_root(i)
         norm = rsmod.inner(rs, ai, ai)
         for w in rs.positive_roots:
-            assert rsmod.pairing(rs, i, w) * norm == 2 * rsmod.inner(rs, ai, w)
-
-
-def test_support_and_height():
-    supp, ht = rsmod.support_and_height((1, 2, 2))
-    assert supp == frozenset({1, 2, 3}) and ht == 5
-    assert rsmod.support_and_height((0, 1, 0)) == (frozenset({2}), 1)
-    with pytest.raises(NegativeCoefficient):
-        rsmod.support_and_height((1, -1, 0))
+            assert rsmod.pairings(rs, w)[i - 1] * norm == \
+                2 * rsmod.inner(rs, ai, w)
 
 
 @pytest.mark.parametrize("family,n", ALL_TYPES)
 def test_support_of_roots_is_connected(family, n):
     rs = rsmod.build(family, n)
     for beta in rs.positive_roots:
-        supp, _ = rsmod.support_and_height(beta)
-        comps = rsmod._components(rs.cartan, tuple(sorted(supp)))
+        supp = tuple(i + 1 for i, x in enumerate(beta) if x)
+        comps = rsmod._components(rs.cartan, supp)
         assert len(comps) == 1
 
 
@@ -249,7 +219,7 @@ def test_height_two_and_up_have_a_descent(family, n):
             continue
         found = False
         for i in range(1, n + 1):
-            if rsmod.pairing(rs, i, beta) > 0:
+            if rsmod.pairings(rs, beta)[i - 1] > 0:
                 down = tuple(b - a for b, a in
                              zip(beta, rs.simple_root(i)))
                 if down in rs.positive_set:
@@ -274,7 +244,7 @@ def test_string_closure_rule():
                 while down in full or down == rs.zero():
                     p += 1
                     down = tuple(b - a for b, a in zip(down, alpha))
-                q = p - rsmod.pairing(rs, i, beta)
+                q = p - rsmod.pairings(rs, beta)[i - 1]
                 up = tuple(b + a for b, a in zip(beta, alpha))
                 assert (q > 0) == (up in full)
 
@@ -429,14 +399,12 @@ def test_leaf_matching_builds_no_other_standard_system():
         "print('lines' in vars(rsmod.build('C', 22)))\n"
         "print(sorted(k for k in rsmod._by_type if k[1] == 22))\n"
         "print(len(rsmod._by_cartan))\n"
-        "print('root_set' in vars(rsmod.build('C', 22)))\n"
         "print('negatives' in vars(rsmod.build('C', 22)))\n")
     src = os.path.dirname(os.path.dirname(rsmod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.splitlines()[-4:] == ["[('C', 22)]", "0", "False", "False"]
-    assert out.splitlines()[-5] == "False"  # no line numbering either
+    assert out.splitlines()[-4:] == ["False", "[('C', 22)]", "0", "False"]
 
 
 @pytest.mark.parametrize("family,n", [("F4", 4), ("E6", 6), ("D", 5)])

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from sphroots.degeneration import degenerate
+from sphroots.enumeration import enumerate_cases
 from sphroots.errors import NotSpherical
-from sphroots.rootsystem import embed
+from sphroots.rootsystem import build, embed
 from sphroots.solver import algorithm_d, base_solve, leaf_resolve, optimized_solve
 from sphroots.sphericity import is_spherical_and_rank
 from sphroots.subgroup import ambient_reduction, sm_decomposition
+from sphroots.tables import instantiate_row
 
 from helpers import datum
 
@@ -174,3 +176,42 @@ def test_ambient_reduction_commutes_with_solving():
         reduced, sub = ambient_reduction(H)
         assert base_solve(H).root_set == \
             {embed(s, sub.nodes, H.rs.rank) for s in base_solve(reduced).roots}
+
+
+TWO_BLOCK_CASES = [
+    ("A", 2, (1, 2), [(1, 0), (0, 1)]),
+    ("B", 3, (2, 3), [(1, 1), (0, 1)]),
+]
+
+
+def _replay_match(certificate, roots):
+    """Replay the table match of one certificate from its data alone."""
+    match = certificate["match"]
+    assert set(match) == {"table", "row", "family", "n", "params"}
+    row = instantiate_row(match["table"], match["row"], match["n"],
+                          match["params"])
+    assert row.family == match["family"]
+    assert row.rank == len(roots)
+
+
+def test_table_certificates_replay_through_instantiate_row():
+    # every spherical datum of the B5 regeneration unit, its one-root data
+    # included, plus the two-block and cross-method cases above: both table
+    # routes certify their matches in one shape that names the instance
+    rs = build("B", 5)
+    data = [rec.datum for size, psi_size in ((1, 1), (1, 2), (2, 2))
+            for rec in enumerate_cases(rs, size, psi_size, solve=False)
+            if rec.spherical]
+    data += [datum(*case) for case in TWO_BLOCK_CASES + CROSS_METHOD_CASES]
+    matches = 0
+    for H in data:
+        if len(H.psi) <= 1:
+            result = leaf_resolve(H)
+            assert set(result.certificate) == {"datum", "match"}
+            _replay_match(result.certificate, result.roots)
+            matches += 1
+        for block in optimized_solve(H, "table").certificate["blocks"]:
+            assert set(block["certificate"]) == {"datum", "match"}
+            _replay_match(block["certificate"], block["sigma"])
+            matches += 1
+    assert (len(data), matches) == (31, 43)

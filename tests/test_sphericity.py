@@ -211,7 +211,8 @@ def test_reduction_matches_reference_on_multisets():
                 for reduce in (knop_reduce, reference_knop_reduce))
             assert got == want, (L, omega, seed)
         repeated += len(set(omega)) < len(omega)
-        non_root += any(not rsmod.is_root(L.rs, w) for w in omega)
+        # sums of positive roots: a root among them is a positive one
+        non_root += any(w not in L.rs.positive_set for w in omega)
     assert (repeated, non_root) == (24, 22)
 
 

@@ -101,14 +101,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_compute(args) -> int:
     H = _datum_from_args(args)
-    check = args.check if args.check is not None else args.method == "both"
     results = {}
     if args.method in ("base", "both"):
-        results["base"] = base_solve(H, check=check)
+        results["base"] = base_solve(H)
     if args.method in ("optimized", "both"):
-        results["optimized"] = optimized_solve(H, "compute", check=check)
+        results["optimized"] = optimized_solve(H, "compute")
     if args.method == "both":
-        results["table"] = optimized_solve(H, "table", check=check)
+        results["table"] = optimized_solve(H, "table")
     chosen = results.get("optimized") or results["base"]
     agree = len({r.root_set for r in results.values()}) == 1
     payload = {
@@ -133,8 +132,7 @@ def _cmd_compute(args) -> int:
 def _cmd_degenerate(args) -> int:
     H = _datum_from_args(args)
     lam = _parse_ints(getattr(args, "lambda"), "--lambda")
-    check = args.check if args.check is not None else True
-    d = degenerate(H, lam, check=check)
+    d = degenerate(H, lam)
     shift = sorted(
         (list(src), list(line) if any(line) else "h_delta")
         for src, line in d.shift_map.items())
@@ -163,8 +161,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify_tables(args) -> int:
     from .enumeration import verify_tables
 
-    check = args.check if args.check is not None else True
-    report = verify_tables(args.type, max_rank=args.max_rank, check=check)
+    report = verify_tables(args.type, max_rank=args.max_rank)
     payload = report.to_json()
 
     def text(p):
@@ -200,12 +197,6 @@ def _datum_args(p):
                    help="semicolon-separated restricted roots, e.g. '1;2'")
 
 
-def _assert_flag(p):
-    p.add_argument("--assert", dest="check",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="toggle runtime invariant checking")
-
-
 def _roots_args(p):
     p.add_argument("--type", required=True)
     p.add_argument("--rank", type=int)
@@ -220,7 +211,6 @@ def _check_args(p):
 
 def _compute_args(p):
     _datum_args(p)
-    _assert_flag(p)
     p.add_argument("--method", choices=("base", "optimized", "both"),
                    default="optimized")
     p.set_defaults(func=_cmd_compute)
@@ -228,7 +218,6 @@ def _compute_args(p):
 
 def _degenerate_args(p):
     _datum_args(p)
-    _assert_flag(p)
     p.add_argument("--lambda", required=True,
                    help="comma-separated restricted root to degenerate along")
     p.set_defaults(func=_cmd_degenerate)
@@ -249,7 +238,6 @@ def _enumerate_args(p):
 def _verify_tables_args(p):
     p.add_argument("--type", required=True)
     p.add_argument("--max-rank", dest="max_rank", type=int, default=10)
-    _assert_flag(p)
     _format_arg(p)
     p.set_defaults(func=_cmd_verify_tables)
 

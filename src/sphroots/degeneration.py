@@ -102,11 +102,11 @@ class DegenerationResult(NamedTuple):
     limit_lines: tuple[Vector, ...]
 
 
-def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> DegenerationResult:
+def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
     """Degenerate a datum along one of its active roots.
 
-    With ``check`` on, the limit is verified against the structure the
-    theory guarantees: the whole opposite nilradical survives, the Levi part
+    The limit is always verified against the structure the theory
+    guarantees: the whole opposite nilradical survives, the Levi part
     of the limit is the expected nilpotent cone plus the Cartan line, the
     new module is a union of full fibers, dimensions grow by exactly one,
     and (for spherical sources) the rank drops by exactly one.
@@ -146,8 +146,7 @@ def degenerate(H: SubgroupDatum, lam: Vector, check: bool = True) -> Degeneratio
 
     result = DegenerationResult(H, lam, delta, target, pi_m,
                                 u_inf, shift, tuple(limit_lines))
-    if check:
-        _check_limit_structure(result, limit)
+    _check_limit_structure(result, limit)
     return result
 
 

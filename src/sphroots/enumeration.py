@@ -104,7 +104,7 @@ def _candidate_psis(L, psi_size: int) -> list[tuple[Vector, ...]]:
 
 
 def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
-                    solve: bool = True, check: bool = True) -> list[CaseRecord]:
+                    solve: bool = True) -> list[CaseRecord]:
     """All canonical full-support cases for the given shape.
 
     Candidate active sets pair a complement simple root with any other
@@ -139,11 +139,11 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
                 *(L.croot_support(lam) for lam in psi))
             if support != full:
                 continue
-            records[key] = _build_record(rs, key, H, perm, solve, check)
+            records[key] = _build_record(rs, key, H, perm, solve)
     return [records[key] for key in sorted(records)]
 
 
-def _build_record(rs, key, H, perm, solve, check) -> CaseRecord:
+def _build_record(rs, key, H, perm, solve) -> CaseRecord:
     complement, psi = key
     levi = [a for a in range(1, rs.rank + 1) if a not in set(complement)]
     canonical = make_subgroup(levi_datum(rs, levi), psi)
@@ -152,7 +152,7 @@ def _build_record(rs, key, H, perm, solve, check) -> CaseRecord:
     sigma = None
     matched = None
     if spherical and solve:
-        sigma = base_solve(canonical, check=check).roots
+        sigma = base_solve(canonical).roots
         if trivial:
             try:
                 match = match_datum(canonical)
@@ -217,14 +217,14 @@ def expected_cases(family: str, n: int) -> dict[CaseKey, ExpectedCase]:
     return out
 
 
-def actual_cases(family: str, n: int, check: bool = True) -> dict[CaseKey, CaseRecord]:
+def actual_cases(family: str, n: int) -> dict[CaseKey, CaseRecord]:
     """Spherical one-block cases found by exhaustive enumeration."""
     rs = rsmod.build(family, n)
     found: dict[CaseKey, CaseRecord] = {}
     sizes = [1, 2] if n >= 2 else [1]
     for complement_size in sizes:
         for record in enumerate_cases(rs, complement_size, psi_size=2,
-                                      solve=True, check=check):
+                                      solve=True):
             if record.spherical and record.sm_trivial:
                 key = (record.datum.L.complement, record.datum.psi)
                 found[key] = record
@@ -262,7 +262,7 @@ def _key_json(key: CaseKey) -> dict:
 
 
 def verify_tables(family: str, ranks: Optional[Iterable[int]] = None,
-                  max_rank: int = 10, check: bool = True) -> DiffReport:
+                  max_rank: int = 10) -> DiffReport:
     """Regenerate one type's table rows by enumeration and diff them.
 
     Classical families default to every rank from their minimum (A3, B3,
@@ -275,7 +275,7 @@ def verify_tables(family: str, ranks: Optional[Iterable[int]] = None,
     combined = DiffReport(scope=f"{family}[{','.join(map(str, fixed))}]")
     for n in fixed:
         expected = expected_cases(family, n)
-        actual = actual_cases(family, n, check=check)
+        actual = actual_cases(family, n)
         part = diff_cases(f"{family}{n}", expected, actual)
         combined.missing += part.missing
         combined.extra += part.extra

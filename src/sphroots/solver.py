@@ -7,7 +7,7 @@ factor-linked blocks, isolates each block by repeated degenerations
 (``algorithm_d``) and resolves the resulting one-block data either against
 the classification tables or by handing them back to ``base_solve``.  The
 two routes must agree element for element; the runtime assertion suite is
-the strongest correctness oracle the theory provides and is on by default.
+the strongest correctness oracle the theory provides and always runs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class SphericalRootSet(NamedTuple):
     """A computed set of spherical roots plus how it was obtained."""
 
     roots: tuple[Vector, ...]
-    method: str
     certificate: dict = {}  # shared default: results are never mutated
 
     @property
@@ -44,11 +43,11 @@ def _sorted_roots(roots) -> tuple[Vector, ...]:
     return tuple(sorted(set(roots), key=height_key))
 
 
-def _result(roots, method, certificate) -> SphericalRootSet:
+def _result(roots, certificate) -> SphericalRootSet:
     roots = _sorted_roots(roots)
     if not linearly_independent(roots):
         raise InvariantViolation("spherical roots must be independent")
-    return SphericalRootSet(roots, method, certificate)
+    return SphericalRootSet(roots, certificate)
 
 
 def leaf_resolve(H: SubgroupDatum) -> SphericalRootSet:
@@ -61,11 +60,11 @@ def leaf_resolve(H: SubgroupDatum) -> SphericalRootSet:
     if len(H.psi) > 1:
         raise InvariantViolation("leaf_resolve needs at most one active root")
     if not H.psi:
-        return SphericalRootSet((), "leaf", {"datum": _wire(H), "match": None})
-    return _table_resolve(H, "leaf")
+        return SphericalRootSet((), {"datum": _wire(H), "match": None})
+    return _table_resolve(H)
 
 
-def _table_resolve(H: SubgroupDatum, method: str) -> SphericalRootSet:
+def _table_resolve(H: SubgroupDatum) -> SphericalRootSet:
     """The roots of a one-block datum read off its table row, in H's
     numbering; the certificate names the row and its instance, so that
     ``tables.instantiate_row`` can replay it."""
@@ -78,7 +77,7 @@ def _table_resolve(H: SubgroupDatum, method: str) -> SphericalRootSet:
                   "params": list(match.params)},
     }
     return _result([embed(s, sub.nodes, H.rs.rank) for s in match.sigma],
-                   method, certificate)
+                   certificate)
 
 
 def _wire(H: SubgroupDatum) -> dict:
@@ -87,13 +86,13 @@ def _wire(H: SubgroupDatum) -> dict:
     return H.to_wire()
 
 
-def base_solve(H: SubgroupDatum, check: bool = True,
+def base_solve(H: SubgroupDatum,
                choose_pair: Optional[Callable] = None) -> SphericalRootSet:
     """Recursive two-branch solve.
 
     At every internal node the two branches must each lose exactly one
     spherical root, the lost roots must differ, and the union must have the
-    size the sphericity test predicts (checks active when ``check``).
+    size the sphericity test predicts.
     ``choose_pair`` picks the two degeneration pivots from the sorted active
     set; the default takes the two lexicographically least.  The result is
     independent of that choice.
@@ -101,20 +100,19 @@ def base_solve(H: SubgroupDatum, check: bool = True,
     spherical, rank = is_spherical_and_rank(H)
     if not spherical:
         raise NotSpherical(f"{H!r} is not spherical")
-    return _base_solve(H, check, choose_pair)
+    return _base_solve(H, choose_pair)
 
 
-def _base_solve(H: SubgroupDatum, check: bool,
+def _base_solve(H: SubgroupDatum,
                 choose_pair: Optional[Callable]) -> SphericalRootSet:
     """The recursion behind ``base_solve``.
 
-    Default-pivot results are memoized on each datum per value of
-    ``check``, so a checked call never reuses an unchecked result; calls
-    with ``choose_pair`` neither read nor fill the memo.
+    Default-pivot results are memoized on each datum; calls with
+    ``choose_pair`` neither read nor fill the memo.
     """
     cacheable = choose_pair is None
-    if cacheable and check in H._solved:
-        return H._solved[check]
+    if cacheable and H._solved is not None:
+        return H._solved
     if len(H.psi) <= 1:
         result = leaf_resolve(H)
     else:
@@ -124,37 +122,35 @@ def _base_solve(H: SubgroupDatum, check: bool,
             lam1, lam2 = choose_pair(H.psi)
             if lam1 == lam2:
                 raise InvariantViolation("pivots must differ")
-        d1 = degenerate(H, lam1, check=check)
-        d2 = degenerate(H, lam2, check=check)
-        r1 = _base_solve(d1.target, check, choose_pair)
-        r2 = _base_solve(d2.target, check, choose_pair)
+        d1 = degenerate(H, lam1)
+        d2 = degenerate(H, lam2)
+        r1 = _base_solve(d1.target, choose_pair)
+        r2 = _base_solve(d2.target, choose_pair)
         union = _sorted_roots(r1.roots + r2.roots)
-        certificate = {
+        _, rank = is_spherical_and_rank(H)
+        removed1 = set(union) - r1.root_set
+        removed2 = set(union) - r2.root_set
+        if len(union) != rank:
+            raise InvariantViolation(
+                f"union size {len(union)} != rank {rank} at {H!r}")
+        if len(r1.roots) != rank - 1 or len(r2.roots) != rank - 1:
+            raise InvariantViolation("branch did not lose exactly one root")
+        if len(removed1) != 1 or len(removed2) != 1 or removed1 == removed2:
+            raise InvariantViolation("branches must lose two distinct roots")
+        result = _result(union, {
             "datum": _wire(H),
             "pivots": [list(lam1), list(lam2)],
             "children": [r1.certificate, r2.certificate],
-        }
-        if check:
-            _, rank = is_spherical_and_rank(H)
-            removed1 = set(union) - r1.root_set
-            removed2 = set(union) - r2.root_set
-            if len(union) != rank:
-                raise InvariantViolation(
-                    f"union size {len(union)} != rank {rank} at {H!r}")
-            if len(r1.roots) != rank - 1 or len(r2.roots) != rank - 1:
-                raise InvariantViolation("branch did not lose exactly one root")
-            if len(removed1) != 1 or len(removed2) != 1 or removed1 == removed2:
-                raise InvariantViolation("branches must lose two distinct roots")
-            certificate["removed"] = [sorted(map(list, removed1)),
-                                      sorted(map(list, removed2))]
-        result = _result(union, "base", certificate)
+            "removed": [sorted(map(list, removed1)),
+                        sorted(map(list, removed2))],
+        })
     if cacheable:
-        H._solved[check] = result
+        H._solved = result
     return result
 
 
-def algorithm_d(H: SubgroupDatum, block_index: int,
-                check: bool = True) -> tuple[SubgroupDatum, list[dict]]:
+def algorithm_d(H: SubgroupDatum,
+                block_index: int) -> tuple[SubgroupDatum, list[dict]]:
     """Isolate one block of the factor decomposition by degenerations.
 
     Repeatedly shrink to the block plus its support-dominated companions;
@@ -180,7 +176,7 @@ def algorithm_d(H: SubgroupDatum, block_index: int,
                 raise InvariantViolation("block isolation left extra blocks")
             return current, steps
         lam = upper_elements(current.L, upsilon)[0]
-        d = degenerate(current, lam, check=check)
+        d = degenerate(current, lam)
         index = track_component(d, index)
         steps.append({"datum": _wire(current), "pivot": list(lam),
                       "block": [list(v) for v in block]})
@@ -188,8 +184,8 @@ def algorithm_d(H: SubgroupDatum, block_index: int,
     raise InvariantViolation("block isolation did not terminate")
 
 
-def optimized_solve(H: SubgroupDatum, resolution: str = "table",
-                    check: bool = True) -> SphericalRootSet:
+def optimized_solve(H: SubgroupDatum,
+                    resolution: str = "table") -> SphericalRootSet:
     """Blockwise solve: one isolated sub-datum per block, disjoint union.
 
     ``resolution`` picks how the isolated one-block data are finished:
@@ -205,13 +201,13 @@ def optimized_solve(H: SubgroupDatum, resolution: str = "table",
     parts: list[SphericalRootSet] = []
     cert_blocks = []
     for i, block in enumerate(blocks):
-        isolated, steps = algorithm_d(H, i, check=check)
+        isolated, steps = algorithm_d(H, i)
         if resolution == "compute":
-            part = _base_solve(isolated, check, None)
+            part = _base_solve(isolated, None)
         elif len(isolated.psi) <= 1:
             part = leaf_resolve(isolated)
         else:
-            part = _table_resolve(isolated, "table")
+            part = _table_resolve(isolated)
         parts.append(part)
         cert_blocks.append({"block": [list(v) for v in block],
                             "steps": steps,
@@ -225,7 +221,6 @@ def optimized_solve(H: SubgroupDatum, resolution: str = "table",
             raise InvariantViolation(f"block contributions overlap: {overlap}")
         seen |= part.root_set
         union.extend(part.roots)
-    if check and len(union) != rank:
+    if len(union) != rank:
         raise InvariantViolation(f"blockwise union size {len(union)} != rank {rank}")
-    method = "optimized" if resolution == "compute" else "table"
-    return _result(union, method, {"datum": _wire(H), "blocks": cert_blocks})
+    return _result(union, {"datum": _wire(H), "blocks": cert_blocks})

@@ -41,7 +41,7 @@ class SubgroupDatum:
         self.u_roots = tuple(roots[b] for b in rsmod.mask_bits(mask))
         self._blocks: Optional[SMDecomposition] = None
         self._verdict: Optional[tuple[bool, Optional[int]]] = None
-        self._solved: dict = {}  # base-solve result per value of ``check``
+        self._solved = None  # default-pivot base-solve result
 
     @property
     def rs(self) -> RootSystem:

@@ -52,30 +52,38 @@ def test_check_not_spherical_still_exits_zero(capsys):
     assert payload["spherical"] is False and payload["rank"] is None
 
 
+B3_CHAIN = ("--type", "B", "--rank", "3", "--complement", "3", "--psi", "1;2")
+
+
 @pytest.mark.parametrize("flag", ["--assert", "--no-assert"])
-def test_check_refuses_assert_flag(capsys, flag):
-    # check runs no invariant checks, so it has no flag to toggle them
+@pytest.mark.parametrize("argv", [
+    ("check", *B3_CHAIN),
+    ("compute", *B3_CHAIN),
+    ("degenerate", *B3_CHAIN, "--lambda", "1"),
+    ("verify-tables", "--type", "B", "--max-rank", "3"),
+], ids=lambda argv: argv[0])
+def test_assert_flag_is_unknown(capsys, argv, flag):
+    # the invariant checks always run, so no command has a flag for them
     with pytest.raises(SystemExit) as exc:
-        main(["check", "--type", "B", "--rank", "3", "--complement", "3",
-              "--psi", "1;2", flag])
+        main([*argv, flag])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ("compute", "--type", "B", "--rank", "3", "--complement", "3",
-     "--psi", "1;2"),
-    ("degenerate", "--type", "B", "--rank", "3", "--complement", "3",
-     "--psi", "1;2", "--lambda", "1"),
-    ("verify-tables", "--type", "B", "--max-rank", "3"),
-])
-def test_assert_flag_on_the_commands_that_read_it(capsys, argv):
-    outputs = set()
-    for flag in ("--assert", "--no-assert"):
-        code, out, _ = run(capsys, *argv, flag, "--format", "json")
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
+def test_plain_compute_runs_the_limit_checks():
+    # a fresh interpreter: interned data and the solve memo of this process
+    # would hide the degenerations of a datum solved before
+    src = os.path.dirname(os.path.dirname(sphroots.cli.__file__))
+    code = ("import sys\n"
+            "from sphroots import cli, degeneration\n"
+            "code = cli.main(['compute', *sys.argv[1:]])\n"
+            "print(code, degeneration.checks_run)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *B3_CHAIN],
+                         capture_output=True, text=True, check=True,
+                         env=env).stdout
+    # two degenerations at the root and two at each of its children
+    assert out.splitlines()[-1] == "0 6"
 
 
 def test_compute_both_methods(capsys):

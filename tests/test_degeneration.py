@@ -104,7 +104,7 @@ def test_checked_degeneration_computes_the_delta_form_once(monkeypatch):
         return pairings(rs, w)
 
     monkeypatch.setattr(rsmod, "pairings", counting)
-    d = degenerate(H, (1,), check=True)
+    d = degenerate(H, (1,))
     assert d.delta == delta
     assert calls.count(delta) == 1
 
@@ -199,7 +199,7 @@ def test_degeneration_checks_pass_along_full_orbits(family, n, complement, psi):
             continue
         seen.add(current)
         for lam in current.psi:
-            d = degenerate(current, lam, check=True)
+            d = degenerate(current, lam)
             stack.append(d.target)
 
 
@@ -227,7 +227,7 @@ def _reached(family, n):
         seen.add(H)
         for lam in H.psi[:2]:
             yield H, lam
-            stack.append(degenerate(H, lam, check=False).target)
+            stack.append(degenerate(H, lam).target)
 
 
 @pytest.mark.parametrize("family,n", REFERENCE_TYPES)

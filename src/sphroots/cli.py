@@ -16,12 +16,9 @@ from typing import Optional
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
-from .degeneration import degenerate
 from .errors import NotSpherical, SphrootsError
-from .solver import base_solve, optimized_solve
 from .sphericity import knop_reduce
 from .subgroup import make_subgroup
-from .tables import TABLE_IDS, dump_rows
 
 
 def _emit(payload, fmt: str, text_fn=None) -> None:
@@ -100,6 +97,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    from .solver import base_solve, optimized_solve
+
     H = _datum_from_args(args)
     results = {}
     if args.method in ("base", "both"):
@@ -130,12 +129,14 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
+    from .degeneration import degenerate, shift_map
+
     H = _datum_from_args(args)
     lam = _parse_ints(getattr(args, "lambda"), "--lambda")
     d = degenerate(H, lam)
     shift = sorted(
         (list(src), list(line) if any(line) else "h_delta")
-        for src, line in d.shift_map.items())
+        for src, line in shift_map(d).items())
     payload = {
         "delta": list(d.delta),
         "target": d.target.to_wire(),
@@ -176,6 +177,8 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .tables import dump_rows
+
     params = _parse_ints(args.params, "--params") if args.params else None
     rows = dump_rows(args.table, n=args.n, params=params)
     _emit(rows, args.format,
@@ -243,6 +246,8 @@ def _verify_tables_args(p):
 
 
 def _tables_args(p):
+    from .tables import TABLE_IDS
+
     tsub = p.add_subparsers(dest="table_command", required=True)
     pd = tsub.add_parser("dump")
     pd.add_argument("--table", type=int, choices=TABLE_IDS, required=True)

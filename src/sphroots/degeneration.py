@@ -8,7 +8,9 @@ Levi-split datum, with one spherical root fewer; everything here is pure
 line bookkeeping on root vectors.
 
 A torus-stable line is named by its weight: a root for a root line, and
-the zero weight for the line spanned by the coroot of delta.
+the zero weight for the line spanned by the coroot of delta.  Strings and
+limits hold lines as bits of :attr:`RootSystem.lines`; the map of each
+moved line to its image is decoded only when asked for (:func:`shift_map`).
 """
 
 from __future__ import annotations
@@ -26,15 +28,13 @@ from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
 class DeltaString(NamedTuple):
     """The line string of one simple s(delta)-module, top weight first.
 
-    ``lines[i]`` is the weight ``top - i*delta``: a root, or the zero
-    weight of the Cartan line (possible only in the string topped by delta
-    itself).  ``mask`` has the bits of the lines in the numbering of
-    :attr:`RootSystem.lines`.
+    ``bits[i]`` is the bit, in the numbering of :attr:`RootSystem.lines`,
+    of the line of weight ``top - i*delta``, ``top`` being the string's top
+    weight: a root, or the zero weight of the Cartan line (possible only in
+    the string topped by delta itself).  ``mask`` is the OR of those bits.
     """
 
-    top: Vector
-    p: int
-    lines: tuple[Vector, ...]
+    bits: tuple[int, ...]
     mask: int
 
 
@@ -45,15 +45,15 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     -delta is no top: its string is the one topped by delta), and each
     string is walked from its top through the step-down map, built once.
     Every root appears in exactly one string.  Strings come by descending
-    height of their tops, then lexicographically, and hold the weight
-    tuples of :attr:`RootSystem.lines`, one per weight.  The partition is
-    built once per (system, delta) and memoized on the system.
+    height of their tops, then lexicographically, and hold the bits of
+    their lines.  The partition is built once per (system, delta) and
+    memoized on the system.
     """
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
     if delta in rs._delta_strings:
         return rs._delta_strings[delta]
-    weights, bit = rs.lines
+    bit = rs.lines.bit
     form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
     down = {}
     for w, b in bit.items():
@@ -72,17 +72,17 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
             raise InvariantViolation(f"non-integral coroot pairing for {delta}")
         if p < 0:
             raise InvariantViolation(f"negative string length at top {alpha}")
-        string = [alpha]
+        string = [b]
         mask = 1 << b
         while b in down:
             b = down[b]
-            string.append(weights[b])
+            string.append(b)
             mask |= 1 << b
         if len(string) != p + 1:
             raise InvariantViolation(
                 f"string through {alpha} has {len(string)} lines, not {p + 1}")
         seen += len(string)
-        strings.append(DeltaString(alpha, p, tuple(string), mask))
+        strings.append(DeltaString(tuple(string), mask))
     if seen != len(bit):
         raise InvariantViolation("delta-strings do not partition the roots")
     rs._delta_strings[delta] = tuple(strings)
@@ -90,7 +90,11 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
 
 
 class DegenerationResult(NamedTuple):
-    """Everything the limit produces: the new datum and the line movements."""
+    """Everything the limit produces: the new datum and the limit lines.
+
+    ``limit`` is the mask of the limit's lines and ``limit_dim`` the number
+    of lines shifted into it, one per line of the orthogonal complement.
+    """
 
     source: SubgroupDatum
     lam: Vector
@@ -98,8 +102,8 @@ class DegenerationResult(NamedTuple):
     target: SubgroupDatum
     pi_m: tuple[int, ...]
     u_infinity: tuple[Vector, ...]
-    shift_map: dict
-    limit_lines: tuple[Vector, ...]
+    limit: int
+    limit_dim: int
 
 
 def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
@@ -116,23 +120,16 @@ def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
         raise LambdaNotActive(f"{lam} is not active in {H!r}")
     rs, L = H.rs, H.L
     delta = L.hat(lam)
-    bit = rs.lines.bit
     h_perp = L.pu_mask | H.u_mask
 
-    shift: dict[Vector, Vector] = {}
-    limit_lines: list[Vector] = []
-    limit = 0
+    # the k lines of h_perp in a string shift to its bottom k lines
+    limit = dim = 0
     for string in delta_strings(rs, delta):
-        lines = string.lines
-        hit = h_perp & string.mask
-        if not hit:
-            continue
-        members = [i for i, w in enumerate(lines) if h_perp >> bit[w] & 1]
-        base = string.p - len(members) + 1
-        for j, i in enumerate(members, base):
-            shift[lines[i]] = lines[j]
-            limit_lines.append(lines[j])
-            limit |= 1 << bit[lines[j]]
+        k = (h_perp & string.mask).bit_count()
+        if k:
+            dim += k
+            for b in string.bits[-k:]:
+                limit |= 1 << b
 
     moved = {i + 1 for i, _ in rsmod.pairing_form(rs, delta)}
     pi_m = tuple(a for a in sorted(L.levi) if a not in moved)
@@ -145,25 +142,41 @@ def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
     target = make_subgroup(L_target, psi_target)
 
     result = DegenerationResult(H, lam, delta, target, pi_m,
-                                u_inf, shift, tuple(limit_lines))
-    _check_limit_structure(result, limit)
+                                u_inf, limit, dim)
+    _check_limit_structure(result)
     return result
+
+
+def shift_map(d: DegenerationResult) -> dict[Vector, Vector]:
+    """Each line of the source's orthogonal complement mapped to its line
+    in the limit, by weight, rebuilt from the memoized delta-strings."""
+    H = d.source
+    weights = H.rs.lines.weights
+    h_perp = H.L.pu_mask | H.u_mask
+    shift = {}
+    for string in delta_strings(H.rs, d.delta):
+        bits = string.bits
+        members = [b for b in bits if h_perp >> b & 1]
+        for b, c in zip(members, bits[len(bits) - len(members):]):
+            shift[weights[b]] = weights[c]
+    return shift
 
 
 #: count of limit-structure verifications that ran (each raises on failure)
 checks_run = 0
 
 
-def _check_limit_structure(d: DegenerationResult, limit: int) -> None:
-    """Verify a limit, given as the mask of its lines, against the structure
-    the theory guarantees; raise InvariantViolation on the first failure."""
+def _check_limit_structure(d: DegenerationResult) -> None:
+    """Verify a limit against the structure the theory guarantees; raise
+    InvariantViolation on the first failure."""
     global checks_run
     checks_run += 1
     H, rs, L = d.source, d.source.rs, d.source.L
     bit = rs.lines.bit
-    if not limit >> bit[rs.zero()] & 1 or limit.bit_count() != len(d.limit_lines):
+    limit = d.limit
+    if not limit >> bit[rs.zero()] & 1 or limit.bit_count() != d.limit_dim:
         raise InvariantViolation("limit must contain the Cartan line exactly once")
-    if len(d.limit_lines) != L.pu_mask.bit_count() + len(H.u_roots):
+    if d.limit_dim != L.pu_mask.bit_count() + len(H.u_roots):
         raise InvariantViolation("limit changed dimension")
 
     # the opposite nilradical survives untouched
@@ -216,10 +229,11 @@ def track_component(d: DegenerationResult, i: int) -> int:
     if d.lam in block:
         raise LambdaNotActive("cannot track the pivot's own block")
     u_inf = set(d.u_infinity)
+    shift = shift_map(d)
     images = []
     for mu in block:
         for beta in d.source.L.fiber(mu):
-            line = d.shift_map[beta]
+            line = shift[beta]
             if line in u_inf:
                 images.append(line)
     if not images:

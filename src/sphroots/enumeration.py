@@ -35,8 +35,8 @@ CaseKey = tuple[tuple[int, ...], tuple[Vector, ...]]
 
 #: largest A-D rank that enumeration accepts, below ``MAX_RANK``.  The
 #: slowest enumeration (type D, two complement nodes, two active roots,
-#: solved) takes about 2.7 s in a fresh process at this rank on a 2-vCPU
-#: host (4.6 s at rank 14, 7.2 s at rank 15); larger ranks are refused
+#: solved) takes about 1.8 s in a fresh process at this rank on a 2-vCPU
+#: host (2.8 s at rank 14, 4.5 s at rank 15); larger ranks are refused
 #: before any closure runs.
 ENUMERATION_MAX_RANK = 13
 

@@ -43,7 +43,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from sphroots import rootsystem as rsmod
 from sphroots.croots import LeviDatum, levi_datum
-from sphroots.degeneration import DegenerationResult
 from sphroots.errors import InvariantViolation, LambdaNotActive
 from sphroots.rootsystem import RootSystem, Vector, height_key
 from sphroots.sphericity import (
@@ -411,6 +410,17 @@ class DeltaString(NamedTuple):
     top: Vector
     p: int
     lines: tuple[Vector, ...]
+
+
+class DegenerationResult(NamedTuple):
+    source: SubgroupDatum
+    lam: Vector
+    delta: Vector
+    target: SubgroupDatum
+    pi_m: tuple[int, ...]
+    u_infinity: tuple[Vector, ...]
+    shift_map: dict
+    limit_lines: tuple[Vector, ...]
 
 
 def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:

@@ -264,12 +264,15 @@ def test_rank_above_enumeration_cap_exits_2_before_any_closure(
 
 def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
     # a fresh interpreter without site, which loads modules of its own;
-    # enumeration is imported by the two commands that use it
+    # enumeration, solver, tables and degeneration are imported by the
+    # commands that use them
     src = os.path.dirname(os.path.dirname(sphroots.cli.__file__))
     code = ("import sys\n"
             "import sphroots.cli\n"
             "print(sorted(m for m in ('dataclasses', 'inspect', 'fractions',"
-            " 'decimal', 'sphroots.enumeration') if m in sys.modules))\n")
+            " 'decimal', 'sphroots.enumeration', 'sphroots.solver',"
+            " 'sphroots.tables', 'sphroots.degeneration')"
+            " if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True,

@@ -8,9 +8,15 @@ import pytest
 import oracles
 import sphroots.rootsystem as rsmod
 from sphroots import degeneration
-from sphroots.degeneration import degenerate, delta_strings, track_component
+from sphroots.degeneration import (
+    degenerate,
+    delta_strings,
+    shift_map,
+    track_component,
+)
 from sphroots.croots import levi_datum
 from sphroots.errors import ClosureViolation, InvariantViolation, LambdaNotActive
+from sphroots.solver import base_solve, optimized_solve
 from sphroots.sphericity import is_spherical_and_rank
 from sphroots.subgroup import make_subgroup, sm_decomposition
 
@@ -20,27 +26,30 @@ from helpers import datum
 REFERENCE_TYPES = [("B", 4), ("C", 4), ("D", 5), ("F4", 4), ("G2", 2)]
 
 
+def _lines(rs, string):
+    """The weights of a delta-string's lines, top first."""
+    return [rs.lines.weights[b] for b in string.bits]
+
+
 def test_delta_strings_b3_example():
     rs = rsmod.build("B", 3)
     strings = delta_strings(rs, (1, 1, 1))
-    lengths = sorted(len(s.lines) for s in strings)
+    lengths = sorted(len(s.bits) for s in strings)
     assert lengths == [1, 1, 1, 1, 3, 3, 3, 3, 3]
-    by_top = {s.top: s for s in strings}
+    by_top = {_lines(rs, s)[0]: s for s in strings}
     alpha1 = by_top[(1, 0, 0)]
-    assert alpha1.p == 2
-    assert list(alpha1.lines) == \
+    assert _lines(rs, alpha1) == \
         [(1, 0, 0), (0, -1, -1), (-1, -2, -2)]
     delta_string = by_top[(1, 1, 1)]
-    assert [w if any(w) else None for w in delta_string.lines] == \
+    assert [w if any(w) else None for w in _lines(rs, delta_string)] == \
         [(1, 1, 1), None, (-1, -1, -1)]
 
 
 def test_delta_strings_a2_example():
     rs = rsmod.build("A", 2)
     strings = delta_strings(rs, (1, 0))
-    by_top = {s.top: s for s in strings}
-    assert list(by_top[(1, 1)].lines) == [(1, 1), (0, 1)]
-    assert by_top[(1, 1)].p == 1
+    by_top = {_lines(rs, s)[0]: s for s in strings}
+    assert _lines(rs, by_top[(1, 1)]) == [(1, 1), (0, 1)]
 
 
 @pytest.mark.parametrize("family,n", [("B", 3), ("C", 3), ("G2", 2),
@@ -50,8 +59,9 @@ def test_delta_strings_partition(family, n):
     rs = rsmod.build(family, n)
     for delta in rs.positive_roots:
         strings = delta_strings(rs, delta)
-        roots_seen = [w for s in strings for w in s.lines if any(w)]
-        cartans = sum(1 for s in strings for w in s.lines if not any(w))
+        lines = [w for s in strings for w in _lines(rs, s)]
+        roots_seen = [w for w in lines if any(w)]
+        cartans = sum(1 for w in lines if not any(w))
         assert cartans == 1
         assert len(roots_seen) == len(set(roots_seen)) == \
             2 * len(rs.positive_roots)
@@ -64,13 +74,12 @@ def test_delta_strings_built_once_per_system_and_delta():
 
 
 def test_delta_strings_share_one_line_per_root():
+    # every partition numbers its lines by the system's one line numbering
     rs = rsmod.build("C", 4)
-    line_of = {}
+    every_line = list(range(2 * len(rs.positive_roots) + 1))  # and Cartan
     for delta in rs.positive_roots:
-        for string in delta_strings(rs, delta):
-            for w in string.lines:
-                assert line_of.setdefault(w, w) is w
-    assert len(line_of) == 2 * len(rs.positive_roots) + 1  # and the Cartan line
+        strings = delta_strings(rs, delta)
+        assert sorted(b for s in strings for b in s.bits) == every_line
 
 
 @pytest.mark.parametrize("delta", [(0, -1, 0), (-1, -1, -1), (1, 0, 1),
@@ -126,8 +135,9 @@ def test_degenerate_full_fiber_shift():
     assert d.u_infinity == ((0, 1, 0), (1, 1, 0))  # the whole target fiber
     assert d.target.psi == ((1, 0),)
     # fiber lines moved by one step of delta
-    assert d.shift_map[(0, 1, 1)] == (0, 1, 0)
-    assert d.shift_map[(1, 1, 1)] == (1, 1, 0)
+    shift = shift_map(d)
+    assert shift[(0, 1, 1)] == (0, 1, 0)
+    assert shift[(1, 1, 1)] == (1, 1, 0)
 
 
 def test_degenerate_to_parabolic():
@@ -154,7 +164,7 @@ def test_shift_monotonicity():
         H = datum(family, n, complement, psi)
         for lam in H.psi:
             d = degenerate(H, lam)
-            for src, line in d.shift_map.items():
+            for src, line in shift_map(d).items():
                 if not any(line):
                     continue
                 diff = tuple(a - b for a, b in zip(src, line))
@@ -239,8 +249,11 @@ def test_degenerate_matches_set_based_reference(family, n):
         assert got.target is want.target
         assert got.pi_m == want.pi_m
         assert got.u_infinity == want.u_infinity
-        assert got.shift_map == want.shift_map
-        assert got.limit_lines == want.limit_lines
+        assert shift_map(got) == want.shift_map
+        weights = H.rs.lines.weights
+        assert sorted(weights[b] for b in rsmod.mask_bits(got.limit)) == \
+            sorted(want.limit_lines)
+        assert got.limit_dim == len(want.limit_lines)
         count += 1
     assert count >= 10
 
@@ -248,96 +261,130 @@ def test_degenerate_matches_set_based_reference(family, n):
 @pytest.mark.parametrize("family,n", REFERENCE_TYPES)
 def test_delta_strings_match_set_based_reference(family, n):
     rs = rsmod.build(family, n)
-    weights, bit = rs.lines
     for delta in rs.positive_roots:
         strings = delta_strings(rs, delta)
-        assert [s[:3] for s in strings] == \
-            [tuple(s) for s in oracles.delta_strings(rs, delta)]
+        assert [_lines(rs, s) for s in strings] == \
+            [list(s.lines) for s in oracles.delta_strings(rs, delta)]
         for s in strings:
-            assert s.mask == sum(1 << bit[w] for w in s.lines)
-            assert all(weights[bit[w]] is w for w in s.lines)
+            assert s.mask == sum(1 << b for b in s.bits)
 
 
-# --- each limit-structure check, fed one corrupted line -------------------
+def test_base_solve_never_builds_a_shift_map(monkeypatch):
+    def refuse(d):
+        raise AssertionError("shift_map built on the base_solve path")
+
+    monkeypatch.setattr(degeneration, "shift_map", refuse)
+    H = datum("B", 5, (5,), [(1,), (2,)])
+    # a choose_pair neither reads nor fills the solve memo, so this
+    # recursion degenerates afresh
+    result = base_solve(H, choose_pair=lambda psi: (psi[0], psi[1]))
+    assert len(result.roots) == 5
+
+
+@pytest.mark.parametrize("family,n,complement,psi", [
+    ("B", 3, (2, 3), [(1, 1), (0, 1)]),
+    ("D", 5, (2, 3), [(0, 1), (1, 2)]),
+    ("E6", 6, (3, 5), [(0, 1), (1, 2)]),
+])
+def test_several_block_solve_reads_the_shift_map(monkeypatch, family, n,
+                                                 complement, psi):
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return shift_map(d)
+
+    monkeypatch.setattr(degeneration, "shift_map", counting)
+    H = datum(family, n, complement, psi)
+    assert not sm_decomposition(H).trivial
+    want = base_solve(H).root_set
+    assert optimized_solve(H, "compute").root_set == want
+    assert optimized_solve(H, "table").root_set == want
+    assert calls
+
+
+# --- each limit-structure check, fed one corrupted limit ------------------
 
 def _case():
-    """A checked degeneration whose limit has roots of every kind, its
-    limit mask, and one line outside the limit."""
+    """A checked degeneration whose limit has roots of every kind, the
+    line bits, and one line outside the limit."""
     H = datum("B", 4, (2, 4), [(1, 0), (0, 1)])
     d = degenerate(H, (0, 1))
-    rs = H.rs
-    bit = rs.lines.bit
-    limit = 0
-    for w in d.limit_lines:
-        limit |= 1 << bit[w]
-    assert d.u_infinity and limit & H.L.levi_mask
-    outside = next(w for w in rs.lines.weights if w not in d.limit_lines)
-    return d, limit, bit, outside
+    bit = H.rs.lines.bit
+    assert d.u_infinity and d.limit & H.L.levi_mask
+    outside = next(w for w, b in bit.items() if not d.limit >> b & 1)
+    return d, bit, outside
 
 
-def _swap(d, limit, bit, drop, add):
+def _swap(d, bit, drop, add):
     """The limit with line ``drop`` exchanged for line ``add``."""
-    lines = tuple(add if w == drop else w for w in d.limit_lines)
-    return d._replace(limit_lines=lines), \
-        limit ^ (1 << bit[drop]) ^ (1 << bit[add])
+    return d._replace(limit=d.limit ^ (1 << bit[drop]) ^ (1 << bit[add]))
 
 
-def _fails(d, limit, message):
+def _fails(d, message):
     with pytest.raises(InvariantViolation, match=message):
-        degeneration._check_limit_structure(d, limit)
+        degeneration._check_limit_structure(d)
 
 
 def test_limit_check_passes_uncorrupted():
-    d, limit, _, _ = _case()
-    degeneration._check_limit_structure(d, limit)
+    d, _, _ = _case()
+    degeneration._check_limit_structure(d)
 
 
 def test_limit_check_catches_dropped_cartan_bit():
-    d, limit, bit, _ = _case()
-    _fails(d, limit ^ (1 << bit[d.source.rs.zero()]),
+    d, bit, _ = _case()
+    _fails(d._replace(limit=d.limit ^ (1 << bit[d.source.rs.zero()])),
            "Cartan line exactly once")
 
 
 def test_limit_check_catches_lost_line():
-    d, limit, bit, _ = _case()
+    d, bit, _ = _case()
     lost = d.u_infinity[0]
-    d = d._replace(limit_lines=tuple(w for w in d.limit_lines if w != lost))
-    _fails(d, limit ^ (1 << bit[lost]), "limit changed dimension")
+    _fails(d._replace(limit=d.limit ^ (1 << bit[lost]),
+                      limit_dim=d.limit_dim - 1),
+           "limit changed dimension")
 
 
 def test_limit_check_catches_dropped_pu_bit():
-    d, limit, bit, outside = _case()
+    d, bit, outside = _case()
     L = d.source.L
     pu_line = d.source.rs.lines.weights[rsmod.mask_bits(L.pu_mask)[0]]
-    _fails(*_swap(d, limit, bit, pu_line, outside),
+    _fails(_swap(d, bit, pu_line, outside),
            "lost part of the opposite nilradical")
 
 
+def test_limit_check_catches_non_dominant_delta():
+    d, _, _ = _case()
+    # alpha_2 pairs negatively with the Levi root alpha_1
+    _fails(d._replace(delta=d.source.rs.simple_root(2)),
+           "highest fiber weight not Levi-dominant")
+
+
 def test_limit_check_catches_extra_levi_bit():
-    d, limit, bit, _ = _case()
+    d, bit, _ = _case()
     L = d.source.L
     extra = L.delta_l_plus[0]
-    assert extra not in d.limit_lines
-    _fails(*_swap(d, limit, bit, d.u_infinity[0], extra),
+    assert not d.limit >> bit[extra] & 1
+    _fails(_swap(d, bit, d.u_infinity[0], extra),
            "Levi part has the wrong shape")
 
 
 def test_limit_check_catches_target_mask_off_by_one_bit():
-    d, limit, bit, _ = _case()
+    d, bit, _ = _case()
     target = copy.copy(d.target)
     target.u_mask ^= 1 << bit[d.u_infinity[0]]
-    _fails(d._replace(target=target), limit, "not fiber-saturated")
+    _fails(d._replace(target=target), "not fiber-saturated")
 
 
 def test_limit_check_catches_dimension_off_by_one():
-    d, limit, _, _ = _case()
-    _fails(d._replace(u_infinity=d.u_infinity[1:]), limit,
+    d, _, _ = _case()
+    _fails(d._replace(u_infinity=d.u_infinity[1:]),
            "dimension bookkeeping failed")
 
 
 def test_limit_check_catches_rank_not_dropping(monkeypatch):
-    d, limit, _, _ = _case()
+    d, _, _ = _case()
     verdicts = {d.source: (True, 2), d.target: (True, 2)}
     monkeypatch.setattr(degeneration, "is_spherical_and_rank",
                         verdicts.__getitem__)
-    _fails(d, limit, "rank did not drop by exactly one")
+    _fails(d, "rank did not drop by exactly one")

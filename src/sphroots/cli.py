@@ -2,9 +2,12 @@
 
 Exit codes: 0 on success, 1 on verification failure (nonempty table diff,
 or disagreement between methods under ``--method both``), 2 on invalid
-input or a non-spherical datum.  With ``--format json`` all output is a
-single JSON document on stdout; identical invocations produce byte-identical
-output.
+input or a non-spherical datum, 3 on a defect of the program or of its
+tables: a failed theorem check (``InvariantViolation``) or a block no
+table row covers (``UnclassifiedCase``, ``UnclassifiedLeaf``).  Every
+error the package raises prints one line on stderr and nothing on stdout;
+exit 3's line names the error class.  With ``--format json`` all output is a single JSON
+document on stdout; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from typing import Optional
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
-from .errors import NotSpherical, SphrootsError
+from .errors import (InvariantViolation, NotSpherical, SphrootsError,
+                     UnclassifiedCase, UnclassifiedLeaf)
 from .sphericity import knop_reduce
 from .subgroup import make_subgroup
 
@@ -292,6 +296,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+#: errors that are defects of the program or of its tables, not of the input
+_DEFECTS = (InvariantViolation, UnclassifiedCase, UnclassifiedLeaf)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
@@ -303,7 +311,7 @@ def main(argv=None) -> int:
         return 2
     except SphrootsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, _DEFECTS) else 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ unique highest and lowest elements.
 
 from __future__ import annotations
 
+from operator import itemgetter, sub
 from typing import Iterable
 
 from .errors import DimensionMismatch, EmptyFiber, InvariantViolation
@@ -39,6 +40,10 @@ class LeviDatum:
                 f"Levi nodes {sorted(self.levi)} out of range for rank {rs.rank}")
         self.complement = tuple(a for a in range(1, rs.rank + 1)
                                 if a not in self.levi)
+        # itemgetter gives a bare item, not a 1-tuple, for a single index
+        idx = [a - 1 for a in self.complement]
+        self._restrict = (itemgetter(*idx) if len(idx) > 1
+                          else lambda b: tuple(b[i] for i in idx))
 
         # positive roots come in (height, lex) order, so both lists keep it;
         # positive root i is line bit i
@@ -46,8 +51,9 @@ class LeviDatum:
         fibers: dict[Vector, list[Vector]] = {}
         fiber_masks: dict[Vector, int] = {}
         inside = 0
+        restrict = self._restrict
         for i, beta in enumerate(rs.positive_roots):
-            lam = self.restrict(beta)
+            lam = restrict(beta)
             if any(lam):
                 fibers.setdefault(lam, []).append(beta)
                 fiber_masks[lam] = fiber_masks.get(lam, 0) | 1 << i
@@ -75,8 +81,7 @@ class LeviDatum:
 
     def restrict(self, beta: Iterable[int]) -> Vector:
         """Coefficient subvector of a root on the complement nodes."""
-        b = tuple(beta)
-        return tuple(b[a - 1] for a in self.complement)
+        return self._restrict(tuple(beta))
 
     def has_croot(self, lam: Vector) -> bool:
         return lam in self._phi_set
@@ -88,8 +93,11 @@ class LeviDatum:
         if pairs is None:
             pairs = []
             for a in self.phi_plus:
-                b = tuple(x - y for x, y in zip(lam, a))
-                if a <= b and b in self._phi_set:
+                # lam - a falls as a rises, both lexicographically
+                b = tuple(map(sub, lam, a))
+                if b < a:
+                    break
+                if b in self._phi_set:
                     pairs.append((a, b))
             self._decompositions[lam] = pairs
         return pairs

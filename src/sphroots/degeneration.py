@@ -43,7 +43,8 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
 
     Tops are the nonzero lines that no line steps down to by delta (so
     -delta is no top: its string is the one topped by delta), and each
-    string is walked from its top through the step-down map, built once.
+    string is walked from its top through the step-down map, built once
+    on the integer codes of the lines (:attr:`RootSystem.code_bits`).
     Every root appears in exactly one string.  Strings come by descending
     height of their tops, then lexicographically, and hold the bits of
     their lines.  The partition is built once per (system, delta) and
@@ -55,9 +56,10 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
         return rs._delta_strings[delta]
     bit = rs.lines.bit
     form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
+    step, code_bits = rs.codes[delta] - rs.zero_code, rs.code_bits
     down = {}
-    for w, b in bit.items():
-        c = bit.get(tuple(x - d for x, d in zip(w, delta)))
+    for code, b in code_bits.items():
+        c = code_bits.get(code - step)
         if c is not None:
             down[b] = c
     # delta steps down to the zero weight, so the zero weight is no top

@@ -31,8 +31,8 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 #: largest rank accepted for A-D; larger ranks are refused before any
 #: closure runs.  The slowest table-1 leaf of A-D (type C, complement the
-#: last node) takes about 0.23 s in one process on a 2-vCPU host at this
-#: rank and 0.73 s at rank 96 with the cap lifted.
+#: last node) takes about 0.20 s in one process on a 2-vCPU host at this
+#: rank and 0.68 s at rank 96 with the cap lifted.
 MAX_RANK = 64
 
 _POSITIVE_COUNT = {
@@ -46,6 +46,15 @@ _POSITIVE_COUNT = {
     "F4": lambda n: 24,
     "G2": lambda n: 6,
 }
+
+
+#: bits per coefficient in the integer code of a weight, and the offset
+#: added to every coefficient so that negative ones code too: the code of
+#: ``w`` is the number whose little-endian bytes are ``w_i + CODE_OFFSET``.
+#: Codes add like the weights up to the offset, and root coefficients lie
+#: in [-6, 6], so a line weight steps by a root without a carry or borrow.
+CODE_DIGIT = 8
+CODE_OFFSET = 1 << (CODE_DIGIT - 1)
 
 
 class LineNumbering(NamedTuple):
@@ -77,16 +86,20 @@ class RootSystem:
     Systems are interned (:func:`build` keeps one per normalized family and
     rank, :func:`from_cartan` one per Cartan matrix) and compare by
     identity.  The closure yields the squared length of every positive
-    root, kept in ``_norms``.  What else is derived from a system is
-    memoized on it when first asked for: its subsystems, its Levi data,
-    its diagram automorphisms, its index of table rows, the pairing form
-    of each positive root whose form is asked for (in ``_forms``), the
-    negative of each positive root and the numbering of its lines.
+    root, kept in ``_norms``, and its integer code (:data:`CODE_OFFSET`),
+    kept in ``codes``; ``zero_code`` is the code of the zero weight.  What
+    else is derived from a system is memoized on it when first asked for:
+    its subsystems, its Levi data, its diagram automorphisms, its index of
+    table rows, the pairing form of each positive root whose form is asked
+    for (in ``_forms``), the negative of each positive root, the numbering
+    of its lines and the map from the code of each line weight to its line
+    (:attr:`code_bits`).
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
                  cartan: tuple[Vector, ...], symmetrizer: Vector,
-                 positive_roots: tuple[Vector, ...], norms: dict[Vector, int]):
+                 positive_roots: tuple[Vector, ...], norms: dict[Vector, int],
+                 codes: dict[Vector, int]):
         self.type_label = type_label
         self.rank = rank
         self.cartan = cartan
@@ -97,6 +110,8 @@ class RootSystem:
         self._columns = tuple(tuple((i, c) for i, c in enumerate(col) if c)
                               for col in zip(*cartan))
         self._norms = norms
+        self.codes = codes
+        self.zero_code = _zero_code(rank)
         self._forms: dict[Vector, PairingForm] = {}
         self._subsystems: dict = {}
         self._levi_data: dict = {}
@@ -132,6 +147,22 @@ class RootSystem:
         by_height = sorted(range(2 * n + 1),
                            key=lambda b: (-sum(weights[b]), weights[b]))
         return LineNumbering(weights, {weights[b]: b for b in by_height})
+
+    @cached_property
+    def code_bits(self) -> dict[int, int]:
+        """The code of each line weight mapped to its bit in :attr:`lines`,
+        built on first use, for the step-downs of delta-strings: ``w - delta``
+        has the code ``code - (codes[delta] - zero_code)``.  It needs neither
+        :attr:`negatives` nor :attr:`lines`, as ``-w`` has the code
+        ``2 zero_code - code(w)`` and the bits follow the numbering rule of
+        :attr:`lines`.
+        """
+        codes = [self.codes[r] for r in self.positive_roots]
+        n, zero = len(codes), self.zero_code
+        bits = {c: i for i, c in enumerate(codes)}
+        bits.update({2 * zero - c: n + i for i, c in enumerate(codes)})
+        bits[zero] = 2 * n
+        return bits
 
     def simple_root(self, i: int) -> Vector:
         """Coefficient vector of the i-th simple root (1-based)."""
@@ -255,14 +286,21 @@ def _gcd(a: int, b: int) -> int:
     return abs(a)
 
 
+def _zero_code(rank: int) -> int:
+    """The integer code of the zero weight of a rank."""
+    return int.from_bytes(bytes([CODE_OFFSET]) * rank, "little")
+
+
 def _close_positive_roots(cartan: tuple[Vector, ...], symmetrizer: Vector
-                          ) -> tuple[tuple[Vector, ...], dict[Vector, int]]:
+                          ) -> tuple[tuple[Vector, ...], dict[Vector, int],
+                                     dict[Vector, int]]:
     """Generate all positive roots from the Cartan matrix by string closure.
 
-    Returns the roots sorted by :func:`height_key` and the squared length
-    of each.  Each root carries its pairings with the simple coroots, so
-    stepping by the i-th simple root adds the i-th Cartan column, and
-    ``norm(beta + alpha_i) = norm(beta) + 2 d_i (<alpha_i^vee, beta> + 1)``.
+    Returns the roots sorted by :func:`height_key`, the squared length of
+    each and the integer code of each.  Each root carries its pairings with
+    the simple coroots, so stepping by the i-th simple root adds the i-th
+    Cartan column, ``norm(beta + alpha_i) = norm(beta) + 2 d_i
+    (<alpha_i^vee, beta> + 1)`` and the code grows by ``1 << 8i``.
     A root of height h is known once every root of height below h is, so
     the strings are walked one height level at a time.  Each root of a
     level records the nodes by which the level below stepped up to it:
@@ -270,12 +308,16 @@ def _close_positive_roots(cartan: tuple[Vector, ...], symmetrizer: Vector
     """
     n = len(cartan)
     columns = [tuple(row[i] for row in cartan) for i in range(n)]
+    steps = [1 << (CODE_DIGIT * i) for i in range(n)]
+    zero = _zero_code(n)
     norms: dict[Vector, int] = {}
+    codes: dict[Vector, int] = {}
     level: dict[Vector, tuple[Vector, list[int]]] = {}
     for i, d in enumerate(symmetrizer):
         alpha = tuple(int(i == j) for j in range(n))
         level[alpha] = columns[i], []
         norms[alpha] = 2 * d
+        codes[alpha] = zero + steps[i]
     ordered: list[Vector] = []
     while level:
         ordered.extend(sorted(level))
@@ -298,10 +340,11 @@ def _close_positive_roots(cartan: tuple[Vector, ...], symmetrizer: Vector
                 if entry is None:
                     fresh[up] = tuple(map(add, b, columns[i])), [i]
                     norms[up] = norms[beta] + 2 * symmetrizer[i] * (bi + 1)
+                    codes[up] = codes[beta] + steps[i]
                 else:
                     entry[1].append(i)
         level = fresh
-    return tuple(ordered), norms
+    return tuple(ordered), norms, codes
 
 
 _by_type: dict[tuple[str, int], RootSystem] = {}
@@ -319,14 +362,14 @@ def build(type_label: str, rank: Optional[int] = None) -> RootSystem:
         return _by_type[family, n]
     cartan = standard_cartan(family, n)
     symmetrizer = _symmetrizer_from_cartan(cartan)
-    positive, norms = _close_positive_roots(cartan, symmetrizer)
+    positive, norms, codes = _close_positive_roots(cartan, symmetrizer)
     expected = _POSITIVE_COUNT[family](n)
     if len(positive) != expected:
         raise InvariantViolation(
             f"{family}{n}: closure produced {len(positive)} positive roots, "
             f"expected {expected}"
         )
-    rs = RootSystem(family, n, cartan, symmetrizer, positive, norms)
+    rs = RootSystem(family, n, cartan, symmetrizer, positive, norms, codes)
     _by_type[family, n] = rs
     return rs
 
@@ -346,6 +389,25 @@ def _check_length(rs: RootSystem, w: Iterable[int]) -> Vector:
     if len(v) != rs.rank:
         raise DimensionMismatch(f"expected length {rs.rank}, got {len(v)}")
     return v
+
+
+def weight_code(rs: RootSystem, w: Vector) -> int:
+    """The integer code of a weight (:data:`CODE_OFFSET`), read from
+    ``rs.codes`` for a positive root.
+
+    Raises InvariantViolation for a weight of another length, or with a
+    coefficient below ``-CODE_OFFSET`` or above ``CODE_OFFSET - 2``: adding
+    a simple root to a coded weight must not carry into the next
+    coefficient.
+    """
+    code = rs.codes.get(w)
+    if code is None:
+        if (len(w) != rs.rank or min(w) < -CODE_OFFSET
+                or max(w) > CODE_OFFSET - 2):
+            raise InvariantViolation(
+                f"weight {w} is outside the coding range of rank {rs.rank}")
+        code = int.from_bytes(bytes(x + CODE_OFFSET for x in w), "little")
+    return code
 
 
 def pairings(rs: RootSystem, w: Iterable[int]) -> list[int]:

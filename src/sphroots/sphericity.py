@@ -7,13 +7,15 @@ picked weight together with its images under the discarded positive Levi
 roots.  The module is spherical iff the sequence of picked weights is
 linearly independent, in which case its length is the rank.
 
-All linear algebra is fraction-free integer elimination; there is no
+Whether a weight can be raised is read off integer codes: the code of a
+root weight comes from the table of its root system (``RootSystem.codes``,
+filled by the root closure), and raising by a simple root adds a power of
+two.  All linear algebra is fraction-free integer elimination; there is no
 floating point anywhere.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -70,29 +72,6 @@ def linearly_independent(vectors: Iterable[Vector]) -> bool:
     return integer_rank(vs) == len(vs)
 
 
-#: bits per coefficient in the integer code of a pool weight, the number
-#: whose little-endian bytes are the weight's coefficients: adding a simple
-#: root to a weight adds a power of two to its code, without a carry while
-#: every coefficient is below _TOP.
-_DIGIT = 8
-_TOP = (1 << _DIGIT) - 1
-
-
-def _weight_codes(weights: Iterable[Vector], rank: int) -> dict[int, Vector]:
-    """Each weight keyed by its integer code.
-
-    Raises InvariantViolation for a weight of another length or with a
-    coefficient outside ``[0, _TOP)``, rather than list a false edge.
-    """
-    codes = {}
-    for w in weights:
-        if len(w) != rank or min(w) < 0 or max(w) >= _TOP:
-            raise InvariantViolation(
-                f"weight {w} is outside the coding range of rank {rank}")
-        codes[int.from_bytes(bytes(w), "little")] = w
-    return codes
-
-
 def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                 delta_l_plus: Iterable[Vector], omega: Iterable[Vector],
                 choose: Optional[Callable] = None) -> ThetaWitness:
@@ -107,20 +86,25 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     is then a sum over its nonzero terms, divided by the root's squared
     length from the closure.  The pool's simple-root edges
     ``w -> w + alpha_a`` are listed once per call, by Levi node, on the
-    weights' integer codes; ``blocked[w]`` counts the live edges up from
-    ``w``, so the maximal weights are those it counts zero.  A weight
-    whose last copy leaves the pool, or a node that leaves the Levi,
-    releases its edges.
+    weights' integer codes (:func:`rootsystem.weight_code`: a root's is
+    read from the table of the root system, another weight's is computed
+    and refused outside the coding range); ``blocked[w]`` counts the live
+    edges up from ``w``, so the maximal weights are those it counts zero.
+    A weight whose last copy leaves the pool, or a node that leaves the
+    Levi, releases its edges.
     """
     pi = tuple(sorted(set(pi_l)))
     dl = [(gamma, rsmod.norm(rs, gamma)) for gamma in map(tuple, delta_l_plus)]
-    pool = Counter(tuple(v) for v in omega)
+    # counts in a plain dict: deleting from a Counter runs in Python
+    pool: dict[Vector, int] = {}
+    for v in map(tuple, omega):
+        pool[v] = pool.get(v, 0) + 1
     # a node's edges are dropped when it leaves the Levi
     edges: dict[int, list[tuple[Vector, Vector]]] = {a: [] for a in pi}
     below: dict[Vector, list[tuple[int, Vector]]] = {w: [] for w in pool}
     blocked = dict.fromkeys(pool, 0)
-    by_code = _weight_codes(pool, rs.rank)
-    steps = [(a, 1 << (_DIGIT * (a - 1))) for a in pi]
+    by_code = {rsmod.weight_code(rs, w): w for w in pool}
+    steps = [(a, 1 << (rsmod.CODE_DIGIT * (a - 1))) for a in pi]
     for code, w in by_code.items():
         for a, step in steps:
             up = by_code.get(code + step)
@@ -161,10 +145,12 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                           for (gamma, _), value in zip(dl, values) if value > 0]
         removed = []
         for v in removals:
-            if pool[v] > 0:
-                pool[v] -= 1
+            count = pool.get(v)
+            if count:
                 removed.append(v)
-                if not pool[v]:
+                if count > 1:
+                    pool[v] = count - 1
+                else:
                     del pool[v], blocked[v]
                     free.discard(v)
                     for a, u in below[v]:

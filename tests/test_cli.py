@@ -239,6 +239,43 @@ def test_rank_above_max_rank_exits_2_before_any_closure(capsys, monkeypatch,
     assert "MAX_RANK" in err
 
 
+def test_failed_limit_check_exits_3_with_one_line(capsys, monkeypatch):
+    # a defect, not bad input: the rank-drop check of the limit fails
+    # (``degenerate`` memoizes no result, so the check always runs)
+    import sphroots.degeneration as degeneration
+
+    monkeypatch.setattr(degeneration, "is_spherical_and_rank",
+                        lambda H: (True, 99))
+    code, out, err = run(capsys, "degenerate", "--type", "B", "--rank", "3",
+                         "--complement", "3", "--psi", "1;2", "--lambda", "1")
+    assert (code, out) == (3, "")
+    assert err == ("error: InvariantViolation: rank did not drop by exactly "
+                   "one\n")
+
+
+@pytest.mark.parametrize("psi, error", [
+    ("1", "UnclassifiedLeaf"),
+    ("1;2", "UnclassifiedCase"),
+])
+def test_unclassified_block_exits_3_with_one_line(capsys, monkeypatch, psi,
+                                                  error):
+    # a block the tables do not cover is a defect of the tables; the table
+    # route of ``--method both`` memoizes no result, so it always matches,
+    # and only blocks of the datum's size go unmatched
+    import sphroots.tables as tables
+
+    lookup = tables.lookup
+    monkeypatch.setattr(tables, "lookup", lambda rs, complement, active: (
+        None if len(active) == psi.count(";") + 1
+        else lookup(rs, complement, active)))
+    code, out, err = run(capsys, "compute", "--type", "B", "--rank", "3",
+                         "--complement", "3", "--psi", psi,
+                         "--method", "both")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {error}: no table row matches ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["enumerate", "verify-tables"])
 def test_rank_above_enumeration_cap_exits_2_before_any_closure(
         capsys, monkeypatch, command):

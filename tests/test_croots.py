@@ -169,6 +169,8 @@ def test_fiber_with_a_shared_extreme_height_is_refused(dropped):
                                 tuple(r for r in a3.positive_roots
                                       if r != dropped),
                                 {r: x for r, x in a3._norms.items()
+                                 if r != dropped},
+                                {r: x for r, x in a3.codes.items()
                                  if r != dropped})
     with pytest.raises(InvariantViolation, match="two extremes"):
         croots.LeviDatum(doctored, (1, 3))

@@ -17,7 +17,7 @@ from sphroots.degeneration import (
 from sphroots.croots import levi_datum
 from sphroots.errors import ClosureViolation, InvariantViolation, LambdaNotActive
 from sphroots.solver import base_solve, optimized_solve
-from sphroots.sphericity import is_spherical_and_rank
+from sphroots.sphericity import is_spherical_and_rank, knop_reduce
 from sphroots.subgroup import make_subgroup, sm_decomposition
 
 from helpers import datum
@@ -89,6 +89,46 @@ def test_delta_strings_reject_non_positive_delta_every_time(delta):
     for _ in range(2):
         with pytest.raises(LambdaNotActive):
             delta_strings(rs, delta)
+
+
+def _corrupted(rs, **tables):
+    """A copy of ``rs`` with no memoized strings and some tables replaced;
+    the interned system is left alone."""
+    bad = copy.copy(rs)
+    bad._delta_strings = {}
+    bad.__dict__.update(tables)
+    return bad
+
+
+def _corruptions(rs, delta):
+    """Tables that break one check of the string build each (A2, delta =
+    alpha_1, whose string runs alpha_1, 0, -alpha_1)."""
+    form = rsmod.pairing_form(rs, delta)
+    lines = rs.lines
+    return [
+        ({"_norms": {**rs._norms, delta: 3}}, "non-integral coroot pairing"),
+        ({"_forms": {delta: tuple((i, -x) for i, x in form)}},
+         "negative string length at top"),
+        # the step down from alpha_1 finds no line
+        ({"code_bits": {c: b for c, b in rs.code_bits.items()
+                        if c != rs.zero_code}},
+         r"string through \(1, 0\) has 1 lines, not 3"),
+        # two weights name the Cartan line
+        ({"lines": rsmod.LineNumbering(lines.weights, {
+            **lines.bit, (5, 5): lines.bit[rs.zero()]})},
+         "do not partition the roots"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_delta_string_checks_catch_corrupt_tables(case):
+    rs, delta = rsmod.build("A", 2), (1, 0)
+    tables, message = _corruptions(rs, delta)[case]
+    with pytest.raises(InvariantViolation, match=message):
+        delta_strings(_corrupted(rs, **tables), delta)
+    # the interned system still builds its strings
+    assert [_lines(rs, s) for s in delta_strings(rs, delta)] == [
+        [(1, 1), (0, 1)], [(1, 0), (0, 0), (-1, 0)], [(0, -1), (-1, -1)]]
 
 
 def test_degenerate_first_pivot_b3():
@@ -267,6 +307,36 @@ def test_delta_strings_match_set_based_reference(family, n):
             [list(s.lines) for s in oracles.delta_strings(rs, delta)]
         for s in strings:
             assert s.mask == sum(1 << b for b in s.bits)
+
+
+def test_code_table_matches_tuple_reference_at_large_rank():
+    # at B32, C64 and D64 a code is a 32- or 64-byte integer; the derived
+    # system E6 + A1 comes from from_cartan, with no type label
+    e6a1 = rsmod.subsystem(rsmod.build("E8"), (1, 2, 3, 4, 5, 6, 8)).system
+    assert e6a1.type_label is None
+    b32, c64, d64 = (rsmod.build(f, n) for f, n in
+                     (("B", 32), ("C", 64), ("D", 64)))
+    # the reference sorts every line per call, a quarter second at rank 64
+    cases = [(e6a1, e6a1.positive_roots),
+             (b32, (b32.simple_root(1), b32.simple_root(32),
+                    b32.positive_roots[-1])),
+             (c64, (c64.simple_root(64),)), (d64, (d64.positive_roots[-1],))]
+    # the code table numbers the lines as :attr:`RootSystem.lines` does
+    for rs in (e6a1, b32):
+        assert {b: c for c, b in rs.code_bits.items()} == {
+            b: int.from_bytes(bytes(x + rsmod.CODE_OFFSET for x in w), "little")
+            for w, b in rs.lines.bit.items()}
+    for rs, deltas in cases:
+        for delta in deltas:
+            assert [_lines(rs, s) for s in delta_strings(rs, delta)] == \
+                [list(s.lines) for s in oracles.delta_strings(rs, delta)]
+    # the reduction reads root weights' codes from the table at rank >= 20
+    for family, n, complement, psi in (("C", 20, [20], [[1]]),
+                                       ("D", 22, [1, 22], [[1, 0], [0, 1]])):
+        H = datum(family, n, complement, psi)
+        args = (H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots)
+        assert all(w in H.rs.codes for w in H.u_roots)
+        assert knop_reduce(*args) == oracles.knop_reduce(*args), H
 
 
 def test_base_solve_never_builds_a_shift_map(monkeypatch):

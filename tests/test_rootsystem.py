@@ -254,7 +254,8 @@ def test_symmetrizer_scale_invariance():
     scaled = rsmod.RootSystem(rs.type_label, rs.rank, rs.cartan,
                               tuple(3 * d for d in rs.symmetrizer),
                               rs.positive_roots,
-                              {r: 3 * x for r, x in rs._norms.items()})
+                              {r: 3 * x for r, x in rs._norms.items()},
+                              rs.codes)
     for v in rs.positive_roots[:8]:
         for w in rs.positive_roots[:8]:
             assert rsmod.inner(scaled, v, w) == 3 * rsmod.inner(rs, v, w)
@@ -428,9 +429,11 @@ def test_from_cartan_of_node_subsets_matches_ambient_roots(family, n):
 def test_closure_matches_plain_closure_and_pairing_lengths(family, n):
     cartan = rsmod.standard_cartan(family, n)
     symmetrizer = rsmod._symmetrizer_from_cartan(cartan)
-    roots, norms = rsmod._close_positive_roots(cartan, symmetrizer)
+    roots, norms, codes = rsmod._close_positive_roots(cartan, symmetrizer)
     assert roots == close_positive_roots(cartan)
     assert norms.keys() == set(roots)
+    assert codes == {r: int.from_bytes(bytes(x + rsmod.CODE_OFFSET for x in r),
+                                       "little") for r in roots}
     rs = rsmod.build(family, n)
     for beta in roots:
         assert norms[beta] == sum(map(mul, map(mul, beta, symmetrizer),
@@ -440,7 +443,7 @@ def test_closure_matches_plain_closure_and_pairing_lengths(family, n):
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_closure_count_at_rank_30(family):
     cartan = rsmod.standard_cartan(family, 30)
-    roots, _ = rsmod._close_positive_roots(
+    roots, _, _ = rsmod._close_positive_roots(
         cartan, rsmod._symmetrizer_from_cartan(cartan))
     assert len(roots) == len(set(roots)) == COUNTS[family](30)
     assert all(min(r) >= 0 for r in roots)

@@ -217,27 +217,27 @@ def test_reduction_matches_reference_on_multisets():
 
 
 def test_reduction_refuses_weights_outside_the_edge_coding():
-    # edges are listed on integer codes with 8 bits per coefficient; a
-    # weight whose step up could carry into the next coefficient, or that
-    # has a negative coefficient or another length, is refused rather than
-    # given a false edge
+    # edges are listed on integer codes with 8 bits per coefficient, each
+    # coefficient offset by 128; a weight whose step up could carry into
+    # the next coefficient, or that has a coefficient below -128 or another
+    # length, is refused rather than given a false edge
     rs = rsmod.build("A", 3)
-    top = (1 << 8) - 2
-    for w in ((0, top, 0), (top, 0, top)):
+    top, bottom = (1 << 7) - 2, -(1 << 7)
+    for w in ((0, top, 0), (top, 0, top), (0, bottom, 0)):
         assert knop_reduce(rs, (), (), [w]).theta == (w,)
     edge = knop_reduce(rs, (1,), [(1, 0, 0)], [(top - 1, 0, 0), (top, 0, 0)])
     assert edge.theta == ((top, 0, 0),)
-    for w in ((0, top + 1, 0), (0, -1, 0), (0, 1)):
+    for w in ((0, top + 1, 0), (0, bottom - 1, 0), (0, 1)):
         with pytest.raises(InvariantViolation, match="coding range"):
             knop_reduce(rs, (), (), [w])
     # in D4 a carry out of node 3 lands on node 4, which is no neighbour,
     # so a false edge would change the picks without any other error
     d4 = rsmod.build("D", 4)
-    omega = [(0, 0, top + 1, 0), (0, 0, 0, 1)]
-    assert reference_knop_reduce(d4, (3,), [(0, 0, 1, 0)], omega).theta == (
-        (0, 0, top + 1, 0), (0, 0, 0, 1))
+    omega = [(0, 0, top + 1, 0), (0, 0, bottom, 1)]
+    assert reference_knop_reduce(d4, (3,), (), omega).theta == (
+        (0, 0, top + 1, 0), (0, 0, bottom, 1))
     with pytest.raises(InvariantViolation, match="coding range"):
-        knop_reduce(d4, (3,), [(0, 0, 1, 0)], omega)
+        knop_reduce(d4, (3,), (), omega)
 
 
 def test_leaf_solve_pairs_through_the_kernel_only():

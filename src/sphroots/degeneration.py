@@ -38,7 +38,21 @@ class DeltaString(NamedTuple):
     mask: int
 
 
-def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
+class DeltaStrings(NamedTuple):
+    """The delta-string partition of a system's lines.
+
+    ``strings`` holds every string, in the order of :func:`delta_strings`;
+    ``single_mask`` is the OR of the masks of its one-line strings, whose
+    lines no limit moves, and ``long`` holds its strings of two or more
+    lines, in the same order.
+    """
+
+    strings: tuple[DeltaString, ...]
+    single_mask: int
+    long: tuple[DeltaString, ...]
+
+
+def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
     """Partition all root lines plus the Cartan line into delta-strings.
 
     Tops are the nonzero lines that no line steps down to by delta (so
@@ -65,6 +79,8 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     # delta steps down to the zero weight, so the zero weight is no top
     stepped_to = set(down.values())
     strings = []
+    long = []
+    single_mask = 0
     seen = 0
     for alpha, b in bit.items():
         if b in stepped_to:
@@ -85,9 +101,14 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
                 f"string through {alpha} has {len(string)} lines, not {p + 1}")
         seen += len(string)
         strings.append(DeltaString(tuple(string), mask))
+        if p:
+            long.append(strings[-1])
+        else:
+            single_mask |= mask
     if seen != len(bit):
         raise InvariantViolation("delta-strings do not partition the roots")
-    rs._delta_strings[delta] = tuple(strings)
+    rs._delta_strings[delta] = DeltaStrings(tuple(strings), single_mask,
+                                            tuple(long))
     return rs._delta_strings[delta]
 
 
@@ -124,12 +145,14 @@ def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
     delta = L.hat(lam)
     h_perp = L.pu_mask | H.u_mask
 
-    # the k lines of h_perp in a string shift to its bottom k lines
-    limit = dim = 0
-    for string in delta_strings(rs, delta):
+    # the k lines of h_perp in a string shift to its bottom k lines; the
+    # strings partition the lines, so the limit has one line per line of
+    # h_perp, and a one-line string keeps its line
+    partition = delta_strings(rs, delta)
+    limit, dim = h_perp & partition.single_mask, h_perp.bit_count()
+    for string in partition.long:
         k = (h_perp & string.mask).bit_count()
         if k:
-            dim += k
             for b in string.bits[-k:]:
                 limit |= 1 << b
 
@@ -155,8 +178,10 @@ def shift_map(d: DegenerationResult) -> dict[Vector, Vector]:
     H = d.source
     weights = H.rs.lines.weights
     h_perp = H.L.pu_mask | H.u_mask
-    shift = {}
-    for string in delta_strings(H.rs, d.delta):
+    partition = delta_strings(H.rs, d.delta)
+    shift = {weights[b]: weights[b]
+             for b in rsmod.mask_bits(h_perp & partition.single_mask)}
+    for string in partition.long:
         bits = string.bits
         members = [b for b in bits if h_perp >> b & 1]
         for b, c in zip(members, bits[len(bits) - len(members):]):

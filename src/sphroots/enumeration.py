@@ -5,7 +5,9 @@ two-node complement and every admissible active set, decide sphericity and
 block-triviality, solve the surviving cases, and compare the outcome with
 the instantiated table rows.  Cases are canonicalized modulo diagram
 automorphisms before comparison, and the spherical-root sets are compared
-in canonical coordinates.
+in canonical coordinates.  Verification solves only the spherical
+one-block cases, the only ones the tables list; enumeration proper solves
+every spherical case.
 
 Only cases whose active supports cover the whole diagram are kept: a case
 with smaller support is the same case inside a smaller ambient group and
@@ -218,16 +220,22 @@ def expected_cases(family: str, n: int) -> dict[CaseKey, ExpectedCase]:
 
 
 def actual_cases(family: str, n: int) -> dict[CaseKey, CaseRecord]:
-    """Spherical one-block cases found by exhaustive enumeration."""
+    """Spherical one-block cases found by exhaustive enumeration.
+
+    Only the kept cases are solved, and none is matched against the
+    tables: :func:`diff_cases` reads neither several-block sigmas nor
+    matched rows.
+    """
     rs = rsmod.build(family, n)
     found: dict[CaseKey, CaseRecord] = {}
     sizes = [1, 2] if n >= 2 else [1]
     for complement_size in sizes:
         for record in enumerate_cases(rs, complement_size, psi_size=2,
-                                      solve=True):
+                                      solve=False):
             if record.spherical and record.sm_trivial:
                 key = (record.datum.L.complement, record.datum.psi)
-                found[key] = record
+                found[key] = record._replace(
+                    sigma=base_solve(record.datum).roots)
     return found
 
 

@@ -10,6 +10,7 @@ test oracle).  Simple-root indices are 1-based throughout the public API.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import groupby
 from operator import add, mul
 from typing import Iterable, NamedTuple, Optional
 
@@ -138,14 +139,24 @@ class RootSystem:
         bit ``N + i`` (N positive roots), and the Cartan line, named by the
         zero weight, bit ``2N``.  So a mask of positive roots decodes in
         (height, lex) order.
+
+        The keys of ``bit`` are read off the (height, lex) order of the
+        positive roots in linear time: their height groups from the highest
+        down, then the zero weight, then the negatives' groups from height
+        1 up, each reversed, as negation reverses the lex order.
         """
         n = len(self.positive_roots)
         negatives = self.negatives
         weights = (self.positive_roots
                    + tuple(negatives[r] for r in self.positive_roots)
                    + (self.zero(),))
-        by_height = sorted(range(2 * n + 1),
-                           key=lambda b: (-sum(weights[b]), weights[b]))
+        heights = list(map(sum, self.positive_roots))
+        groups = [list(group) for _, group
+                  in groupby(range(n), key=heights.__getitem__)]
+        by_height = [b for group in reversed(groups) for b in group]
+        by_height.append(2 * n)
+        for group in groups:
+            by_height.extend(n + b for b in reversed(group))
         return LineNumbering(weights, {weights[b]: b for b in by_height})
 
     @cached_property

@@ -84,7 +84,8 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     Each step reads the picked weight's memoized pairing form
     (:func:`rootsystem.pairing_form`); the coroot pairing of a Levi root
     is then a sum over its nonzero terms, divided by the root's squared
-    length from the closure.  The pool's simple-root edges
+    length from the closure (``delta_l_plus`` holds positive roots of
+    ``rs``).  The pool's simple-root edges
     ``w -> w + alpha_a`` are listed once per call, by Levi node, on the
     weights' integer codes (:func:`rootsystem.weight_code`: a root's is
     read from the table of the root system, another weight's is computed
@@ -94,38 +95,37 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     Levi, releases its edges.
     """
     pi = tuple(sorted(set(pi_l)))
-    dl = [(gamma, rsmod.norm(rs, gamma)) for gamma in map(tuple, delta_l_plus)]
+    norms, codes = rs._norms, rs.codes
+    dl = [(gamma, norms[gamma]) for gamma in map(tuple, delta_l_plus)]
     # counts in a plain dict: deleting from a Counter runs in Python
     pool: dict[Vector, int] = {}
     for v in map(tuple, omega):
         pool[v] = pool.get(v, 0) + 1
-    # a node's edges are dropped when it leaves the Levi
-    edges: dict[int, list[tuple[Vector, Vector]]] = {a: [] for a in pi}
-    below: dict[Vector, list[tuple[int, Vector]]] = {w: [] for w in pool}
+    by_code = {}
+    for w in pool:
+        code = codes.get(w)
+        by_code[code if code is not None else rsmod.weight_code(rs, w)] = w
+    # edge lists exist only for the nodes and weights that have edges; a
+    # node's edges are dropped when it leaves the Levi
+    edges: dict[int, list[tuple[Vector, Vector]]] = {}
+    below: dict[Vector, list[tuple[int, Vector]]] = {}
     blocked = dict.fromkeys(pool, 0)
-    by_code = {rsmod.weight_code(rs, w): w for w in pool}
     steps = [(a, 1 << (rsmod.CODE_DIGIT * (a - 1))) for a in pi]
     for code, w in by_code.items():
         for a, step in steps:
             up = by_code.get(code + step)
             if up is not None:
-                edges[a].append((w, up))
-                below[up].append((a, w))
+                edges.setdefault(a, []).append((w, up))
+                below.setdefault(up, []).append((a, w))
                 blocked[w] += 1
     free = {w for w, count in blocked.items() if not count}
-
-    def unblock(u):
-        blocked[u] -= 1
-        if not blocked[u]:
-            free.add(u)
 
     theta: list[Vector] = []
     trace: list[ReductionStep] = []
     while pool:
         if not free:
             raise InvariantViolation(f"no maximal weight in {sorted(pool)}")
-        maximal = sorted(free)
-        w = choose(maximal) if choose is not None else maximal[-1]
+        w = choose(sorted(free)) if choose is not None else max(free)
         form = rsmod.pairing_form(rs, w)
         values = []
         for gamma, gamma_norm in dl:
@@ -150,16 +150,20 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                 removed.append(v)
                 if count > 1:
                     pool[v] = count - 1
-                else:
-                    del pool[v], blocked[v]
-                    free.discard(v)
-                    for a, u in below[v]:
-                        if a in edges and u in pool:
-                            unblock(u)
-        for a in moved.intersection(pi):
+                    continue
+                del pool[v], blocked[v]
+                free.discard(v)
+                for a, u in below.get(v, ()):
+                    if a in edges and u in pool:
+                        blocked[u] -= 1
+                        if not blocked[u]:
+                            free.add(u)
+        for a in moved.intersection(edges):
             for u, up in edges.pop(a):
                 if u in pool and up in pool:
-                    unblock(u)
+                    blocked[u] -= 1
+                    if not blocked[u]:
+                        free.add(u)
         theta.append(w)
         trace.append(ReductionStep(w, pi_m, tuple(removed)))
         pi = pi_m

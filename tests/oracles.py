@@ -37,7 +37,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from operator import add, mul
+from operator import add, mul, sub
 from fractions import Fraction as Q
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -423,20 +423,32 @@ class DegenerationResult(NamedTuple):
     limit_lines: tuple[Vector, ...]
 
 
+#: each system's line weights, sorted by descending height, then
+#: lexicographically, built here rather than read from ``RootSystem.lines``
+_sorted_lines: dict[RootSystem, dict[Vector, Vector]] = {}
+
+
+def _lines(rs: RootSystem) -> dict[Vector, Vector]:
+    lines = _sorted_lines.get(rs)
+    if lines is None:
+        roots = set(rs.positive_roots)
+        roots |= {tuple(-x for x in r) for r in rs.positive_roots}
+        weights = sorted(roots | {rs.zero()}, key=lambda r: (-sum(r), r))
+        lines = _sorted_lines[rs] = {w: w for w in weights}
+    return lines
+
+
 def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
     """All root lines plus the Cartan line, partitioned into delta-strings;
     the lines are walked by descending height, then lexicographically."""
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
-    roots = set(rs.positive_roots)
-    roots |= {tuple(-x for x in r) for r in rs.positive_roots}
-    weights = sorted(roots | {rs.zero()}, key=lambda r: (-sum(r), r))
-    lines = {w: w for w in weights}
+    lines = _lines(rs)
     form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
     strings = []
     seen = 0
     for alpha in lines:
-        if not any(alpha) or tuple(a + d for a, d in zip(alpha, delta)) in lines:
+        if not any(alpha) or tuple(map(add, alpha, delta)) in lines:
             continue
         p, remainder = divmod(sum(alpha[i] * x for i, x in form), delta_norm)
         if remainder:
@@ -444,8 +456,10 @@ def delta_strings(rs: RootSystem, delta: Vector) -> tuple[DeltaString, ...]:
         if p < 0:
             raise InvariantViolation(f"negative string length at top {alpha}")
         string = []
+        line = alpha
         for i in range(p + 1):
-            line = lines.get(tuple(a - i * d for a, d in zip(alpha, delta)))
+            if i:
+                line = lines.get(tuple(map(sub, line, delta)))
             if line is None:
                 raise InvariantViolation(f"string through {alpha} leaves the roots")
             string.append(line)

@@ -20,7 +20,7 @@ from sphroots.solver import base_solve, optimized_solve
 from sphroots.sphericity import is_spherical_and_rank, knop_reduce
 from sphroots.subgroup import make_subgroup, sm_decomposition
 
-from helpers import datum
+from helpers import datum, system
 
 #: the types whose degenerations are checked against the set-based reference
 REFERENCE_TYPES = [("B", 4), ("C", 4), ("D", 5), ("F4", 4), ("G2", 2)]
@@ -33,7 +33,7 @@ def _lines(rs, string):
 
 def test_delta_strings_b3_example():
     rs = rsmod.build("B", 3)
-    strings = delta_strings(rs, (1, 1, 1))
+    strings = delta_strings(rs, (1, 1, 1)).strings
     lengths = sorted(len(s.bits) for s in strings)
     assert lengths == [1, 1, 1, 1, 3, 3, 3, 3, 3]
     by_top = {_lines(rs, s)[0]: s for s in strings}
@@ -47,7 +47,7 @@ def test_delta_strings_b3_example():
 
 def test_delta_strings_a2_example():
     rs = rsmod.build("A", 2)
-    strings = delta_strings(rs, (1, 0))
+    strings = delta_strings(rs, (1, 0)).strings
     by_top = {_lines(rs, s)[0]: s for s in strings}
     assert _lines(rs, by_top[(1, 1)]) == [(1, 1), (0, 1)]
 
@@ -58,7 +58,7 @@ def test_delta_strings_a2_example():
 def test_delta_strings_partition(family, n):
     rs = rsmod.build(family, n)
     for delta in rs.positive_roots:
-        strings = delta_strings(rs, delta)
+        strings = delta_strings(rs, delta).strings
         lines = [w for s in strings for w in _lines(rs, s)]
         roots_seen = [w for w in lines if any(w)]
         cartans = sum(1 for w in lines if not any(w))
@@ -78,7 +78,7 @@ def test_delta_strings_share_one_line_per_root():
     rs = rsmod.build("C", 4)
     every_line = list(range(2 * len(rs.positive_roots) + 1))  # and Cartan
     for delta in rs.positive_roots:
-        strings = delta_strings(rs, delta)
+        strings = delta_strings(rs, delta).strings
         assert sorted(b for s in strings for b in s.bits) == every_line
 
 
@@ -127,7 +127,7 @@ def test_delta_string_checks_catch_corrupt_tables(case):
     with pytest.raises(InvariantViolation, match=message):
         delta_strings(_corrupted(rs, **tables), delta)
     # the interned system still builds its strings
-    assert [_lines(rs, s) for s in delta_strings(rs, delta)] == [
+    assert [_lines(rs, s) for s in delta_strings(rs, delta).strings] == [
         [(1, 1), (0, 1)], [(1, 0), (0, 0), (-1, 0)], [(0, -1), (-1, -1)]]
 
 
@@ -253,11 +253,11 @@ def test_degeneration_checks_pass_along_full_orbits(family, n, complement, psi):
             stack.append(d.target)
 
 
-def _reached(family, n):
+def _reached(rs):
     """Every (datum, pivot) the default base-solve recursion degenerates,
     from every spherical datum with two active roots on every Levi of one
-    type."""
-    rs = rsmod.build(family, n)
+    system."""
+    n = rs.rank
     stack = []
     for k in range(n):
         for levi in itertools.combinations(range(1, n + 1), k):
@@ -280,10 +280,10 @@ def _reached(family, n):
             stack.append(degenerate(H, lam).target)
 
 
-@pytest.mark.parametrize("family,n", REFERENCE_TYPES)
+@pytest.mark.parametrize("family,n", REFERENCE_TYPES + [("E6+A1", 7)])
 def test_degenerate_matches_set_based_reference(family, n):
     count = 0
-    for H, lam in _reached(family, n):
+    for H, lam in _reached(system(family, n)):
         got = degenerate(H, lam)
         want = oracles.degenerate(H, lam)
         assert got.target is want.target
@@ -302,25 +302,35 @@ def test_degenerate_matches_set_based_reference(family, n):
 def test_delta_strings_match_set_based_reference(family, n):
     rs = rsmod.build(family, n)
     for delta in rs.positive_roots:
-        strings = delta_strings(rs, delta)
+        strings = delta_strings(rs, delta).strings
         assert [_lines(rs, s) for s in strings] == \
             [list(s.lines) for s in oracles.delta_strings(rs, delta)]
         for s in strings:
             assert s.mask == sum(1 << b for b in s.bits)
+        # the limit reads one-line strings through one mask and walks the
+        # longer ones (G2 has strings of four lines)
+        partition = delta_strings(rs, delta)
+        assert partition.single_mask == sum(
+            s.mask for s in strings if len(s.bits) == 1)
+        assert partition.long == tuple(s for s in strings if len(s.bits) > 1)
 
 
 def test_code_table_matches_tuple_reference_at_large_rank():
     # at B32, C64 and D64 a code is a 32- or 64-byte integer; the derived
     # system E6 + A1 comes from from_cartan, with no type label
-    e6a1 = rsmod.subsystem(rsmod.build("E8"), (1, 2, 3, 4, 5, 6, 8)).system
+    e6a1 = system("E6+A1", 7)
     assert e6a1.type_label is None
     b32, c64, d64 = (rsmod.build(f, n) for f, n in
                      (("B", 32), ("C", 64), ("D", 64)))
-    # the reference sorts every line per call, a quarter second at rank 64
+    # at rank 64 the simple roots at both ends of the diagram and by its
+    # branch node, and the highest root: one delta there costs about 0.1 s
+    # between the reference and the package, even with the reference's
+    # lines sorted once per system
     cases = [(e6a1, e6a1.positive_roots),
              (b32, (b32.simple_root(1), b32.simple_root(32),
-                    b32.positive_roots[-1])),
-             (c64, (c64.simple_root(64),)), (d64, (d64.positive_roots[-1],))]
+                    b32.positive_roots[-1]))]
+    cases += [(rs, tuple(map(rs.simple_root, (1, 2, 62, 63, 64)))
+               + rs.positive_roots[-1:]) for rs in (c64, d64)]
     # the code table numbers the lines as :attr:`RootSystem.lines` does
     for rs in (e6a1, b32):
         assert {b: c for c, b in rs.code_bits.items()} == {
@@ -328,7 +338,8 @@ def test_code_table_matches_tuple_reference_at_large_rank():
             for w, b in rs.lines.bit.items()}
     for rs, deltas in cases:
         for delta in deltas:
-            assert [_lines(rs, s) for s in delta_strings(rs, delta)] == \
+            strings = delta_strings(rs, delta).strings
+            assert [_lines(rs, s) for s in strings] == \
                 [list(s.lines) for s in oracles.delta_strings(rs, delta)]
     # the reduction reads root weights' codes from the table at rank >= 20
     for family, n, complement, psi in (("C", 20, [20], [[1]]),

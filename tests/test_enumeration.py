@@ -3,6 +3,7 @@
 import pytest
 
 import sphroots.rootsystem as rsmod
+from sphroots import enumeration
 from sphroots.enumeration import (
     actual_cases,
     canonical_key,
@@ -146,3 +147,36 @@ def test_enumerated_sigma_satisfies_rank_prediction():
             assert record.rank == len(record.sigma)
             assert is_spherical_and_rank(record.datum) == (True, record.rank)
             assert sm_decomposition(record.datum).trivial
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("F4", 4)])
+def test_actual_cases_solve_only_the_kept_one_block_cases(monkeypatch,
+                                                          family, n):
+    # verification solves the spherical one-block cases it keeps, with the
+    # sigmas a full solving enumeration gives them, and matches none
+    rs = rsmod.build(family, n)
+    solved = {(r.datum.L.complement, r.datum.psi): r.sigma
+              for size in (1, 2)
+              for r in enumerate_cases(rs, size, 2, solve=True)}
+    inputs = []
+    real_solve = enumeration.base_solve
+
+    def recording(H, *args, **kwargs):
+        inputs.append(H)
+        return real_solve(H, *args, **kwargs)
+
+    def refuse(H):
+        raise AssertionError(f"verification matched {H!r}")
+
+    monkeypatch.setattr(enumeration, "base_solve", recording)
+    monkeypatch.setattr(enumeration, "match_datum", refuse)
+    actual = actual_cases(family, n)
+    # the full enumeration also solves several-block cases, which
+    # verification skips
+    assert 0 < len(actual) < sum(sigma is not None for sigma in solved.values())
+    for key, record in actual.items():
+        assert record.sigma is not None and record.sigma == solved[key]
+        assert record.matched_row is None
+    assert len(inputs) == len(actual)
+    for H in inputs:
+        assert is_spherical_and_rank(H)[0] and sm_decomposition(H).trivial

@@ -15,6 +15,7 @@ import pytest
 import sphroots.rootsystem as rsmod
 from sphroots.errors import DimensionMismatch, InvalidType, InvariantViolation
 
+from helpers import system
 from oracles import (
     brute_force_isomorphisms,
     close_positive_roots,
@@ -447,3 +448,16 @@ def test_closure_count_at_rank_30(family):
         cartan, rsmod._symmetrizer_from_cartan(cartan))
     assert len(roots) == len(set(roots)) == COUNTS[family](30)
     assert all(min(r) >= 0 for r in roots)
+
+
+@pytest.mark.parametrize("family,n", [("A", 5), ("B", 7), ("C", 64),
+                                      ("D", 64), ("E8", 8), ("F4", 4),
+                                      ("G2", 2), ("E6+A1", 7)])
+def test_line_numbering_keys_follow_the_sorted_height_order(family, n):
+    # the numbering is built from the closure's height groups without a
+    # sort; its keys must come exactly as a sort by descending height,
+    # then lexicographically, puts them
+    lines = system(family, n).lines
+    assert list(lines.bit) == sorted(lines.weights,
+                                     key=lambda w: (-sum(w), w))
+    assert all(lines.weights[b] == w for w, b in lines.bit.items())

@@ -1,5 +1,6 @@
 """Weight-multiset reduction: verdicts, ranks, choice independence."""
 
+import copy
 import importlib.util
 import itertools
 import json
@@ -281,3 +282,41 @@ def test_leaf_memoizes_the_forms_of_picked_weights_only():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.splitlines()[-1] == "22 True False True"
+
+
+class _StuckCode(int):
+    """A corrupt weight code whose every step up lands back on itself."""
+
+    def __add__(self, other):
+        return int(self)
+
+
+def test_reduction_refuses_a_pool_with_no_maximal_weight():
+    # codes that close a cycle of edges leave no weight maximal; the
+    # reduction refuses instead of picking from nothing
+    rs = rsmod.build("A", 2)
+    bad = copy.copy(rs)
+    bad.codes = {**rs.codes, (1, 1): _StuckCode(rs.codes[(1, 1)])}
+    with pytest.raises(InvariantViolation, match="no maximal weight"):
+        knop_reduce(bad, (1,), [(1, 0)], [(1, 1)])
+    assert knop_reduce(rs, (1,), [(1, 0)], [(1, 1)]).theta == ((1, 1),)
+
+
+def test_reduction_refuses_a_non_dominant_pick():
+    # alpha_2 is maximal for the Levi of alpha_1 but pairs to -1 with it
+    rs = rsmod.build("A", 2)
+    with pytest.raises(InvariantViolation, match="is not dominant"):
+        knop_reduce(rs, (1,), [(1, 0)], [(0, 1)])
+
+
+def test_reduction_refuses_a_non_integral_pairing_before_dominance():
+    # with a corrupt squared length 3 for alpha_1, the pairing of alpha_2
+    # with its coroot is -2/3: negative and non-integral, and the
+    # integrality check comes first
+    rs = rsmod.build("A", 2)
+    bad = copy.copy(rs)
+    bad._norms = {**rs._norms, (1, 0): 3}
+    with pytest.raises(InvariantViolation, match="non-integral coroot pairing"):
+        knop_reduce(bad, (1,), [(1, 0)], [(0, 1)])
+    with pytest.raises(InvariantViolation, match="non-integral coroot pairing"):
+        knop_reduce(bad, (1,), [(1, 0)], [(1, 1)])

@@ -58,7 +58,9 @@ def test_checks_run_counter_exists():
 def test_regen_pass_matches_by_one_index_per_system(tmp_path):
     # one traced pass of the benchmark's regen slice in a fresh process:
     # the row index is built once per system and table set, so relabelings
-    # and row instantiations no longer grow with the number of matches
+    # and row instantiations no longer grow with the number of matches;
+    # verification solves the 53 kept one-block cases and matches none of
+    # them, so the only tables.match_datum calls are the leaf solves'
     trace = tmp_path / "regen.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(ROOT / "bench" / "child.py"), "regen",
@@ -66,7 +68,10 @@ def test_regen_pass_matches_by_one_index_per_system(tmp_path):
                    check=True, capture_output=True, env=env)
     summary = json.loads(trace.read_text())
     calls = summary["calls"]
-    assert calls["tables.match_datum"] == 174
+    assert calls["tables.match_datum"] == 86
+    assert calls["solver.base_solve"] == 53
     assert calls["rootsystem.diagram_isomorphisms"] <= 70
     assert calls["tables.iter_instances"] <= 22
-    assert summary["checks_run"] == 850
+    assert summary["checks_run"] == calls["degeneration.degenerate"] == 768
+    # one delta-string partition read per degeneration
+    assert calls["degeneration.delta_strings"] == 768

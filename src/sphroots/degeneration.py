@@ -210,8 +210,8 @@ def _check_limit_structure(d: DegenerationResult) -> None:
     if L.pu_mask & ~limit:
         raise InvariantViolation("limit lost part of the opposite nilradical")
 
-    # Levi part of the limit: negatives of the Levi roots moved by delta
-    negatives = rs.negatives
+    # Levi part: the negative of each Levi root moved by delta, line b + N
+    n = len(rs.positive_roots)
     expected = 0
     form = rsmod.pairing_form(rs, d.delta)
     for gamma in L.delta_l_plus:
@@ -219,7 +219,7 @@ def _check_limit_structure(d: DegenerationResult) -> None:
         if value < 0:
             raise InvariantViolation("highest fiber weight not Levi-dominant")
         if value > 0:
-            expected |= 1 << bit[negatives[gamma]]
+            expected |= 1 << (bit[gamma] + n)
     if limit & L.levi_mask != expected:
         raise InvariantViolation("limit Levi part has the wrong shape")
 

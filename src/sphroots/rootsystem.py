@@ -124,9 +124,8 @@ class RootSystem:
     def negatives(self) -> dict[Vector, Vector]:
         """Each positive root mapped to its negative, one tuple per root.
 
-        Built on first use, for the line numbering (:attr:`lines`) and the
-        limit checks of degenerations: Levi data, table matching and leaf
-        solves read the positive roots alone.
+        Built on first use, for the line numbering (:attr:`lines`) only;
+        other code reads the line of a negative as its root's line plus N.
         """
         return {r: tuple(-x for x in r) for r in self.positive_roots}
 

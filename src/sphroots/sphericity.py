@@ -42,34 +42,24 @@ class ThetaWitness(NamedTuple):
     trace: tuple[ReductionStep, ...] = ()
 
 
-def integer_rank(vectors: Iterable[Vector]) -> int:
-    """Rank over the rationals by fraction-free integer elimination."""
-    rows = [list(v) for v in vectors if any(v)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < cols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [lead * x - factor * y
-                           for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def linearly_independent(vectors: Iterable[Vector]) -> bool:
-    vs = list(vectors)
-    if len({tuple(v) for v in vs}) < len(vs):
-        return False
-    return integer_rank(vs) == len(vs)
+    """Independence over the rationals by incremental fraction-free echelon:
+    each vector is reduced against the pivot rows kept so far, and the first
+    one that reduces to zero (a zero or repeated one too) makes it False."""
+    pivots = []  # (pivot column, row)
+    for row in vectors:
+        for col, pivot in pivots:
+            x = row[col]
+            if x:
+                lead = pivot[col]
+                row = [lead * a - x * b for a, b in zip(row, pivot)]
+        for col, x in enumerate(row):
+            if x:
+                break
+        else:
+            return False
+        pivots.append((col, row))
+    return True
 
 
 def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
@@ -85,7 +75,10 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     (:func:`rootsystem.pairing_form`); the coroot pairing of a Levi root
     is then a sum over its nonzero terms, divided by the root's squared
     length from the closure (``delta_l_plus`` holds positive roots of
-    ``rs``).  The pool's simple-root edges
+    ``rs``).  One pass over the remaining Levi roots pairs each of them,
+    refuses a non-integral pairing at once and a negative one after the
+    pass, and splits the roots into those whose images are struck and
+    those left to the stabilizer.  The pool's simple-root edges
     ``w -> w + alpha_a`` are listed once per call, by Levi node, on the
     weights' integer codes (:func:`rootsystem.weight_code`: a root's is
     read from the table of the root system, another weight's is computed
@@ -127,8 +120,11 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
             raise InvariantViolation(f"no maximal weight in {sorted(pool)}")
         w = choose(sorted(free)) if choose is not None else max(free)
         form = rsmod.pairing_form(rs, w)
-        values = []
-        for gamma, gamma_norm in dl:
+        removals = [w]
+        survivors = []
+        negative = False
+        for pair in dl:
+            gamma, gamma_norm = pair
             total = 0
             for i, x in form:
                 total += gamma[i] * x
@@ -136,13 +132,14 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
             if remainder:
                 raise InvariantViolation(
                     f"non-integral coroot pairing for {gamma}")
-            values.append(value)
-        if any(v < 0 for v in values):
+            if value > 0:
+                removals.append(tuple(map(sub, w, gamma)))
+            elif value:
+                negative = True
+            else:
+                survivors.append(pair)
+        if negative:
             raise InvariantViolation(f"picked weight {w} is not dominant")
-        moved = {i + 1 for i, _ in form}
-        pi_m = tuple(a for a in pi if a not in moved)
-        removals = [w] + [tuple(map(sub, w, gamma))
-                          for (gamma, _), value in zip(dl, values) if value > 0]
         removed = []
         for v in removals:
             count = pool.get(v)
@@ -158,16 +155,19 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                         blocked[u] -= 1
                         if not blocked[u]:
                             free.add(u)
-        for a in moved.intersection(edges):
-            for u, up in edges.pop(a):
-                if u in pool and up in pool:
-                    blocked[u] -= 1
-                    if not blocked[u]:
-                        free.add(u)
+        # edges are keyed by Levi nodes, so none are left once the Levi is
+        if pi:
+            moved = {i + 1 for i, _ in form}
+            pi = tuple(a for a in pi if a not in moved)
+            for a in moved.intersection(edges):
+                for u, up in edges.pop(a):
+                    if u in pool and up in pool:
+                        blocked[u] -= 1
+                        if not blocked[u]:
+                            free.add(u)
         theta.append(w)
-        trace.append(ReductionStep(w, pi_m, tuple(removed)))
-        pi = pi_m
-        dl = [pair for pair, value in zip(dl, values) if not value]
+        trace.append(ReductionStep(w, pi, tuple(removed)))
+        dl = survivors
     spherical = linearly_independent(theta)
     return ThetaWitness(tuple(theta), spherical,
                         len(theta) if spherical else None, tuple(trace))

@@ -15,8 +15,10 @@ must return the same roots.
 
 ``knop_reduce`` is the plain form of the package's highest-weight
 reduction: each step rescans every pool weight for maximality and pairs
-each Levi root through ``coroot_pairing``.  The package keeps the
-maximal weights incrementally and must return the same witness.
+each Levi root through ``coroot_pairing``, and the verdict compares the
+``rank`` of the picked weights with their number.  The package keeps the
+maximal weights incrementally, tests independence by integer elimination
+and must return the same witness.
 
 ``fiber_extreme`` is the plain search for a fiber's highest or lowest
 weight: the one member that no Levi simple root raises (lowers) within
@@ -49,7 +51,6 @@ from sphroots.sphericity import (
     ReductionStep,
     ThetaWitness,
     is_spherical_and_rank,
-    linearly_independent,
 )
 from sphroots.subgroup import SubgroupDatum, make_subgroup
 
@@ -314,6 +315,25 @@ def close_positive_roots(cartan: tuple[Vector, ...]) -> tuple[Vector, ...]:
     return tuple(sorted(pairings, key=height_key))
 
 
+def rank(vectors: Iterable[Vector]) -> int:
+    """Rank over the rationals, by Gauss-Jordan elimination on fractions."""
+    rows = [[Q(x) for x in v] for v in vectors]
+    found = 0
+    for col in range(max(map(len, rows), default=0)):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        lead = rows[found]
+        for r, row in enumerate(rows):
+            if r != found and row[col]:
+                f = row[col] / lead[col]
+                rows[r] = [x - f * y for x, y in zip(row, lead)]
+        found += 1
+    return found
+
+
 def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                 delta_l_plus: Iterable[Vector], omega: Iterable[Vector],
                 choose: Optional[Callable] = None) -> ThetaWitness:
@@ -355,7 +375,7 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
         trace.append(ReductionStep(w, pi_m, tuple(removed)))
         pi = pi_m
         dl = tuple(gamma for gamma in dl if pairings[gamma] == 0)
-    spherical = linearly_independent(theta)
+    spherical = rank(theta) == len(theta)
     return ThetaWitness(tuple(theta), spherical,
                         len(theta) if spherical else None, tuple(trace))
 

@@ -12,12 +12,12 @@ from operator import add
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sphroots.rootsystem as rsmod
 from sphroots.croots import levi_datum
 from sphroots.errors import ClosureViolation, InvariantViolation
 from sphroots.sphericity import (
-    integer_rank,
     is_spherical_and_rank,
     knop_reduce,
     linearly_independent,
@@ -25,18 +25,49 @@ from sphroots.sphericity import (
 from sphroots.subgroup import make_subgroup
 
 from helpers import datum, levi
-from oracles import knop_reduce as reference_knop_reduce
+from oracles import knop_reduce as reference_knop_reduce, rank
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_integer_rank():
-    assert integer_rank([]) == 0
-    assert integer_rank([(0, 0)]) == 0
-    assert integer_rank([(2, 4), (1, 2)]) == 1
-    assert integer_rank([(1, 0, 1), (0, 1, 1), (1, 1, 2)]) == 2
+def test_linearly_independent():
+    assert linearly_independent([])
+    assert not linearly_independent([(0, 0)])
+    assert not linearly_independent([(2, 4), (1, 2)])
+    assert linearly_independent([(1, 0, 1), (0, 1, 1)])
+    assert not linearly_independent([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
     assert linearly_independent([(1, 0), (0, 1)])
     assert not linearly_independent([(1, 1), (1, 1)])
+
+
+@st.composite
+def _vector_lists(draw):
+    """Up to 8 integer vectors of one length 1-8, entries in [-3, 3], with
+    duplicates, zero rows and combinations of earlier rows planted among
+    them."""
+    n = draw(st.integers(1, 8))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                            max_size=8))
+    for _ in range(draw(st.integers(0, 8 - len(vectors)))):
+        kind = draw(st.sampled_from(("duplicate", "zero", "combination")))
+        if kind == "zero" or not vectors:
+            row = (0,) * n
+        elif kind == "duplicate":
+            row = draw(st.sampled_from(vectors))
+        else:
+            coefficients = draw(st.lists(st.integers(-3, 3),
+                                         min_size=len(vectors),
+                                         max_size=len(vectors)))
+            row = tuple(sum(c * v[i] for c, v in zip(coefficients, vectors))
+                        for i in range(n))
+        vectors.insert(draw(st.integers(0, len(vectors))), row)
+    return vectors
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_vector_lists())
+def test_linearly_independent_matches_rational_rank(vectors):
+    assert linearly_independent(vectors) == (rank(vectors) == len(vectors))
 
 
 def test_reduction_c2_example():

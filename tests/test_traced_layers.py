@@ -75,3 +75,6 @@ def test_regen_pass_matches_by_one_index_per_system(tmp_path):
     assert summary["checks_run"] == calls["degeneration.degenerate"] == 768
     # one delta-string partition read per degeneration
     assert calls["degeneration.delta_strings"] == 768
+    # every sphericity verdict is still asked for and every reduction run
+    assert calls["sphericity.is_spherical_and_rank"] == 2132
+    assert calls["sphericity.knop_reduce"] == 576

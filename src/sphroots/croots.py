@@ -11,11 +11,12 @@ unique highest and lowest elements.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter, sub
 from typing import Iterable
 
 from .errors import DimensionMismatch, EmptyFiber, InvariantViolation
-from .rootsystem import RootSystem, Vector
+from .rootsystem import RootSystem, Vector, _components
 
 
 class LeviDatum:
@@ -29,7 +30,9 @@ class LeviDatum:
     roots outside the Levi; and ``levi_mask``, the Levi roots of both
     signs.  Immutable once built; use :func:`levi_datum` to get the
     instance interned on the root system.  Subgroup data over it are
-    memoized on it by ``make_subgroup``.
+    memoized on it by ``make_subgroup``, what a degeneration along each
+    delta does to it by ``degeneration.levi_step``, and its Dynkin
+    components (:attr:`components`) when first asked for.
     """
 
     def __init__(self, rs: RootSystem, levi: Iterable[int]):
@@ -40,10 +43,14 @@ class LeviDatum:
                 f"Levi nodes {sorted(self.levi)} out of range for rank {rs.rank}")
         self.complement = tuple(a for a in range(1, rs.rank + 1)
                                 if a not in self.levi)
-        # itemgetter gives a bare item, not a 1-tuple, for a single index
         idx = [a - 1 for a in self.complement]
-        self._restrict = (itemgetter(*idx) if len(idx) > 1
-                          else lambda b: tuple(b[i] for i in idx))
+        if len(idx) > 1:
+            self._restrict = itemgetter(*idx)
+        else:
+            # itemgetter gives a bare item, not a 1-tuple, for a single
+            # index; a slice gives the tuple of the one coefficient or none
+            start = idx[0] if idx else 0
+            self._restrict = itemgetter(slice(start, start + len(idx)))
 
         # positive roots come in (height, lex) order, so both lists keep it;
         # positive root i is line bit i
@@ -78,6 +85,13 @@ class LeviDatum:
                 raise InvariantViolation(f"fiber {fib} has two extremes")
         self._decompositions: dict[Vector, list[tuple[Vector, Vector]]] = {}
         self._subgroups: dict = {}
+        self._steps: dict = {}
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The node sets of the Dynkin components of the Levi, each
+        ascending, by least node."""
+        return tuple(_components(self.rs.cartan, tuple(sorted(self.levi))))
 
     def restrict(self, beta: Iterable[int]) -> Vector:
         """Coefficient subvector of a root on the complement nodes."""

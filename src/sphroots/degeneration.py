@@ -15,10 +15,11 @@ moved line to its image is decoded only when asked for (:func:`shift_map`).
 
 from __future__ import annotations
 
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import rootsystem as rsmod
-from .croots import levi_datum
+from .croots import LeviDatum, levi_datum
 from .errors import InvariantViolation, LambdaNotActive
 from .rootsystem import RootSystem, Vector
 from .sphericity import is_spherical_and_rank
@@ -26,28 +27,28 @@ from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
 
 
 class DeltaString(NamedTuple):
-    """The line string of one simple s(delta)-module, top weight first.
+    """The line string of one simple s(delta)-module of two or more lines,
+    top weight first.
 
     ``bits[i]`` is the bit, in the numbering of :attr:`RootSystem.lines`,
     of the line of weight ``top - i*delta``, ``top`` being the string's top
     weight: a root, or the zero weight of the Cartan line (possible only in
-    the string topped by delta itself).  ``mask`` is the OR of those bits.
+    the string topped by delta itself).  ``bottoms[k]`` is the OR of the
+    bits of its bottom k lines, so ``bottoms[-1]`` is the whole string.
     """
 
     bits: tuple[int, ...]
-    mask: int
+    bottoms: tuple[int, ...]
 
 
 class DeltaStrings(NamedTuple):
     """The delta-string partition of a system's lines.
 
-    ``strings`` holds every string, in the order of :func:`delta_strings`;
-    ``single_mask`` is the OR of the masks of its one-line strings, whose
-    lines no limit moves, and ``long`` holds its strings of two or more
-    lines, in the same order.
+    ``single_mask`` is the OR of the lines of the one-line strings, which
+    no limit moves, and ``long`` holds the strings of two or more lines,
+    by descending height of their tops, then lexicographically.
     """
 
-    strings: tuple[DeltaString, ...]
     single_mask: int
     long: tuple[DeltaString, ...]
 
@@ -59,17 +60,24 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
     -delta is no top: its string is the one topped by delta), and each
     string is walked from its top through the step-down map, built once
     on the integer codes of the lines (:attr:`RootSystem.code_bits`).
-    Every root appears in exactly one string.  Strings come by descending
-    height of their tops, then lexicographically, and hold the bits of
-    their lines.  The partition is built once per (system, delta) and
-    memoized on the system.
+    Every root appears in exactly one string.  Tops are walked by
+    descending height, then lexicographically (:attr:`LineNumbering.order`).
+    The partition is built once per (system, delta) and memoized on the
+    system.
     """
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
     if delta in rs._delta_strings:
         return rs._delta_strings[delta]
-    bit = rs.lines.bit
-    form, delta_norm = rsmod.pairing_form(rs, delta), rsmod.norm(rs, delta)
+    lines = rs.lines
+    weights = lines.weights
+    # each top is paired through the form's nonzero terms only, so the
+    # cost does not grow with the rank; the form has a term, as delta
+    # pairs with its own coroot, and a slice picks a single one as a tuple
+    indices, coeffs = zip(*rsmod.pairing_form(rs, delta))
+    pick = (itemgetter(*indices) if len(indices) > 1
+            else itemgetter(slice(indices[0], indices[0] + 1)))
+    delta_norm = rsmod.norm(rs, delta)
     step, code_bits = rs.codes[delta] - rs.zero_code, rs.code_bits
     down = {}
     for code, b in code_bits.items():
@@ -78,38 +86,78 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
             down[b] = c
     # delta steps down to the zero weight, so the zero weight is no top
     stepped_to = set(down.values())
-    strings = []
     long = []
     single_mask = 0
     seen = 0
-    for alpha, b in bit.items():
+    for b in lines.order:
         if b in stepped_to:
             continue
-        p, remainder = divmod(sum(alpha[i] * x for i, x in form), delta_norm)
+        alpha = weights[b]
+        p, remainder = divmod(sum(map(mul, pick(alpha), coeffs)),
+                              delta_norm)
         if remainder:
             raise InvariantViolation(f"non-integral coroot pairing for {delta}")
         if p < 0:
             raise InvariantViolation(f"negative string length at top {alpha}")
         string = [b]
-        mask = 1 << b
         while b in down:
             b = down[b]
             string.append(b)
-            mask |= 1 << b
         if len(string) != p + 1:
             raise InvariantViolation(
                 f"string through {alpha} has {len(string)} lines, not {p + 1}")
-        seen += len(string)
-        strings.append(DeltaString(tuple(string), mask))
+        seen += p + 1
         if p:
-            long.append(strings[-1])
+            bottoms = [0]
+            for c in reversed(string):
+                bottoms.append(bottoms[-1] | 1 << c)
+            long.append(DeltaString(tuple(string), tuple(bottoms)))
         else:
-            single_mask |= mask
-    if seen != len(bit):
+            single_mask |= 1 << b
+    if seen != len(weights):
         raise InvariantViolation("delta-strings do not partition the roots")
-    rs._delta_strings[delta] = DeltaStrings(tuple(strings), single_mask,
-                                            tuple(long))
+    rs._delta_strings[delta] = DeltaStrings(single_mask, tuple(long))
     return rs._delta_strings[delta]
+
+
+class LeviStep(NamedTuple):
+    """What a degeneration along delta does to a Levi datum.
+
+    ``pi_m`` holds the Levi nodes whose simple coroots vanish on delta,
+    ascending, and ``target`` is their Levi datum, the Levi of every limit
+    along delta.  ``levi_part`` is the mask of the Levi lines of such a
+    limit: the negative of each positive Levi root gamma with
+    <gamma, delta^vee> > 0, at line ``bit[gamma] + N``.
+    """
+
+    pi_m: tuple[int, ...]
+    target: LeviDatum
+    levi_part: int
+
+
+def levi_step(L: LeviDatum, delta: Vector) -> LeviStep:
+    """The :class:`LeviStep` of ``L`` along ``delta``, derived on first use
+    and memoized on ``L``.  Raises InvariantViolation, and memoizes
+    nothing, when delta pairs negatively with a positive Levi root."""
+    step = L._steps.get(delta)
+    if step is None:
+        rs = L.rs
+        n = len(rs.positive_roots)
+        bit = rs.lines.bit
+        form = rsmod.pairing_form(rs, delta)
+        levi_part = 0
+        for gamma in L.delta_l_plus:
+            value = sum(gamma[i] * x for i, x in form)
+            if value < 0:
+                raise InvariantViolation(
+                    "highest fiber weight not Levi-dominant")
+            if value > 0:
+                levi_part |= 1 << (bit[gamma] + n)
+        moved = {i + 1 for i, _ in form}
+        pi_m = tuple(a for a in sorted(L.levi) if a not in moved)
+        step = L._steps[delta] = LeviStep(pi_m, levi_datum(rs, pi_m),
+                                          levi_part)
+    return step
 
 
 class DegenerationResult(NamedTuple):
@@ -151,22 +199,18 @@ def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
     partition = delta_strings(rs, delta)
     limit, dim = h_perp & partition.single_mask, h_perp.bit_count()
     for string in partition.long:
-        k = (h_perp & string.mask).bit_count()
-        if k:
-            for b in string.bits[-k:]:
-                limit |= 1 << b
+        bottoms = string.bottoms
+        limit |= bottoms[(h_perp & bottoms[-1]).bit_count()]
 
-    moved = {i + 1 for i, _ in rsmod.pairing_form(rs, delta)}
-    pi_m = tuple(a for a in sorted(L.levi) if a not in moved)
+    step = levi_step(L, delta)
     # positive bits decode in (height, lex) order
     u_inf = tuple(rs.positive_roots[b]
                   for b in rsmod.mask_bits(limit & L.outside_mask))
 
-    L_target = levi_datum(rs, pi_m)
-    psi_target = sorted({L_target.restrict(beta) for beta in u_inf})
-    target = make_subgroup(L_target, psi_target)
+    restrict = step.target.restrict
+    target = make_subgroup(step.target, {restrict(beta) for beta in u_inf})
 
-    result = DegenerationResult(H, lam, delta, target, pi_m,
+    result = DegenerationResult(H, lam, delta, target, step.pi_m,
                                 u_inf, limit, dim)
     _check_limit_structure(result)
     return result
@@ -199,9 +243,8 @@ def _check_limit_structure(d: DegenerationResult) -> None:
     global checks_run
     checks_run += 1
     H, rs, L = d.source, d.source.rs, d.source.L
-    bit = rs.lines.bit
-    limit = d.limit
-    if not limit >> bit[rs.zero()] & 1 or limit.bit_count() != d.limit_dim:
+    limit, cartan_line = d.limit, 2 * len(rs.positive_roots)
+    if not limit >> cartan_line & 1 or limit.bit_count() != d.limit_dim:
         raise InvariantViolation("limit must contain the Cartan line exactly once")
     if d.limit_dim != L.pu_mask.bit_count() + len(H.u_roots):
         raise InvariantViolation("limit changed dimension")
@@ -210,17 +253,8 @@ def _check_limit_structure(d: DegenerationResult) -> None:
     if L.pu_mask & ~limit:
         raise InvariantViolation("limit lost part of the opposite nilradical")
 
-    # Levi part: the negative of each Levi root moved by delta, line b + N
-    n = len(rs.positive_roots)
-    expected = 0
-    form = rsmod.pairing_form(rs, d.delta)
-    for gamma in L.delta_l_plus:
-        value = sum(gamma[i] * x for i, x in form)
-        if value < 0:
-            raise InvariantViolation("highest fiber weight not Levi-dominant")
-        if value > 0:
-            expected |= 1 << (bit[gamma] + n)
-    if limit & L.levi_mask != expected:
+    # Levi part: the negative of each Levi root moved by delta
+    if limit & L.levi_mask != levi_step(L, d.delta).levi_part:
         raise InvariantViolation("limit Levi part has the wrong shape")
 
     # the new module is a union of full fibers

@@ -62,12 +62,15 @@ class LineNumbering(NamedTuple):
     """The lines of a root system as bits of one integer mask.
 
     ``weights[b]`` is the weight naming line ``b``, one tuple per weight;
-    ``bit`` maps each weight back to its bit, with keys by descending
-    height, then lexicographically.
+    ``bit`` maps each positive root and the zero weight back to its bit
+    (a negative root's bit follows from the numbering rule of
+    :attr:`RootSystem.lines`); ``order`` holds every bit once, by
+    descending height of its weight, then lexicographically.
     """
 
     weights: tuple[Vector, ...]
     bit: dict[Vector, int]
+    order: tuple[int, ...]
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -91,10 +94,10 @@ class RootSystem:
     kept in ``codes``; ``zero_code`` is the code of the zero weight.  What
     else is derived from a system is memoized on it when first asked for:
     its subsystems, its Levi data, its diagram automorphisms, its index of
-    table rows, the pairing form of each positive root whose form is asked
-    for (in ``_forms``), the negative of each positive root, the numbering
-    of its lines and the map from the code of each line weight to its line
-    (:attr:`code_bits`).
+    table rows and each match looked up in it, the pairing form of each
+    positive root whose form is asked for (in ``_forms``), the negative of
+    each positive root, the numbering of its lines and the map from the
+    code of each line weight to its line (:attr:`code_bits`).
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
@@ -118,6 +121,7 @@ class RootSystem:
         self._levi_data: dict = {}
         self._automorphisms: list = []
         self._row_index: dict = {}
+        self._matches: dict = {}
         self._delta_strings: dict = {}
 
     @cached_property
@@ -137,26 +141,30 @@ class RootSystem:
         Positive root i of :attr:`positive_roots` takes bit i, its negative
         bit ``N + i`` (N positive roots), and the Cartan line, named by the
         zero weight, bit ``2N``.  So a mask of positive roots decodes in
-        (height, lex) order.
+        (height, lex) order.  Only the positive roots and the zero weight
+        are keys of ``bit``: tuples of negative coefficients hash alike
+        in CPython (-1 and -2 do), so a map keyed on the negatives would
+        pay for the collisions.
 
-        The keys of ``bit`` are read off the (height, lex) order of the
-        positive roots in linear time: their height groups from the highest
-        down, then the zero weight, then the negatives' groups from height
-        1 up, each reversed, as negation reverses the lex order.
+        ``order`` is read off the (height, lex) order of the positive roots
+        in linear time: their height groups from the highest down, then
+        the zero weight, then the negatives' groups from height 1 up, each
+        reversed, as negation reverses the lex order.
         """
-        n = len(self.positive_roots)
+        roots = self.positive_roots
+        n = len(roots)
         negatives = self.negatives
-        weights = (self.positive_roots
-                   + tuple(negatives[r] for r in self.positive_roots)
-                   + (self.zero(),))
-        heights = list(map(sum, self.positive_roots))
+        weights = roots + tuple(negatives[r] for r in roots) + (self.zero(),)
+        bit = dict(zip(roots, range(n)))
+        bit[weights[-1]] = 2 * n
+        heights = list(map(sum, roots))
         groups = [list(group) for _, group
                   in groupby(range(n), key=heights.__getitem__)]
-        by_height = [b for group in reversed(groups) for b in group]
-        by_height.append(2 * n)
+        order = [b for group in reversed(groups) for b in group]
+        order.append(2 * n)
         for group in groups:
-            by_height.extend(n + b for b in reversed(group))
-        return LineNumbering(weights, {weights[b]: b for b in by_height})
+            order.extend(n + b for b in reversed(group))
+        return LineNumbering(weights, bit, tuple(order))
 
     @cached_property
     def code_bits(self) -> dict[int, int]:

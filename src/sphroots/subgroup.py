@@ -123,8 +123,6 @@ def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
     if H._blocks is not None:
         return H._blocks
     L, rs = H.L, H.rs
-    levi_comps = [comp for comp in
-                  rsmod._components(rs.cartan, tuple(sorted(L.levi)))]
     parent = {lam: lam for lam in H.psi}
 
     def find(x):
@@ -137,7 +135,7 @@ def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
     moved = {lam: {i + 1 for i, _ in rsmod.pairing_form(rs, L.hat(lam))}
              for lam in H.psi}
     touches: dict[tuple, list[Vector]] = {}
-    for comp in levi_comps:
+    for comp in L.components:
         touched = [lam for lam in H.psi if not moved[lam].isdisjoint(comp)]
         if touched:
             touches[comp] = touched

@@ -617,9 +617,13 @@ def lookup(rs: rsmod.RootSystem, complement: tuple[int, ...],
 
     Each row found under the datum's key is instantiated and its root set
     pulled back to ``rs``'s numbering; the rows must agree on the rank and
-    the root set, else UnclassifiedCase.  None when no row matches.
+    the root set, else UnclassifiedCase.  None when no row matches.  The
+    answer is memoized on ``rs`` per ``(complement, psi)``.
     """
-    refs = row_index(rs, len(psi)).get((complement, psi), ())
+    key = (complement, psi)
+    if key in rs._matches:
+        return rs._matches[key]
+    refs = row_index(rs, len(psi)).get(key, ())
     n = rs.rank
     matches: list[MatchResult] = []
     for table, row, params, iso in sorted(
@@ -634,7 +638,8 @@ def lookup(rs: rsmod.RootSystem, complement: tuple[int, ...],
         raise UnclassifiedCase(
             f"inconsistent table matches for complement {complement}, psi "
             f"{psi}: {[(m.table_id, m.row_id) for m in matches]}")
-    return matches[0] if matches else None
+    rs._matches[key] = matches[0] if matches else None
+    return rs._matches[key]
 
 
 def match_datum(H: SubgroupDatum) -> MatchResult:

@@ -19,7 +19,7 @@ def _lines(rs, mask):
 
 
 def _has(rs, mask, w):
-    return bool(mask >> rs.lines.bit[w] & 1)
+    return bool(mask >> rs.lines.weights.index(w) & 1)
 
 
 def test_restrict_examples():

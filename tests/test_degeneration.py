@@ -26,15 +26,29 @@ from helpers import datum, system
 REFERENCE_TYPES = [("B", 4), ("C", 4), ("D", 5), ("F4", 4), ("G2", 2)]
 
 
-def _lines(rs, string):
+def _lines(rs, bits):
     """The weights of a delta-string's lines, top first."""
-    return [rs.lines.weights[b] for b in string.bits]
+    return [rs.lines.weights[b] for b in bits]
+
+
+def _strings(rs, delta):
+    """The bits of every delta-string, one-line strings included, by
+    descending height of their tops, then lexicographically."""
+    partition = delta_strings(rs, delta)
+    long = {s.bits[0]: s.bits for s in partition.long}
+    return [long.get(b, (b,)) for b in rs.lines.order
+            if b in long or partition.single_mask >> b & 1]
+
+
+def _line_bits(rs):
+    """Every line weight mapped to its bit, negatives included."""
+    return {w: b for b, w in enumerate(rs.lines.weights)}
 
 
 def test_delta_strings_b3_example():
     rs = rsmod.build("B", 3)
-    strings = delta_strings(rs, (1, 1, 1)).strings
-    lengths = sorted(len(s.bits) for s in strings)
+    strings = _strings(rs, (1, 1, 1))
+    lengths = sorted(map(len, strings))
     assert lengths == [1, 1, 1, 1, 3, 3, 3, 3, 3]
     by_top = {_lines(rs, s)[0]: s for s in strings}
     alpha1 = by_top[(1, 0, 0)]
@@ -47,7 +61,7 @@ def test_delta_strings_b3_example():
 
 def test_delta_strings_a2_example():
     rs = rsmod.build("A", 2)
-    strings = delta_strings(rs, (1, 0)).strings
+    strings = _strings(rs, (1, 0))
     by_top = {_lines(rs, s)[0]: s for s in strings}
     assert _lines(rs, by_top[(1, 1)]) == [(1, 1), (0, 1)]
 
@@ -58,7 +72,7 @@ def test_delta_strings_a2_example():
 def test_delta_strings_partition(family, n):
     rs = rsmod.build(family, n)
     for delta in rs.positive_roots:
-        strings = delta_strings(rs, delta).strings
+        strings = _strings(rs, delta)
         lines = [w for s in strings for w in _lines(rs, s)]
         roots_seen = [w for w in lines if any(w)]
         cartans = sum(1 for w in lines if not any(w))
@@ -78,8 +92,8 @@ def test_delta_strings_share_one_line_per_root():
     rs = rsmod.build("C", 4)
     every_line = list(range(2 * len(rs.positive_roots) + 1))  # and Cartan
     for delta in rs.positive_roots:
-        strings = delta_strings(rs, delta).strings
-        assert sorted(b for s in strings for b in s.bits) == every_line
+        strings = _strings(rs, delta)
+        assert sorted(b for s in strings for b in s) == every_line
 
 
 @pytest.mark.parametrize("delta", [(0, -1, 0), (-1, -1, -1), (1, 0, 1),
@@ -113,9 +127,8 @@ def _corruptions(rs, delta):
         ({"code_bits": {c: b for c, b in rs.code_bits.items()
                         if c != rs.zero_code}},
          r"string through \(1, 0\) has 1 lines, not 3"),
-        # two weights name the Cartan line
-        ({"lines": rsmod.LineNumbering(lines.weights, {
-            **lines.bit, (5, 5): lines.bit[rs.zero()]})},
+        # the highest root tops two strings
+        ({"lines": lines._replace(order=lines.order + lines.order[:1])},
          "do not partition the roots"),
     ]
 
@@ -127,7 +140,7 @@ def test_delta_string_checks_catch_corrupt_tables(case):
     with pytest.raises(InvariantViolation, match=message):
         delta_strings(_corrupted(rs, **tables), delta)
     # the interned system still builds its strings
-    assert [_lines(rs, s) for s in delta_strings(rs, delta).strings] == [
+    assert [_lines(rs, s) for s in _strings(rs, delta)] == [
         [(1, 1), (0, 1)], [(1, 0), (0, 0), (-1, 0)], [(0, -1), (-1, -1)]]
 
 
@@ -144,7 +157,11 @@ def test_degenerate_first_pivot_b3():
 def test_checked_degeneration_computes_the_delta_form_once(monkeypatch):
     H = datum("B", 3, (3,), [(1,), (2,)])
     delta = H.L.hat((1,))
+    # the strings and the Levi step along delta are memoized; drop them
+    # too, so that the degeneration needs the form
     H.rs._forms.pop(delta, None)
+    monkeypatch.setattr(H.rs, "_delta_strings", {})
+    monkeypatch.setattr(H.L, "_steps", {})
     calls = []
     pairings = rsmod.pairings
 
@@ -301,18 +318,22 @@ def test_degenerate_matches_set_based_reference(family, n):
 @pytest.mark.parametrize("family,n", REFERENCE_TYPES)
 def test_delta_strings_match_set_based_reference(family, n):
     rs = rsmod.build(family, n)
+    bit = _line_bits(rs)
     for delta in rs.positive_roots:
-        strings = delta_strings(rs, delta).strings
-        assert [_lines(rs, s) for s in strings] == \
-            [list(s.lines) for s in oracles.delta_strings(rs, delta)]
-        for s in strings:
-            assert s.mask == sum(1 << b for b in s.bits)
+        want = [list(s.lines) for s in oracles.delta_strings(rs, delta)]
+        assert [_lines(rs, s) for s in _strings(rs, delta)] == want
         # the limit reads one-line strings through one mask and walks the
         # longer ones (G2 has strings of four lines)
         partition = delta_strings(rs, delta)
         assert partition.single_mask == sum(
-            s.mask for s in strings if len(s.bits) == 1)
-        assert partition.long == tuple(s for s in strings if len(s.bits) > 1)
+            1 << bit[s[0]] for s in want if len(s) == 1)
+        assert [_lines(rs, s.bits) for s in partition.long] == \
+            [s for s in want if len(s) > 1]
+        for s in partition.long:
+            bits = s.bits
+            assert s.bottoms == tuple(
+                sum(1 << b for b in bits[len(bits) - k:])
+                for k in range(len(bits) + 1))
 
 
 def test_code_table_matches_tuple_reference_at_large_rank():
@@ -335,11 +356,10 @@ def test_code_table_matches_tuple_reference_at_large_rank():
     for rs in (e6a1, b32):
         assert {b: c for c, b in rs.code_bits.items()} == {
             b: int.from_bytes(bytes(x + rsmod.CODE_OFFSET for x in w), "little")
-            for w, b in rs.lines.bit.items()}
+            for w, b in _line_bits(rs).items()}
     for rs, deltas in cases:
         for delta in deltas:
-            strings = delta_strings(rs, delta).strings
-            assert [_lines(rs, s) for s in strings] == \
+            assert [_lines(rs, s) for s in _strings(rs, delta)] == \
                 [list(s.lines) for s in oracles.delta_strings(rs, delta)]
     # the reduction reads root weights' codes from the table at rank >= 20
     for family, n, complement, psi in (("C", 20, [20], [[1]]),
@@ -391,7 +411,7 @@ def _case():
     line bits, and one line outside the limit."""
     H = datum("B", 4, (2, 4), [(1, 0), (0, 1)])
     d = degenerate(H, (0, 1))
-    bit = H.rs.lines.bit
+    bit = _line_bits(H.rs)
     assert d.u_infinity and d.limit & H.L.levi_mask
     outside = next(w for w, b in bit.items() if not d.limit >> b & 1)
     return d, bit, outside

@@ -454,10 +454,12 @@ def test_closure_count_at_rank_30(family):
                                       ("D", 64), ("E8", 8), ("F4", 4),
                                       ("G2", 2), ("E6+A1", 7)])
 def test_line_numbering_keys_follow_the_sorted_height_order(family, n):
-    # the numbering is built from the closure's height groups without a
-    # sort; its keys must come exactly as a sort by descending height,
-    # then lexicographically, puts them
+    # the order is built from the closure's height groups without a sort;
+    # it must list the lines exactly as a sort of their weights by
+    # descending height, then lexicographically, does
     lines = system(family, n).lines
-    assert list(lines.bit) == sorted(lines.weights,
-                                     key=lambda w: (-sum(w), w))
-    assert all(lines.weights[b] == w for w, b in lines.bit.items())
+    assert [lines.weights[b] for b in lines.order] == sorted(
+        lines.weights, key=lambda w: (-sum(w), w))
+    # only the positive roots and the zero weight are keys of ``bit``
+    assert lines.bit == {w: b for b, w in enumerate(lines.weights)
+                         if min(w) >= 0}

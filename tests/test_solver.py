@@ -1,8 +1,10 @@
 """Solvers: worked chains, method agreement, choice independence."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphroots.degeneration import degenerate
 from sphroots.enumeration import enumerate_cases
@@ -160,6 +162,36 @@ def test_pivot_choice_independence():
         for _ in range(8):
             trial = base_solve(H, choose_pair=random_pair)
             assert trial.root_set == baseline
+
+
+@functools.cache
+def _spherical_corpus():
+    """The spherical data that the enumeration of B4, F4 and A5 finds, one
+    and two active roots, one and two complement nodes."""
+    data = []
+    for family, n in (("B", 4), ("F4", 4), ("A", 5)):
+        rs = build(family, n)
+        for size, psi_size in ((1, 1), (1, 2), (2, 2)):
+            data += [rec.datum for rec in enumerate_cases(rs, size, psi_size,
+                                                          solve=False)
+                     if rec.spherical]
+    return data
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_choices_that_bypass_the_memos_agree_with_the_default(data, rng):
+    # a choose or choose_pair neither reads nor fills the verdict and solve
+    # memos, so these calls redo the reduction and the recursion with the
+    # drawn choices, against the memoized default-choice answers
+    corpus = _spherical_corpus()
+    H = corpus[data.draw(st.integers(0, len(corpus) - 1))]
+    verdict = is_spherical_and_rank(H)
+    assert is_spherical_and_rank(H, choose=rng.choice) == verdict
+    assert verdict[0]
+    if len(H.psi) > 1:
+        pair = base_solve(H, choose_pair=lambda psi: tuple(rng.sample(psi, 2)))
+        assert pair.roots == base_solve(H).roots
 
 
 def test_removed_roots_differ_at_every_node():

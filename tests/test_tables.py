@@ -227,8 +227,12 @@ def test_lookup_refuses_rows_that_disagree(monkeypatch):
         return inst._replace(rank=inst.rank + 1) if row == 13 else inst
 
     monkeypatch.setattr(tables, "instantiate_row", skewed)
+    # start from no memoized match, so that the rows are instantiated
+    monkeypatch.setattr(rs, "_matches", {})
     with pytest.raises(UnclassifiedCase, match="inconsistent table matches"):
         lookup(rs, (3,), ((1,),))
+    # a refused lookup memoizes nothing
+    assert rs._matches == {}
 
 
 def test_match_datum_commutes_with_diagram_automorphisms():

@@ -13,9 +13,10 @@ document on stdout; identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
@@ -314,5 +315,21 @@ def main(argv=None) -> int:
         return 3 if isinstance(exc, _DEFECTS) else 2
 
 
+def run() -> NoReturn:
+    """Process entry of the ``sphroots`` command and of ``python -m
+    sphroots.cli``: run :func:`main` on ``sys.argv`` and exit with its code.
+
+    Before exiting it moves every object the query built to the collector's
+    permanent generation (``gc.freeze``), so the interpreter's exit-time
+    collections skip objects the end of the process frees anyway.  Nothing
+    in the package has a ``__del__``, and the interpreter flushes stdout
+    and stderr before those collections.  ``main``, the import and every
+    library call leave the collector as they find it.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,7 +12,7 @@ the strongest correctness oracle the theory provides and always runs.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from .degeneration import degenerate, track_component
 from .errors import InvariantViolation, NotSpherical
@@ -25,29 +25,114 @@ from .subgroup import (
     upper_elements,
     upsilon_and_hat,
 )
-from .tables import match_datum
+from .tables import MatchResult, match_datum
 
 
 class SphericalRootSet(NamedTuple):
-    """A computed set of spherical roots plus how it was obtained."""
+    """A computed set of spherical roots plus how it was obtained.
+
+    ``proof`` holds the data the roots were derived from; ``certificate``
+    renders it as JSON-ready dicts and lists each time it is read.
+    """
 
     roots: tuple[Vector, ...]
-    certificate: dict = {}  # shared default: results are never mutated
+    proof: Proof
 
     @property
     def root_set(self) -> frozenset[Vector]:
         return frozenset(self.roots)
+
+    @property
+    def certificate(self) -> dict:
+        return self.proof.render()
+
+
+# plain slotted classes: a NamedTuple class costs 0.1-0.2 ms to create,
+# which every ``compute`` process would pay on import
+class LeafProof:
+    """A datum with at most one active root and its table match (None
+    when no root is active)."""
+
+    __slots__ = ("datum", "match")
+
+    def __init__(self, datum: SubgroupDatum, match: Optional[MatchResult]):
+        self.datum, self.match = datum, match
+
+    def render(self) -> dict:
+        match = self.match
+        return {"datum": _wire(self.datum),
+                "match": None if match is None else {
+                    "table": match.table_id, "row": match.row_id,
+                    "family": match.family, "n": match.n,
+                    "params": list(match.params)}}
+
+
+class NodeProof:
+    """A two-branch node: the pivots, the result of each branch and the
+    root each branch lost."""
+
+    __slots__ = ("datum", "pivots", "children", "removed")
+
+    def __init__(self, datum: SubgroupDatum, pivots: tuple[Vector, Vector],
+                 children: tuple[SphericalRootSet, SphericalRootSet],
+                 removed: tuple[Vector, Vector]):
+        self.datum, self.pivots = datum, pivots
+        self.children, self.removed = children, removed
+
+    def render(self) -> dict:
+        return {"datum": _wire(self.datum),
+                "pivots": [list(lam) for lam in self.pivots],
+                "children": [r.certificate for r in self.children],
+                "removed": [[list(v)] for v in self.removed]}
+
+
+class IsolationStep:
+    """One degeneration of ``algorithm_d``: the datum, the pivot it
+    degenerates along and the block it follows."""
+
+    __slots__ = ("datum", "pivot", "block")
+
+    def __init__(self, datum: SubgroupDatum, pivot: Vector,
+                 block: tuple[Vector, ...]):
+        self.datum, self.pivot, self.block = datum, pivot, block
+
+    def render(self) -> dict:
+        return {"datum": _wire(self.datum), "pivot": list(self.pivot),
+                "block": [list(v) for v in self.block]}
+
+
+class BlocksProof:
+    """A blockwise solve: per block, its roots, the isolation steps and
+    the result of the isolated datum."""
+
+    __slots__ = ("datum", "blocks")
+
+    def __init__(self, datum: SubgroupDatum,
+                 blocks: tuple[tuple[tuple[Vector, ...], list[IsolationStep],
+                                     SphericalRootSet], ...]):
+        self.datum, self.blocks = datum, blocks
+
+    def render(self) -> dict:
+        return {"datum": _wire(self.datum),
+                "blocks": [{"block": [list(v) for v in block],
+                            "steps": [step.render() for step in steps],
+                            "sigma": [list(v) for v in part.roots],
+                            "certificate": part.certificate}
+                           for block, steps, part in self.blocks]}
+
+
+Proof = Union[LeafProof, NodeProof, BlocksProof]
 
 
 def _sorted_roots(roots) -> tuple[Vector, ...]:
     return tuple(sorted(set(roots), key=height_key))
 
 
-def _result(roots, certificate) -> SphericalRootSet:
+def _result(roots, proof: Proof) -> SphericalRootSet:
     roots = _sorted_roots(roots)
     if not linearly_independent(roots):
         raise InvariantViolation("spherical roots must be independent")
-    return SphericalRootSet(roots, certificate)
+    return SphericalRootSet(roots, proof)
 
 
 def leaf_resolve(H: SubgroupDatum) -> SphericalRootSet:
@@ -60,7 +145,7 @@ def leaf_resolve(H: SubgroupDatum) -> SphericalRootSet:
     if len(H.psi) > 1:
         raise InvariantViolation("leaf_resolve needs at most one active root")
     if not H.psi:
-        return SphericalRootSet((), {"datum": _wire(H), "match": None})
+        return SphericalRootSet((), LeafProof(H, None))
     return _table_resolve(H)
 
 
@@ -70,14 +155,8 @@ def _table_resolve(H: SubgroupDatum) -> SphericalRootSet:
     ``tables.instantiate_row`` can replay it."""
     reduced, sub = ambient_reduction(H)
     match = match_datum(reduced)
-    certificate = {
-        "datum": _wire(H),
-        "match": {"table": match.table_id, "row": match.row_id,
-                  "family": match.family, "n": match.n,
-                  "params": list(match.params)},
-    }
     return _result([embed(s, sub.nodes, H.rs.rank) for s in match.sigma],
-                   certificate)
+                   LeafProof(H, match))
 
 
 def _wire(H: SubgroupDatum) -> dict:
@@ -137,20 +216,16 @@ def _base_solve(H: SubgroupDatum,
             raise InvariantViolation("branch did not lose exactly one root")
         if len(removed1) != 1 or len(removed2) != 1 or removed1 == removed2:
             raise InvariantViolation("branches must lose two distinct roots")
-        result = _result(union, {
-            "datum": _wire(H),
-            "pivots": [list(lam1), list(lam2)],
-            "children": [r1.certificate, r2.certificate],
-            "removed": [sorted(map(list, removed1)),
-                        sorted(map(list, removed2))],
-        })
+        (lost1,), (lost2,) = removed1, removed2
+        result = _result(union, NodeProof(H, (lam1, lam2), (r1, r2),
+                                          (lost1, lost2)))
     if cacheable:
         H._solved = result
     return result
 
 
-def algorithm_d(H: SubgroupDatum,
-                block_index: int) -> tuple[SubgroupDatum, list[dict]]:
+def algorithm_d(H: SubgroupDatum, block_index: int
+                ) -> tuple[SubgroupDatum, list[IsolationStep]]:
     """Isolate one block of the factor decomposition by degenerations.
 
     Repeatedly shrink to the block plus its support-dominated companions;
@@ -159,7 +234,7 @@ def algorithm_d(H: SubgroupDatum,
     is trivial) and the step log.  Termination is theorem-guaranteed; the
     iteration cap is defensive.
     """
-    steps: list[dict] = []
+    steps: list[IsolationStep] = []
     current = H
     index = block_index
     cap = 4 * len(H.rs.positive_roots) + 4
@@ -178,8 +253,7 @@ def algorithm_d(H: SubgroupDatum,
         lam = upper_elements(current.L, upsilon)[0]
         d = degenerate(current, lam)
         index = track_component(d, index)
-        steps.append({"datum": _wire(current), "pivot": list(lam),
-                      "block": [list(v) for v in block]})
+        steps.append(IsolationStep(current, lam, block))
         current = d.target
     raise InvariantViolation("block isolation did not terminate")
 
@@ -199,7 +273,7 @@ def optimized_solve(H: SubgroupDatum,
         raise NotSpherical(f"{H!r} is not spherical")
     blocks = sm_decomposition(H).components
     parts: list[SphericalRootSet] = []
-    cert_blocks = []
+    proof_blocks = []
     for i, block in enumerate(blocks):
         isolated, steps = algorithm_d(H, i)
         if resolution == "compute":
@@ -209,10 +283,7 @@ def optimized_solve(H: SubgroupDatum,
         else:
             part = _table_resolve(isolated)
         parts.append(part)
-        cert_blocks.append({"block": [list(v) for v in block],
-                            "steps": steps,
-                            "sigma": [list(v) for v in part.roots],
-                            "certificate": part.certificate})
+        proof_blocks.append((block, steps, part))
     union: list[Vector] = []
     seen: set[Vector] = set()
     for part in parts:
@@ -223,4 +294,4 @@ def optimized_solve(H: SubgroupDatum,
         union.extend(part.roots)
     if len(union) != rank:
         raise InvariantViolation(f"blockwise union size {len(union)} != rank {rank}")
-    return _result(union, {"datum": _wire(H), "blocks": cert_blocks})
+    return _result(union, BlocksProof(H, tuple(proof_blocks)))

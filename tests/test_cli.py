@@ -1,9 +1,12 @@
 """Command-line interface: outputs, exit codes, round trips."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -398,3 +401,67 @@ def test_top_level_help_and_unknown_command_text(capsys, monkeypatch):
         "usage: sphroots tables [-h] {dump} ...\n"
         "sphroots tables: error: argument table_command: invalid choice: "
         "'nope' (choose from 'dump')\n"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+
+
+def _fresh(*args, **kwargs):
+    """A fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, **kwargs)
+
+
+#: the first recorded invocation of each command, plus two refusals: a
+#: datum that is not spherical (main returns 2) and an unknown flag
+#: (argparse exits 2 from inside main)
+ENTRY_CASES = [
+    *[case for i, case in enumerate(GOLDEN)
+      if all(other["argv"][0] != case["argv"][0] for other in GOLDEN[:i])],
+    {"argv": ["compute", "--type", "C", "--rank", "4", "--complement", "2",
+              "--psi", "1;2"], "code": 2, "stdout": ""},
+    {"argv": ["check", *B3_CHAIN, "--assert"], "code": 2, "stdout": ""},
+]
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES,
+                         ids=lambda c: " ".join(c["argv"][:2]))
+def test_module_entry_prints_the_recorded_output(case):
+    out = _fresh("-m", "sphroots.cli", *case["argv"])
+    assert (out.returncode, out.stdout) == (
+        case["code"], case["stdout"].encode())
+    assert bool(out.stderr) == bool(case["code"])
+
+
+def test_only_the_process_entry_freezes_the_collector():
+    # import and an in-process main leave the collector as they find it
+    code = ("import gc, sys\n"
+            "import sphroots.cli\n"
+            "state = [gc.get_freeze_count(), gc.isenabled()]\n"
+            "code = sphroots.cli.main(['compute', *sys.argv[1:]])\n"
+            "print(code, state + [gc.get_freeze_count(), gc.isenabled()])\n")
+    out = _fresh("-c", code, *B3_CHAIN, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 [0, True, 0, True]"
+    # the process entry freezes on its way out and exits with main's code
+    code = ("import gc, sys\n"
+            "import sphroots.cli\n"
+            "sys.argv[1:] = ['check', *sys.argv[1:]]\n"
+            "try:\n"
+            "    sphroots.cli.run()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n")
+    out = _fresh("-c", code, *B3_CHAIN, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 True"
+
+
+def test_console_script_and_module_run_the_same_entry():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["scripts"]
+    tree = ast.parse(Path(sphroots.cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [stmt] = block.body
+    assert ast.unparse(stmt) == "run()"
+    assert scripts == {"sphroots": "sphroots.cli:run"}

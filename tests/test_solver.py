@@ -33,6 +33,70 @@ def test_base_solve_b3_chain():
     assert result.certificate["pivots"] == [[1], [2]]
 
 
+def _b3(complement, *psi):
+    return {"type": "B", "rank": 3, "levi_complement": list(complement),
+            "psi": [list(v) for v in psi]}
+
+
+def _row(table, row, family, n, params):
+    return {"table": table, "row": row, "family": family, "n": n,
+            "params": params}
+
+
+#: the certificate tree of the B3 chain (``--complement 3 --psi "1;2"``)
+B3_CHAIN_CERTIFICATE = {
+    "datum": _b3([3], [1], [2]),
+    "pivots": [[1], [2]],
+    "removed": [[[1, 1, 0]], [[0, 1, 1]]],
+    "children": [
+        {"datum": _b3([1, 3], [0, 1], [0, 2]),
+         "pivots": [[0, 1], [0, 2]],
+         "removed": [[[0, 1, 1]], [[0, 0, 1]]],
+         "children": [
+             {"datum": _b3([1, 2, 3], [0, 0, 1]),
+              "match": _row(1, 1, "A", 1, [1])},
+             {"datum": _b3([1, 3], [0, 1]),
+              "match": _row(1, 4, "C", 2, [])}]},
+        {"datum": _b3([2, 3], [0, 1], [1, 1]),
+         "pivots": [[0, 1], [1, 1]],
+         "removed": [[[0, 0, 1]], [[1, 1, 0]]],
+         "children": [
+             {"datum": _b3([2, 3], [1, 0]),
+              "match": _row(1, 1, "A", 2, [1])},
+             {"datum": _b3([1, 2, 3], [0, 0, 1]),
+              "match": _row(1, 1, "A", 1, [1])}]}],
+}
+
+
+def test_b3_chain_certificates_render_the_pinned_tree():
+    H = datum("B", 3, (3,), [(1,), (2,)])
+    result = base_solve(H)
+    assert result.certificate == B3_CHAIN_CERTIFICATE
+    # each read renders afresh, so a caller's edit leaves the proof intact
+    result.certificate["children"].clear()
+    assert result.certificate == B3_CHAIN_CERTIFICATE
+
+    sigma = [[0, 0, 1], [0, 1, 1], [1, 1, 0]]
+    assert optimized_solve(H, "compute").certificate == {
+        "datum": _b3([3], [1], [2]),
+        "blocks": [{"block": [[1], [2]], "steps": [], "sigma": sigma,
+                    "certificate": B3_CHAIN_CERTIFICATE}]}
+    assert optimized_solve(H, "table").certificate == {
+        "datum": _b3([3], [1], [2]),
+        "blocks": [{"block": [[1], [2]], "steps": [], "sigma": sigma,
+                    "certificate": {"datum": _b3([3], [1], [2]),
+                                    "match": _row(2, 1, "B", 3, [])}}]}
+
+
+def test_isolation_steps_render_in_the_block_certificate():
+    H = datum("B", 3, (2, 3), [(1, 1), (0, 1)])
+    blocks = optimized_solve(H, "table").certificate["blocks"]
+    assert [block["steps"] for block in blocks] == [
+        [],
+        [{"datum": _b3([2, 3], [0, 1], [1, 1]), "pivot": [0, 1],
+          "block": [[1, 1]]}]]
+
+
 def test_base_solve_c3():
     H = datum("C", 3, (1, 2), [(0, 1), (1, 1)])
     assert set(base_solve(H).roots) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
@@ -58,7 +122,7 @@ def test_algorithm_d_isolates_blocks():
     isolated, steps = algorithm_d(H, 1)
     assert isolated.psi == ((1, 0),)
     assert isolated.L.complement == (2, 3)
-    assert steps and steps[0]["pivot"] == [0, 1]
+    assert steps and steps[0].pivot == (0, 1)
     assert leaf_resolve(isolated).roots == ((1, 1, 0),)
 
     isolated, steps = algorithm_d(H, 0)

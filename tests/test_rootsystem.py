@@ -317,6 +317,34 @@ def test_subsystem_examples():
     assert set(full.system.positive_roots) == set(b3.positive_roots)
 
 
+def test_build_refuses_a_closure_with_the_wrong_root_count(monkeypatch):
+    # a skewed expected count stands for a closure that lost or gained a root
+    monkeypatch.setattr(rsmod, "_by_type", {})
+    monkeypatch.setattr(rsmod, "_POSITIVE_COUNT",
+                        dict(rsmod._POSITIVE_COUNT, A=lambda n: n * n))
+    with pytest.raises(InvariantViolation,
+                       match=r"A4: closure produced 10 positive roots, "
+                             r"expected 16"):
+        rsmod.build("A", 4)
+
+
+def test_subsystem_refuses_a_closure_that_disagrees_with_the_filter(
+        monkeypatch):
+    # nodes 1-3 of B4 span A3; an interned A3 that lost its highest root
+    # must not pass for the roots of B4 supported on those nodes
+    monkeypatch.setattr(rsmod, "_by_type", {})
+    b4 = rsmod.build("B", 4)
+    key = tuple(row[:3] for row in b4.cartan[:3])
+    symmetrizer = rsmod._symmetrizer_from_cartan(key)
+    roots, norms, codes = rsmod._close_positive_roots(key, symmetrizer)
+    corrupted = rsmod.RootSystem(None, 3, key, symmetrizer, roots[:-1],
+                                 norms, codes)
+    monkeypatch.setattr(rsmod, "_by_cartan", {key: corrupted})
+    with pytest.raises(InvariantViolation,
+                       match="subsystem filter disagrees with closure"):
+        rsmod.subsystem(b4, (1, 2, 3))
+
+
 def test_diagram_automorphism_groups():
     assert rsmod.diagram_automorphisms(rsmod.build("A", 1)) == ((1,),)
     assert rsmod.diagram_automorphisms(rsmod.build("A", 3)) == ((1, 2, 3), (3, 2, 1))

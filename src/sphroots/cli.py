@@ -198,7 +198,7 @@ def _format_arg(p):
 def _datum_args(p):
     _format_arg(p)
     p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=int)
     p.add_argument("--complement", required=True,
                    help="comma-separated 1-based complement nodes")
     p.add_argument("--psi", required=True,

@@ -15,8 +15,8 @@ moved line to its image is decoded only when asked for (:func:`shift_map`).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import itemgetter, mul
-from typing import NamedTuple
 
 from . import rootsystem as rsmod
 from .croots import LeviDatum, levi_datum
@@ -26,31 +26,26 @@ from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
 
 
-class DeltaString(NamedTuple):
-    """The line string of one simple s(delta)-module of two or more lines,
-    top weight first.
+DeltaString = namedtuple("DeltaString", "bits bottoms")
+DeltaString.__doc__ = """The line string of one simple s(delta)-module of two
+or more lines, top weight first.
 
-    ``bits[i]`` is the bit, in the numbering of :attr:`RootSystem.lines`,
-    of the line of weight ``top - i*delta``, ``top`` being the string's top
-    weight: a root, or the zero weight of the Cartan line (possible only in
-    the string topped by delta itself).  ``bottoms[k]`` is the OR of the
-    bits of its bottom k lines, so ``bottoms[-1]`` is the whole string.
-    """
+``bits``, a tuple of ints, holds at ``bits[i]`` the bit, in the numbering
+of :attr:`RootSystem.lines`, of the line of weight ``top - i*delta``,
+``top`` being the string's top weight: a root, or the zero weight of the
+Cartan line (possible only in the string topped by delta itself).
+``bottoms``, a tuple of int masks, holds at ``bottoms[k]`` the OR of the
+bits of its bottom k lines, so ``bottoms[-1]`` is the whole string.
+"""
 
-    bits: tuple[int, ...]
-    bottoms: tuple[int, ...]
+DeltaStrings = namedtuple("DeltaStrings", "single_mask long")
+DeltaStrings.__doc__ = """The delta-string partition of a system's lines.
 
-
-class DeltaStrings(NamedTuple):
-    """The delta-string partition of a system's lines.
-
-    ``single_mask`` is the OR of the lines of the one-line strings, which
-    no limit moves, and ``long`` holds the strings of two or more lines,
-    by descending height of their tops, then lexicographically.
-    """
-
-    single_mask: int
-    long: tuple[DeltaString, ...]
+``single_mask``, an int, is the OR of the lines of the one-line strings,
+which no limit moves, and ``long``, a tuple of :class:`DeltaString`,
+holds the strings of two or more lines, by descending height of their
+tops, then lexicographically.
+"""
 
 
 def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
@@ -120,19 +115,15 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
     return rs._delta_strings[delta]
 
 
-class LeviStep(NamedTuple):
-    """What a degeneration along delta does to a Levi datum.
+LeviStep = namedtuple("LeviStep", "pi_m target levi_part")
+LeviStep.__doc__ = """What a degeneration along delta does to a Levi datum.
 
-    ``pi_m`` holds the Levi nodes whose simple coroots vanish on delta,
-    ascending, and ``target`` is their Levi datum, the Levi of every limit
-    along delta.  ``levi_part`` is the mask of the Levi lines of such a
-    limit: the negative of each positive Levi root gamma with
-    <gamma, delta^vee> > 0, at line ``bit[gamma] + N``.
-    """
-
-    pi_m: tuple[int, ...]
-    target: LeviDatum
-    levi_part: int
+``pi_m``, a tuple of ints, holds the Levi nodes whose simple coroots
+vanish on delta, ascending, and ``target`` is their :class:`LeviDatum`,
+the Levi of every limit along delta.  ``levi_part``, an int, is the mask
+of the Levi lines of such a limit: the negative of each positive Levi
+root gamma with <gamma, delta^vee> > 0, at line ``bit[gamma] + N``.
+"""
 
 
 def levi_step(L: LeviDatum, delta: Vector) -> LeviStep:
@@ -160,21 +151,21 @@ def levi_step(L: LeviDatum, delta: Vector) -> LeviStep:
     return step
 
 
-class DegenerationResult(NamedTuple):
-    """Everything the limit produces: the new datum and the limit lines.
+DegenerationResult = namedtuple(
+    "DegenerationResult",
+    "source lam delta target pi_m u_infinity limit limit_dim")
+DegenerationResult.__doc__ = """Everything the limit produces: the new datum
+and the limit lines.
 
-    ``limit`` is the mask of the limit's lines and ``limit_dim`` the number
-    of lines shifted into it, one per line of the orthogonal complement.
-    """
-
-    source: SubgroupDatum
-    lam: Vector
-    delta: Vector
-    target: SubgroupDatum
-    pi_m: tuple[int, ...]
-    u_infinity: tuple[Vector, ...]
-    limit: int
-    limit_dim: int
+``source`` and ``target`` are the :class:`SubgroupDatum` before and after
+the limit; ``lam`` is the active root degenerated along and ``delta`` its
+highest fiber weight (tuples); ``pi_m``, a tuple of ints, holds the
+target's Levi nodes; ``u_infinity``, a tuple of positive roots, holds the
+limit's lines outside the source's Levi, which restrict to the target's
+module; ``limit``, an int, is the mask of the limit's lines and
+``limit_dim``, an int, the number of lines shifted into it, one per line
+of the orthogonal complement.
+"""
 
 
 def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:

@@ -17,7 +17,8 @@ is enumerated there.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Iterable, Optional
 
 from . import rootsystem as rsmod
 from .croots import levi_datum
@@ -30,7 +31,7 @@ from .errors import (
 from .rootsystem import RootSystem, Vector, diagram_automorphisms
 from .solver import base_solve
 from .sphericity import is_spherical_and_rank
-from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
+from .subgroup import make_subgroup, sm_decomposition
 from .tables import _transform_datum, lookup, match_datum, row_index
 
 CaseKey = tuple[tuple[int, ...], tuple[Vector, ...]]
@@ -54,15 +55,20 @@ def enumeration_type(type_label: str, rank: Optional[int] = None) -> tuple[str, 
     return family, n
 
 
-class CaseRecord(NamedTuple):
-    """One enumerated case, stored by its canonical representative."""
+class CaseRecord(namedtuple("CaseRecord",
+                             "datum spherical rank sm_trivial sigma "
+                             "matched_row", defaults=(None, None))):
+    """One enumerated case, stored by its canonical representative.
 
-    datum: SubgroupDatum
-    spherical: bool
-    rank: Optional[int]
-    sm_trivial: bool
-    sigma: Optional[tuple[Vector, ...]] = None
-    matched_row: Optional[tuple] = None  # (table, row, params, automorphism)
+    ``datum`` is the representative's :class:`SubgroupDatum`;
+    ``spherical`` and ``sm_trivial`` are bools; ``rank``, an int, is the
+    number of spherical roots when spherical, else None; ``sigma``, a
+    tuple of weights, holds the spherical roots when solved, else None;
+    ``matched_row``, a tuple ``(table, row, params, automorphism)``, names
+    the table row matched, else None.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = dict(self.datum.to_wire())
@@ -193,11 +199,14 @@ class DiffReport:
         }
 
 
-class ExpectedCase(NamedTuple):
-    key: CaseKey
-    rank: int
-    sigma: frozenset[Vector]
-    rows: tuple[str, ...]
+ExpectedCase = namedtuple("ExpectedCase", "key rank sigma rows")
+ExpectedCase.__doc__ = """One canonical case the tables list.
+
+``key``, a :data:`CaseKey`, is the case's canonical ``(complement,
+psi)``; ``rank``, an int, and ``sigma``, a frozenset of weights, are its
+rank and spherical roots; ``rows``, a tuple of strings, names the rows
+listed under it.
+"""
 
 
 def expected_cases(family: str, n: int) -> dict[CaseKey, ExpectedCase]:

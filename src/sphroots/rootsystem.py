@@ -9,10 +9,11 @@ test oracle).  Simple-root indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from itertools import groupby
+from itertools import compress, groupby
 from operator import add, mul
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import DimensionMismatch, InvalidType, InvariantViolation
 
@@ -58,19 +59,17 @@ CODE_DIGIT = 8
 CODE_OFFSET = 1 << (CODE_DIGIT - 1)
 
 
-class LineNumbering(NamedTuple):
-    """The lines of a root system as bits of one integer mask.
+LineNumbering = namedtuple("LineNumbering", "weights bit order")
+LineNumbering.__doc__ = """The lines of a root system as bits of one integer
+mask.
 
-    ``weights[b]`` is the weight naming line ``b``, one tuple per weight;
-    ``bit`` maps each positive root and the zero weight back to its bit
-    (a negative root's bit follows from the numbering rule of
-    :attr:`RootSystem.lines`); ``order`` holds every bit once, by
-    descending height of its weight, then lexicographically.
-    """
-
-    weights: tuple[Vector, ...]
-    bit: dict[Vector, int]
-    order: tuple[int, ...]
+``weights``, a tuple of weights, holds at ``weights[b]`` the weight
+naming line ``b``, one tuple per weight; ``bit``, a dict from weights to
+ints, maps each positive root and the zero weight back to its bit (a
+negative root's bit follows from the numbering rule of
+:attr:`RootSystem.lines`); ``order``, a tuple of ints, holds every bit
+once, by descending height of its weight, then lexicographically.
+"""
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -220,38 +219,27 @@ def normalize_type(type_label: str, rank: Optional[int] = None) -> tuple[str, in
     return label, rank
 
 
-def _cartan_matrix(family: str, n: int) -> list[list[int]]:
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i, j, cij=-1, cji=-1):
-        c[i - 1][j - 1] = cij
-        c[j - 1][i - 1] = cji
-
+def _bonds(family: str, n: int) -> list[tuple[int, int, int, int]]:
+    """The bonds ``(i, j, c_ij, c_ji)`` of a standard diagram, 1-based."""
     if family in ("A", "B", "C"):
-        for i in range(1, n):
-            bond(i, i + 1)
-        if family == "B" and n >= 2:
-            bond(n - 1, n, -1, -2)  # last node short
-        if family == "C" and n >= 2:
-            bond(n - 1, n, -2, -1)  # last node long
+        bonds = [(i, i + 1, -1, -1) for i in range(1, n - 1)]
+        if n >= 2:
+            # B: last node short; C: last node long
+            last = {"A": (-1, -1), "B": (-1, -2), "C": (-2, -1)}[family]
+            bonds.append((n - 1, n, *last))
     elif family == "D":
         # chain 1..n-2, with nodes n-1 and n both attached to node n-2
-        for i in range(1, n - 2):
-            bond(i, i + 1)
-        bond(n - 2, n - 1)
-        bond(n - 2, n)
+        bonds = [(i, i + 1, -1, -1) for i in range(1, n - 2)]
+        bonds += [(n - 2, n - 1, -1, -1), (n - 2, n, -1, -1)]
     elif family in ("E6", "E7", "E8"):
         chain = [1, 3, 4, 5, 6, 7, 8][: n - 1]
-        for a, b in zip(chain, chain[1:]):
-            bond(a, b)
-        bond(2, 4)
+        bonds = [(a, b, -1, -1) for a, b in zip(chain, chain[1:])]
+        bonds.append((2, 4, -1, -1))
     elif family == "F4":
-        bond(1, 2)
-        bond(2, 3, -1, -2)  # nodes 3, 4 short
-        bond(3, 4)
-    elif family == "G2":
-        bond(1, 2, -3, -1)  # node 1 short
-    return c
+        bonds = [(1, 2, -1, -1), (2, 3, -1, -2), (3, 4, -1, -1)]  # 3, 4 short
+    else:
+        bonds = [(1, 2, -3, -1)]  # G2, node 1 short
+    return bonds
 
 
 def standard_cartan(type_label: str, rank: Optional[int] = None) -> tuple[Vector, ...]:
@@ -261,7 +249,10 @@ def standard_cartan(type_label: str, rank: Optional[int] = None) -> tuple[Vector
     it is not memoized; it builds no root system.
     """
     family, n = normalize_type(type_label, rank)
-    return tuple(tuple(row) for row in _cartan_matrix(family, n))
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, cij, cji in _bonds(family, n):
+        c[i - 1][j - 1], c[j - 1][i - 1] = cij, cji
+    return tuple(map(tuple, c))
 
 
 def _symmetrizer_from_cartan(cartan: tuple[Vector, ...]) -> Vector:
@@ -320,9 +311,10 @@ def _close_positive_roots(cartan: tuple[Vector, ...], symmetrizer: Vector
     Cartan column, ``norm(beta + alpha_i) = norm(beta) + 2 d_i
     (<alpha_i^vee, beta> + 1)`` and the code grows by ``1 << 8i``.
     A root of height h is known once every root of height below h is, so
-    the strings are walked one height level at a time.  Each root of a
-    level records the nodes by which the level below stepped up to it:
-    these are exactly the i with beta - alpha_i a root.
+    the strings are walked one height level at a time, each level keyed on
+    the roots' codes.  Each root of a level records the nodes by which the
+    level below stepped up to it: these are exactly the i with
+    beta - alpha_i a root.
     """
     n = len(cartan)
     columns = [tuple(row[i] for row in cartan) for i in range(n)]
@@ -330,37 +322,40 @@ def _close_positive_roots(cartan: tuple[Vector, ...], symmetrizer: Vector
     zero = _zero_code(n)
     norms: dict[Vector, int] = {}
     codes: dict[Vector, int] = {}
-    level: dict[Vector, tuple[Vector, list[int]]] = {}
+    known: set[int] = set()
+    # code -> (root, its pairings with the simple coroots, nodes stepped by)
+    level: dict[int, tuple[Vector, Vector, list[int]]] = {}
     for i, d in enumerate(symmetrizer):
         alpha = tuple(int(i == j) for j in range(n))
-        level[alpha] = columns[i], []
+        level[zero + steps[i]] = alpha, columns[i], []
         norms[alpha] = 2 * d
         codes[alpha] = zero + steps[i]
     ordered: list[Vector] = []
     while level:
-        ordered.extend(sorted(level))
-        fresh: dict[Vector, tuple[Vector, list[int]]] = {}
-        for beta, (b, via) in level.items():
-            for i, (x, bi) in enumerate(zip(beta, b)):
-                # beta + alpha_i is a root iff more than <beta, alpha_i^vee>
-                # steps down from beta stay roots; at most beta[i] can, and
-                # root strings have no gaps, so the last step decides
-                if x <= bi:
-                    continue
-                if bi == 0:
-                    if i not in via:
-                        continue
-                elif bi > 0 and (beta[:i] + (x - bi - 1,)
-                                 + beta[i + 1:]) not in norms:
-                    continue
-                up = beta[:i] + (x + 1,) + beta[i + 1:]
+        ordered.extend(sorted(beta for beta, _, _ in level.values()))
+        known.update(level)
+        fresh: dict[int, tuple[Vector, Vector, list[int]]] = {}
+        for code, (beta, b, via) in level.items():
+            # beta + alpha_i is a root iff more than b_i = <beta, alpha_i^vee>
+            # steps down from beta stay roots, and root strings have no
+            # gaps: always when b_i < 0; when b_i = 0 iff i is in ``via``;
+            # when b_i > 0 iff beta - (b_i + 1) alpha_i is a root
+            ups = [i for i in via if not b[i]]
+            for i in compress(range(n), b):
+                bi = b[i]
+                if bi < 0 or (bi < beta[i]
+                              and code - (bi + 1) * steps[i] in known):
+                    ups.append(i)
+            for i in ups:
+                up = code + steps[i]
                 entry = fresh.get(up)
                 if entry is None:
-                    fresh[up] = tuple(map(add, b, columns[i])), [i]
-                    norms[up] = norms[beta] + 2 * symmetrizer[i] * (bi + 1)
-                    codes[up] = codes[beta] + steps[i]
+                    root = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    fresh[up] = root, tuple(map(add, b, columns[i])), [i]
+                    norms[root] = norms[beta] + 2 * symmetrizer[i] * (b[i] + 1)
+                    codes[root] = up
                 else:
-                    entry[1].append(i)
+                    entry[2].append(i)
         level = fresh
     return tuple(ordered), norms, codes
 
@@ -414,13 +409,14 @@ def weight_code(rs: RootSystem, w: Vector) -> int:
     ``rs.codes`` for a positive root.
 
     Raises InvariantViolation for a weight of another length, or with a
-    coefficient below ``-CODE_OFFSET`` or above ``CODE_OFFSET - 2``: adding
-    a simple root to a coded weight must not carry into the next
-    coefficient.
+    coefficient below ``6 - CODE_OFFSET`` or above ``CODE_OFFSET - 2``:
+    adding a simple root to a coded weight must not carry into the next
+    coefficient, nor subtracting a positive root (whose coefficients are
+    at most 6) borrow from it.
     """
     code = rs.codes.get(w)
     if code is None:
-        if (len(w) != rs.rank or min(w) < -CODE_OFFSET
+        if (len(w) != rs.rank or min(w) < 6 - CODE_OFFSET
                 or max(w) > CODE_OFFSET - 2):
             raise InvariantViolation(
                 f"weight {w} is outside the coding range of rank {rs.rank}")
@@ -502,15 +498,14 @@ def embed(w: Iterable[int], nodes: tuple[int, ...], rank: int) -> Vector:
     return tuple(out)
 
 
-class Subsystem(NamedTuple):
-    """A parabolic root subsystem, re-expressed on its own simple basis.
+Subsystem = namedtuple("Subsystem", "system nodes")
+Subsystem.__doc__ = """A parabolic root subsystem, re-expressed on its own
+simple basis.
 
-    ``nodes[i]`` is the ambient 1-based index of the (i+1)-th simple root of
-    the derived system, in ascending ambient order.
-    """
-
-    system: RootSystem
-    nodes: tuple[int, ...]
+``system`` is the derived :class:`RootSystem`; ``nodes``, a tuple of
+ints, holds at ``nodes[i]`` the ambient 1-based index of the (i+1)-th
+simple root of the derived system, in ascending ambient order.
+"""
 
 
 def subsystem(rs: RootSystem, S: Iterable[int]) -> Subsystem:
@@ -560,66 +555,87 @@ def _components(cartan, nodes: tuple[int, ...]) -> list[tuple[int, ...]]:
     return comps
 
 
-def _edge_label(cartan, a: int, b: int) -> tuple[int, int]:
-    return (cartan[a - 1][b - 1], cartan[b - 1][a - 1])
+#: a diagram as each node's neighbours, ascending, each with the bond
+#: label ``(c_uv, c_vu)``
+Adjacency = dict[int, tuple[tuple[int, tuple[int, int]], ...]]
 
 
-def _signatures(cartan, nodes: Iterable[int]) -> dict[int, tuple]:
-    """Each node's sorted incident bond labels ``(c_uv, c_vu)``."""
-    nodes = tuple(nodes)
-    return {u: tuple(sorted(_edge_label(cartan, u, v) for v in nodes
-                            if v != u and cartan[u - 1][v - 1] != 0))
-            for u in nodes}
+def _adjacency(rs: RootSystem, nodes: Iterable[int]) -> Adjacency:
+    """The diagram of ``rs`` on ``nodes``, read off the sparse Cartan
+    columns."""
+    inside = set(nodes)
+    return {u: tuple((i + 1, (rs.cartan[u - 1][i], c))
+                     for i, c in rs._columns[u - 1]
+                     if i + 1 != u and i + 1 in inside)
+            for u in sorted(inside)}
 
 
-def _isomorphisms_onto(cartan, comp: tuple[int, ...],
-                       target: tuple[Vector, ...]) -> list[dict]:
-    """All bijections comp -> {1..m} preserving the labeled Dynkin graph.
+def _standard_adjacency(family: str, m: int) -> Adjacency:
+    """The diagram of a standard type, read off its bonds."""
+    nbrs: dict[int, list] = {t: [] for t in range(1, m + 1)}
+    for i, j, cij, cji in _bonds(family, m):
+        nbrs[i].append((j, (cij, cji)))
+        nbrs[j].append((i, (cji, cij)))
+    return {t: tuple(sorted(pairs)) for t, pairs in nbrs.items()}
 
-    ``target`` is the Cartan matrix of the standard diagram.  A target
-    whose multiset of node signatures differs from the source's is
-    rejected at once; otherwise each node is placed next to the image of
-    an already placed neighbour and checked against every placed node.
+
+def _isomorphisms_onto(source: Adjacency, target: Adjacency) -> list[dict]:
+    """All bijections of a connected diagram onto another preserving the
+    labeled Dynkin graph.
+
+    A target whose multiset of node signatures (sorted incident labels)
+    differs from the source's is rejected at once; equal multisets give
+    equal edge counts.  Each node after the least is the least one next to
+    a placed node; it goes onto a neighbour of its first placed
+    neighbour's image and is checked against its placed neighbours only:
+    an injective map sending every edge to an edge of the same label,
+    between diagrams with as many edges, sends non-edges to non-edges.
     """
-    m = len(comp)
+    m = len(source)
     if m != len(target):
         return []
-    source_sig = _signatures(cartan, comp)
-    target_sig = _signatures(target, range(1, m + 1))
+    source_sig = {u: sorted(label for _, label in nbrs)
+                  for u, nbrs in source.items()}
+    target_sig = {t: sorted(label for _, label in nbrs)
+                  for t, nbrs in target.items()}
     if sorted(source_sig.values()) != sorted(target_sig.values()):
         return []
-    target_nbrs = {t: [s for s in range(1, m + 1)
-                       if s != t and target[t - 1][s - 1] != 0]
-                   for t in range(1, m + 1)}
-    # order source nodes so each one after the first touches an earlier one
-    order = [comp[0]]
-    anchor = {comp[0]: None}
-    rest = set(comp[1:])
-    while rest:
-        nxt = min(j for j in rest if any(cartan[j - 1][i - 1] != 0 for i in order))
-        anchor[nxt] = next(i for i in order if cartan[nxt - 1][i - 1] != 0)
-        order.append(nxt)
-        rest.remove(nxt)
+    first = min(source)
+    order = []
+    anchor = {first: None}
+    waiting = {first}
+    while waiting:
+        u = min(waiting)
+        waiting.remove(u)
+        order.append(u)
+        for v, _ in source[u]:
+            if v not in anchor:
+                anchor[v] = u
+                waiting.add(v)
     results = []
+    image: dict[int, int] = {}
+    used: set[int] = set()
 
-    def extend(assign: dict):
-        if len(assign) == m:
-            results.append(dict(assign))
+    def extend():
+        if len(image) == m:
+            results.append(dict(image))
             return
-        u = order[len(assign)]
+        u = order[len(image)]
         placed = anchor[u]
-        candidates = range(1, m + 1) if placed is None else target_nbrs[assign[placed]]
-        used = set(assign.values())
+        candidates = (target if placed is None
+                      else [t for t, _ in target[image[placed]]])
         for t in candidates:
             if t in used or target_sig[t] != source_sig[u]:
                 continue
-            if all(_edge_label(cartan, u, v) == _edge_label(target, t, tv)
-                   for v, tv in assign.items()):
-                assign[u] = t
-                extend(assign)
-                del assign[u]
+            if all((image[v], label) in target[t]
+                   for v, label in source[u] if v in image):
+                image[u] = t
+                used.add(t)
+                extend()
+                del image[u]
+                used.discard(t)
 
-    extend({})
+    extend()
     return results
 
 
@@ -639,13 +655,14 @@ def diagram_isomorphisms(rs: RootSystem, comp: Iterable[int], family: str,
                          m: int) -> list[dict]:
     """All relabelings of a connected node set onto a standard diagram.
 
-    Only Cartan matrices are read: no standard root system is built.
+    Only Cartan data are read: no standard root system is built.
     """
     try:
-        target = standard_cartan(family, m)
+        family, m = normalize_type(family, m)
     except InvalidType:
         return []
-    return _isomorphisms_onto(rs.cartan, tuple(sorted(set(comp))), target)
+    return _isomorphisms_onto(_adjacency(rs, comp),
+                              _standard_adjacency(family, m))
 
 
 def diagram_automorphisms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
@@ -656,7 +673,8 @@ def diagram_automorphisms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """
     if not rs._automorphisms:
         n = rs.rank
-        isos = _isomorphisms_onto(rs.cartan, tuple(range(1, n + 1)), rs.cartan)
+        diagram = _adjacency(rs, range(1, n + 1))
+        isos = _isomorphisms_onto(diagram, diagram)
         perms = sorted(tuple(f[i] for i in range(1, n + 1)) for f in isos)
         ident = tuple(range(1, n + 1))
         rs._automorphisms.extend([ident] + [p for p in perms if p != ident])

@@ -12,9 +12,9 @@ the strongest correctness oracle the theory provides and always runs.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Union
+from collections import namedtuple
+from typing import Callable, Optional, Union
 
-from .degeneration import degenerate, track_component
 from .errors import InvariantViolation, NotSpherical
 from .rootsystem import Vector, embed, height_key
 from .sphericity import is_spherical_and_rank, linearly_independent
@@ -28,15 +28,16 @@ from .subgroup import (
 from .tables import MatchResult, match_datum
 
 
-class SphericalRootSet(NamedTuple):
+class SphericalRootSet(namedtuple("SphericalRootSet", "roots proof")):
     """A computed set of spherical roots plus how it was obtained.
 
-    ``proof`` holds the data the roots were derived from; ``certificate``
-    renders it as JSON-ready dicts and lists each time it is read.
+    ``roots`` is a tuple of the spherical roots; ``proof``, a
+    :data:`Proof`, holds the data they were derived from;
+    ``certificate`` renders it as JSON-ready dicts and lists each time it
+    is read.
     """
 
-    roots: tuple[Vector, ...]
-    proof: Proof
+    __slots__ = ()
 
     @property
     def root_set(self) -> frozenset[Vector]:
@@ -47,7 +48,7 @@ class SphericalRootSet(NamedTuple):
         return self.proof.render()
 
 
-# plain slotted classes: a NamedTuple class costs 0.1-0.2 ms to create,
+# plain slotted classes: a namedtuple class costs 0.1-0.3 ms to create,
 # which every ``compute`` process would pay on import
 class LeafProof:
     """A datum with at most one active root and its table match (None
@@ -201,6 +202,8 @@ def _base_solve(H: SubgroupDatum,
             lam1, lam2 = choose_pair(H.psi)
             if lam1 == lam2:
                 raise InvariantViolation("pivots must differ")
+        # imported on first use, so that a leaf query never loads it
+        from .degeneration import degenerate
         d1 = degenerate(H, lam1)
         d2 = degenerate(H, lam2)
         r1 = _base_solve(d1.target, choose_pair)
@@ -251,6 +254,7 @@ def algorithm_d(H: SubgroupDatum, block_index: int
                 raise InvariantViolation("block isolation left extra blocks")
             return current, steps
         lam = upper_elements(current.L, upsilon)[0]
+        from .degeneration import degenerate, track_component
         d = degenerate(current, lam)
         index = track_component(d, index)
         steps.append(IsolationStep(current, lam, block))

@@ -16,8 +16,8 @@ floating point anywhere.
 
 from __future__ import annotations
 
-from operator import sub
-from typing import Callable, Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Callable, Iterable, Optional
 
 from . import rootsystem as rsmod
 from .errors import InvariantViolation
@@ -25,21 +25,17 @@ from .rootsystem import RootSystem, Vector
 from .subgroup import SubgroupDatum
 
 
-class ReductionStep(NamedTuple):
-    """One loop turn: the weight picked, the surviving Levi, the removals."""
+ReductionStep = namedtuple("ReductionStep", "omega pi_m removed")
+ReductionStep.__doc__ = """One loop turn: ``omega``, the weight picked (a
+tuple); ``pi_m``, the surviving Levi nodes (a tuple of ints); ``removed``,
+the weights struck from the pool (a tuple of weights)."""
 
-    omega: Vector
-    pi_m: tuple[int, ...]
-    removed: tuple[Vector, ...]
-
-
-class ThetaWitness(NamedTuple):
-    """Outcome of the reduction: picked weights and the sphericity verdict."""
-
-    theta: tuple[Vector, ...]
-    spherical: bool
-    rank: Optional[int]
-    trace: tuple[ReductionStep, ...] = ()
+ThetaWitness = namedtuple("ThetaWitness", "theta spherical rank trace",
+                          defaults=((),))
+ThetaWitness.__doc__ = """Outcome of the reduction: ``theta``, the picked
+weights (a tuple of weights); ``spherical``, the verdict (a bool);
+``rank``, their number when spherical, else None; ``trace``, one
+:class:`ReductionStep` per pick (a tuple, empty by default)."""
 
 
 def linearly_independent(vectors: Iterable[Vector]) -> bool:
@@ -78,49 +74,59 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
     ``rs``).  One pass over the remaining Levi roots pairs each of them,
     refuses a non-integral pairing at once and a negative one after the
     pass, and splits the roots into those whose images are struck and
-    those left to the stabilizer.  The pool's simple-root edges
-    ``w -> w + alpha_a`` are listed once per call, by Levi node, on the
-    weights' integer codes (:func:`rootsystem.weight_code`: a root's is
-    read from the table of the root system, another weight's is computed
-    and refused outside the coding range); ``blocked[w]`` counts the live
+    those left to the stabilizer.
+
+    The pool, its edges and its removals are keyed on the weights'
+    integer codes (:func:`rootsystem.weight_code`: a root's is read from
+    the table of the root system, another weight's is computed and
+    refused outside the coding range), so the image ``w - gamma`` of a
+    struck root is the code ``code(w) - (codes[gamma] - zero_code)`` and
+    no tuple is built for it; the trace names weights through the pool's
+    own code-to-weight map.  The simple-root edges ``w -> w + alpha_a``
+    are listed once per call, by Levi node; ``blocked[w]`` counts the live
     edges up from ``w``, so the maximal weights are those it counts zero.
     A weight whose last copy leaves the pool, or a node that leaves the
     Levi, releases its edges.
     """
     pi = tuple(sorted(set(pi_l)))
-    norms, codes = rs._norms, rs.codes
+    norms, codes, zero = rs._norms, rs.codes, rs.zero_code
     dl = [(gamma, norms[gamma]) for gamma in map(tuple, delta_l_plus)]
-    # counts in a plain dict: deleting from a Counter runs in Python
-    pool: dict[Vector, int] = {}
+    # the pool counts copies per weight code in a plain dict: deleting from
+    # a Counter runs in Python
+    pool: dict[int, int] = {}
+    weights: dict[int, Vector] = {}
     for v in map(tuple, omega):
-        pool[v] = pool.get(v, 0) + 1
-    by_code = {}
-    for w in pool:
-        code = codes.get(w)
-        by_code[code if code is not None else rsmod.weight_code(rs, w)] = w
+        code = codes.get(v)
+        if code is None:
+            code = rsmod.weight_code(rs, v)
+        pool[code] = pool.get(code, 0) + 1
+        weights[code] = v
     # edge lists exist only for the nodes and weights that have edges; a
     # node's edges are dropped when it leaves the Levi
-    edges: dict[int, list[tuple[Vector, Vector]]] = {}
-    below: dict[Vector, list[tuple[int, Vector]]] = {}
+    edges: dict[int, list[tuple[int, int]]] = {}
+    below: dict[int, list[tuple[int, int]]] = {}
     blocked = dict.fromkeys(pool, 0)
     steps = [(a, 1 << (rsmod.CODE_DIGIT * (a - 1))) for a in pi]
-    for code, w in by_code.items():
+    for code in pool:
         for a, step in steps:
-            up = by_code.get(code + step)
-            if up is not None:
-                edges.setdefault(a, []).append((w, up))
-                below.setdefault(up, []).append((a, w))
-                blocked[w] += 1
-    free = {w for w, count in blocked.items() if not count}
+            up = code + step
+            if up in pool:
+                edges.setdefault(a, []).append((code, up))
+                below.setdefault(up, []).append((a, code))
+                blocked[code] += 1
+    # the maximal weights, each mapped to its code
+    free = {weights[c]: c for c, count in blocked.items() if not count}
 
     theta: list[Vector] = []
     trace: list[ReductionStep] = []
     while pool:
         if not free:
-            raise InvariantViolation(f"no maximal weight in {sorted(pool)}")
+            raise InvariantViolation(
+                f"no maximal weight in {sorted(map(weights.get, pool))}")
         w = choose(sorted(free)) if choose is not None else max(free)
+        code = free[w]
         form = rsmod.pairing_form(rs, w)
-        removals = [w]
+        removals = [code]
         survivors = []
         negative = False
         for pair in dl:
@@ -133,7 +139,7 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                 raise InvariantViolation(
                     f"non-integral coroot pairing for {gamma}")
             if value > 0:
-                removals.append(tuple(map(sub, w, gamma)))
+                removals.append(code - codes[gamma] + zero)
             elif value:
                 negative = True
             else:
@@ -144,17 +150,17 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
         for v in removals:
             count = pool.get(v)
             if count:
-                removed.append(v)
+                removed.append(weights[v])
                 if count > 1:
                     pool[v] = count - 1
                     continue
                 del pool[v], blocked[v]
-                free.discard(v)
+                free.pop(weights[v], None)
                 for a, u in below.get(v, ()):
                     if a in edges and u in pool:
                         blocked[u] -= 1
                         if not blocked[u]:
-                            free.add(u)
+                            free[weights[u]] = u
         # edges are keyed by Levi nodes, so none are left once the Levi is
         if pi:
             moved = {i + 1 for i, _ in form}
@@ -164,7 +170,7 @@ def knop_reduce(rs: RootSystem, pi_l: Iterable[int],
                     if u in pool and up in pool:
                         blocked[u] -= 1
                         if not blocked[u]:
-                            free.add(u)
+                            free[weights[u]] = u
         theta.append(w)
         trace.append(ReductionStep(w, pi, tuple(removed)))
         dl = survivors

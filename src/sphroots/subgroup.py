@@ -10,7 +10,8 @@ the inactive positive restricted roots are closed under addition.
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Iterable, Optional
 
 from . import rootsystem as rsmod
 from .croots import LeviDatum, levi_datum
@@ -101,18 +102,19 @@ def subgroup_from_wire(payload) -> SubgroupDatum:
     return make_subgroup(L, [tuple(int(x) for x in v) for v in payload["psi"]])
 
 
-class SMDecomposition(NamedTuple):
+class SMDecomposition(namedtuple("SMDecomposition",
+                                  "components factor_assignment")):
     """Partition of the active set by shared simple Levi factors.
 
     Two active roots land in the same block when some Dynkin component of
     the Levi pairs nontrivially with both of their highest fiber weights.
-    ``factor_assignment`` maps each component acting nontrivially to the
-    index of the unique block it touches.  Blocks are ordered by their
-    lexicographically least member.
+    ``components``, a tuple of blocks, holds each block as a tuple of
+    active roots; blocks are ordered by their lexicographically least
+    member.  ``factor_assignment``, a dict, maps each component acting
+    nontrivially to the index of the unique block it touches.
     """
 
-    components: tuple[tuple[Vector, ...], ...]
-    factor_assignment: dict
+    __slots__ = ()
 
     @property
     def trivial(self) -> bool:

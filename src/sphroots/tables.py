@@ -22,7 +22,8 @@ where these are not forced by the rank.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from collections import namedtuple
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import rootsystem as rsmod
 from .errors import ParamsOutOfRange, UnclassifiedCase, UnclassifiedLeaf
@@ -57,25 +58,27 @@ def _units(n: int, lo: int, hi: int) -> list[Vector]:
     return [_e(n, i) for i in range(lo, hi + 1)]
 
 
-class RowSpec(NamedTuple):
-    table_id: int
-    row_id: int
-    family: str
-    n_ok: Callable[[int], bool]
-    params_for: Callable[[int], list[Params]]
-    build: Callable[[int, Params], tuple]  # -> (complement, psi, rank, sigma)
+RowSpec = namedtuple("RowSpec",
+                     "table_id row_id family n_ok params_for build")
+RowSpec.__doc__ = """The constructor of one table row.
 
+``table_id`` and ``row_id`` are ints and ``family`` the type's name;
+``n_ok(n)`` tells whether the row exists at rank n, ``params_for(n)``
+lists its parameter tuples there, and ``build(n, params)`` returns
+``(complement, psi, rank, sigma)``.
+"""
 
-class RowInstance(NamedTuple):
-    table_id: int
-    row_id: int
-    family: str
-    n: int
-    params: Params
-    complement: tuple[int, ...]
-    psi: tuple[Vector, ...]
-    rank: int
-    sigma: tuple[Vector, ...]
+RowInstance = namedtuple(
+    "RowInstance",
+    "table_id row_id family n params complement psi rank sigma")
+RowInstance.__doc__ = """One table row at one rank and parameter tuple.
+
+``table_id``, ``row_id``, ``n`` and ``rank`` are ints, ``family`` is the
+type's name and ``params`` a tuple of ints; ``complement`` holds the
+complement nodes (a tuple of ints), ``psi`` the active roots, sorted, and
+``sigma`` the spherical roots, by height then lexicographically (tuples
+of weights).
+"""
 
 
 def _instance(spec: RowSpec, n: int, params: Params) -> RowInstance:
@@ -558,15 +561,16 @@ def iter_instances(family: str, n: int,
 # --- matching a reduced datum against the tables ----------------------------
 
 
-class MatchResult(NamedTuple):
-    table_id: int
-    row_id: int
-    family: str
-    n: int
-    params: Params
-    iso: dict
-    rank: int
-    sigma: tuple[Vector, ...]  # pulled back to the matched datum's nodes
+MatchResult = namedtuple(
+    "MatchResult", "table_id row_id family n params iso rank sigma")
+MatchResult.__doc__ = """The table row a datum matched.
+
+``table_id``, ``row_id``, ``n`` and ``rank`` are ints, ``family`` is the
+type's name and ``params`` a tuple of ints; ``iso``, a dict, sends the
+datum's nodes to the row's standard nodes, and ``sigma``, a tuple of
+weights, holds the row's spherical roots pulled back to the datum's
+nodes.
+"""
 
 
 def _transform_datum(perm: tuple[int, ...], complement, psi):

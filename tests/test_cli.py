@@ -222,6 +222,41 @@ def test_malformed_input_exits_2_with_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+#: a table row of each fixed-rank type: (type, rank, complement, psi, lambda)
+FIXED_RANK_DATA = [
+    ("E6", "6", "1,2", "0,1;1,0", "0,1"),
+    ("E7", "7", "1,2", "0,1;1,0", "0,1"),
+    ("E8", "8", "1,2", "0,1;1,0", "0,1"),
+    ("F4", "4", "3", "1;3", "1"),
+    ("G2", "2", "1", "1", "1"),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "compute", "degenerate"])
+@pytest.mark.parametrize("family,rank,complement,psi,lam", FIXED_RANK_DATA,
+                         ids=[d[0] for d in FIXED_RANK_DATA])
+def test_fixed_rank_types_take_the_rank_as_optional(capsys, command, family,
+                                                    rank, complement, psi,
+                                                    lam):
+    # one way to name a type: as for roots and enumerate, the datum
+    # commands read a fixed rank off the type
+    argv = [command, "--type", family, "--complement", complement,
+            "--psi", psi, "--format", "json"]
+    if command == "degenerate":
+        argv += ["--lambda", lam]
+    without = run(capsys, *argv)
+    with_rank = run(capsys, *argv, "--rank", rank)
+    assert without == with_rank
+    assert without[0] == 0 and without[1] and not without[2]
+
+
+def test_family_without_a_rank_exits_2_with_one_line(capsys):
+    code, out, err = run(capsys, "compute", "--type", "B", "--complement",
+                         "1", "--psi", "1")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "needs an explicit rank" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--type", "A", "--rank", "400", "--complement", "1",
      "--psi", "1", "--format", "json"),
@@ -318,6 +353,34 @@ def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
                          capture_output=True, text=True, check=True,
                          env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_leaf_compute_creates_no_typing_named_tuple_class():
+    # a fresh interpreter without site: records are plain namedtuples, as a
+    # typing.NamedTuple class costs every process about twice as much to
+    # create (it turns each annotation into a ForwardRef); and a leaf, which
+    # never degenerates, does not import degeneration
+    src = os.path.dirname(os.path.dirname(sphroots.cli.__file__))
+    code = (
+        "import contextlib, io, sys, typing\n"
+        "made = []\n"
+        "new = typing.NamedTupleMeta.__new__\n"
+        "def counted(cls, name, *args, **kwargs):\n"
+        "    made.append(name)\n"
+        "    return new(cls, name, *args, **kwargs)\n"
+        "typing.NamedTupleMeta.__new__ = counted\n"
+        "class Probe(typing.NamedTuple):\n"
+        "    x: int\n"
+        "from sphroots.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['compute', '--type', 'C', '--rank', '22',"
+        " '--complement', '22', '--psi', '1', '--format', 'json'])\n"
+        "print(code, made, 'sphroots.degeneration' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env=env).stdout
+    assert out.strip() == "0 ['Probe'] False"
 
 
 TOP_USAGE = """\

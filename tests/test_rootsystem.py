@@ -8,6 +8,7 @@ import itertools
 import os
 import subprocess
 import sys
+import types
 from operator import mul
 
 import pytest
@@ -360,6 +361,20 @@ def test_diagram_automorphism_groups():
     assert rsmod.diagram_automorphisms(rsmod.build("B", 5)) == ((1, 2, 3, 4, 5),)
 
 
+@pytest.mark.parametrize("n", [20, 24, 64])
+def test_classical_diagrams_at_large_rank(n):
+    # A and D have the flip, B and C only the identity, and no classical
+    # diagram relabels onto another classical family of its rank
+    for family in "ABCD":
+        rs = rsmod.build(family, n)
+        assert len(rsmod.diagram_automorphisms(rs)) == (
+            2 if family in "AD" else 1)
+        for other in "ABCD":
+            if other != family:
+                assert rsmod.diagram_isomorphisms(
+                    rs, range(1, n + 1), other, n) == [], (family, other)
+
+
 def test_b2_c2_relabeling():
     # the rank-2 double bond admits relabelings onto both standard forms
     b2 = rsmod.build("B", 2)
@@ -415,6 +430,35 @@ def test_diagram_isomorphisms_match_brute_force(family, n, full_only):
                     rs.cartan, comp, euclidean_cartan(target, k))
                 assert len(got) == len(_as_set(got))
                 assert _as_set(got) == _as_set(expected), (comp, target)
+
+
+def _labeled_graph(n, bonds):
+    """A Cartan-like matrix with the given bond labels ``(c_ij, c_ji)``,
+    with the sparse columns a system keeps; no root system is built."""
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), (cij, cji) in bonds.items():
+        cartan[i - 1][j - 1], cartan[j - 1][i - 1] = cij, cji
+    cartan = tuple(map(tuple, cartan))
+    columns = tuple(tuple((i, c) for i, c in enumerate(col) if c)
+                    for col in zip(*cartan))
+    return types.SimpleNamespace(cartan=cartan, _columns=columns)
+
+
+def test_relabelings_check_every_placed_neighbour():
+    # on a labeled graph with cycles a node must be checked against every
+    # placed neighbour, not only the one it is placed next to; Dynkin
+    # diagrams are trees, where the node signatures alone would do
+    source = _labeled_graph(4, {(1, 2): (-1, -2), (1, 3): (-1, -2),
+                                (1, 4): (-2, -1), (2, 3): (-1, -2),
+                                (2, 4): (-1, -2)})
+    target = _labeled_graph(4, {(1, 2): (-1, -2), (1, 3): (-2, -1),
+                                (1, 4): (-1, -2), (2, 3): (-2, -1),
+                                (3, 4): (-2, -1)})
+    got = rsmod._isomorphisms_onto(rsmod._adjacency(source, range(1, 5)),
+                                   rsmod._adjacency(target, range(1, 5)))
+    want = brute_force_isomorphisms(source.cartan, range(1, 5), target.cartan)
+    assert len(want) == 1
+    assert _as_set(got) == _as_set(want)
 
 
 def test_leaf_matching_builds_no_other_standard_system():

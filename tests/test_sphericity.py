@@ -248,13 +248,38 @@ def test_reduction_matches_reference_on_multisets():
     assert (repeated, non_root) == (24, 22)
 
 
+#: the table-1 leaves of the benchmark's large-rank slots at their ranks,
+#: as (type, rank, complement node), with every k of the (A_n, k) row; the
+#: C64 leaf stays out, its reference run takes seconds
+LARGE_RANK_LEAVES = [
+    ("A", 24, 1), ("A", 24, 2), ("A", 24, 3), ("A", 24, 4), ("B", 22, 1),
+    ("B", 21, 21), ("C", 22, 1), ("C", 20, 2), ("C", 21, 3), ("C", 22, 20),
+    ("C", 21, 20), ("C", 20, 20), ("D", 21, 1), ("D", 22, 22),
+]
+
+
+@pytest.mark.parametrize("family,n,node", LARGE_RANK_LEAVES)
+def test_reduction_matches_reference_at_large_rank(family, n, node):
+    # the whole witness, trace included, under the default choice and one
+    # seeded random choice: removals found by weight code must be exactly
+    # the plain reduction's w - gamma tuples
+    H = datum(family, n, [node], [[1]])
+    args = (H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots)
+    assert knop_reduce(*args) == reference_knop_reduce(*args)
+    got = knop_reduce(*args, choose=_random_chooser(random.Random(n)))
+    want = reference_knop_reduce(*args,
+                                 choose=_random_chooser(random.Random(n)))
+    assert got == want
+
+
 def test_reduction_refuses_weights_outside_the_edge_coding():
     # edges are listed on integer codes with 8 bits per coefficient, each
     # coefficient offset by 128; a weight whose step up could carry into
-    # the next coefficient, or that has a coefficient below -128 or another
-    # length, is refused rather than given a false edge
+    # the next coefficient, or whose step down by a positive root could
+    # borrow from it (a coefficient below 6 - 128), or that has another
+    # length, is refused rather than given a false edge or removal
     rs = rsmod.build("A", 3)
-    top, bottom = (1 << 7) - 2, -(1 << 7)
+    top, bottom = (1 << 7) - 2, 6 - (1 << 7)
     for w in ((0, top, 0), (top, 0, top), (0, bottom, 0)):
         assert knop_reduce(rs, (), (), [w]).theta == (w,)
     edge = knop_reduce(rs, (1,), [(1, 0, 0)], [(top - 1, 0, 0), (top, 0, 0)])

@@ -207,6 +207,19 @@ def test_every_row_is_indexed_under_its_own_key():
             assert (inst.table_id, inst.row_id, inst.params, identity) in refs
 
 
+@pytest.mark.parametrize("family", "ABCD")
+def test_every_table_1_row_at_rank_24_looks_up_to_itself(family):
+    # parametric rows well above the ranks the regeneration checks: each
+    # instance, for every parameter, resolves to its own row and roots
+    rs = rsmod.build(family, 24)
+    instances = list(iter_instances(family, 24, (1,)))
+    assert len(instances) == {"A": 12, "B": 2, "C": 6, "D": 2}[family]
+    for inst in instances:
+        match = lookup(rs, inst.complement, inst.psi)
+        assert (match.table_id, match.row_id, match.params, match.sigma) == (
+            inst.table_id, inst.row_id, inst.params, inst.sigma), inst
+
+
 def test_row_index_is_memoized_per_table_set():
     rs = rsmod.build("D", 4)
     assert row_index(rs, 1) is row_index(rs, 1)

@@ -19,7 +19,7 @@ import sys
 from typing import NoReturn, Optional
 
 from . import rootsystem as rsmod
-from .croots import levi_datum
+from .croots import complement_levi
 from .errors import (InvariantViolation, NotSpherical, SphrootsError,
                      UnclassifiedCase, UnclassifiedLeaf)
 from .sphericity import knop_reduce
@@ -55,8 +55,7 @@ def _datum_from_args(args):
     complement = sorted(set(_parse_ints(args.complement, "--complement")))
     if any(a < 1 or a > rs.rank for a in complement):
         raise SphrootsError(f"complement {complement} out of range")
-    levi = [a for a in range(1, rs.rank + 1) if a not in set(complement)]
-    L = levi_datum(rs, levi)
+    L = complement_levi(rs, complement)
     psi = _parse_psi(args.psi)
     if any(len(v) != len(complement) for v in psi):
         raise SphrootsError("each psi entry needs one value per complement node")

@@ -147,3 +147,8 @@ def levi_datum(rs: RootSystem, levi: Iterable[int]) -> LeviDatum:
     if nodes not in rs._levi_data:
         rs._levi_data[nodes] = LeviDatum(rs, nodes)
     return rs._levi_data[nodes]
+
+
+def complement_levi(rs: RootSystem, complement: Iterable[int]) -> LeviDatum:
+    """The Levi datum of ``rs`` on every node outside ``complement``."""
+    return levi_datum(rs, set(range(1, rs.rank + 1)).difference(complement))

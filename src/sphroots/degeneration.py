@@ -8,9 +8,10 @@ Levi-split datum, with one spherical root fewer; everything here is pure
 line bookkeeping on root vectors.
 
 A torus-stable line is named by its weight: a root for a root line, and
-the zero weight for the line spanned by the coroot of delta.  Strings and
-limits hold lines as bits of :attr:`RootSystem.lines`; the map of each
-moved line to its image is decoded only when asked for (:func:`shift_map`).
+the zero weight for the line spanned by the coroot of delta.  Strings,
+limits and blocks hold lines as bits of one mask, numbered as
+:attr:`RootSystem.lines` numbers them; weights are decoded only for
+output (:func:`shift_map`).
 """
 
 from __future__ import annotations
@@ -26,25 +27,15 @@ from .sphericity import is_spherical_and_rank
 from .subgroup import SubgroupDatum, make_subgroup, sm_decomposition
 
 
-DeltaString = namedtuple("DeltaString", "bits bottoms")
-DeltaString.__doc__ = """The line string of one simple s(delta)-module of two
-or more lines, top weight first.
-
-``bits``, a tuple of ints, holds at ``bits[i]`` the bit, in the numbering
-of :attr:`RootSystem.lines`, of the line of weight ``top - i*delta``,
-``top`` being the string's top weight: a root, or the zero weight of the
-Cartan line (possible only in the string topped by delta itself).
-``bottoms``, a tuple of int masks, holds at ``bottoms[k]`` the OR of the
-bits of its bottom k lines, so ``bottoms[-1]`` is the whole string.
-"""
-
 DeltaStrings = namedtuple("DeltaStrings", "single_mask long")
 DeltaStrings.__doc__ = """The delta-string partition of a system's lines.
 
 ``single_mask``, an int, is the OR of the lines of the one-line strings,
-which no limit moves, and ``long``, a tuple of :class:`DeltaString`,
-holds the strings of two or more lines, by descending height of their
-tops, then lexicographically.
+which no limit moves.  ``long`` holds each string of two or more lines,
+a simple s(delta)-module, as its bottom masks: a tuple of ints whose
+entry k is the OR of the bits of the string's bottom k lines, so entry
+0 is 0 and the last entry is the whole string.  Strings are listed by
+the bit of their tops.
 """
 
 
@@ -55,17 +46,15 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
     -delta is no top: its string is the one topped by delta), and each
     string is walked from its top through the step-down map, built once
     on the integer codes of the lines (:attr:`RootSystem.code_bits`).
-    Every root appears in exactly one string.  Tops are walked by
-    descending height, then lexicographically (:attr:`LineNumbering.order`).
-    The partition is built once per (system, delta) and memoized on the
-    system.
+    Every root appears in exactly one string.  Tops are walked in bit
+    order.  The partition is built once per (system, delta) and memoized
+    on the system.
     """
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
     if delta in rs._delta_strings:
         return rs._delta_strings[delta]
-    lines = rs.lines
-    weights = lines.weights
+    weights = rs.lines
     # each top is paired through the form's nonzero terms only, so the
     # cost does not grow with the rank; the form has a term, as delta
     # pairs with its own coroot, and a slice picks a single one as a tuple
@@ -84,10 +73,9 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
     long = []
     single_mask = 0
     seen = 0
-    for b in lines.order:
+    for b, alpha in enumerate(weights):
         if b in stepped_to:
             continue
-        alpha = weights[b]
         p, remainder = divmod(sum(map(mul, pick(alpha), coeffs)),
                               delta_norm)
         if remainder:
@@ -106,7 +94,7 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
             bottoms = [0]
             for c in reversed(string):
                 bottoms.append(bottoms[-1] | 1 << c)
-            long.append(DeltaString(tuple(string), tuple(bottoms)))
+            long.append(tuple(bottoms))
         else:
             single_mask |= 1 << b
     if seen != len(weights):
@@ -122,7 +110,8 @@ LeviStep.__doc__ = """What a degeneration along delta does to a Levi datum.
 vanish on delta, ascending, and ``target`` is their :class:`LeviDatum`,
 the Levi of every limit along delta.  ``levi_part``, an int, is the mask
 of the Levi lines of such a limit: the negative of each positive Levi
-root gamma with <gamma, delta^vee> > 0, at line ``bit[gamma] + N``.
+root gamma with <gamma, delta^vee> > 0, at line ``b + N`` for gamma at
+line b.
 """
 
 
@@ -134,16 +123,17 @@ def levi_step(L: LeviDatum, delta: Vector) -> LeviStep:
     if step is None:
         rs = L.rs
         n = len(rs.positive_roots)
-        bit = rs.lines.bit
         form = rsmod.pairing_form(rs, delta)
         levi_part = 0
-        for gamma in L.delta_l_plus:
+        # the positive Levi lines come first in the mask, in the order of
+        # delta_l_plus
+        for b, gamma in zip(rsmod.mask_bits(L.levi_mask), L.delta_l_plus):
             value = sum(gamma[i] * x for i, x in form)
             if value < 0:
                 raise InvariantViolation(
                     "highest fiber weight not Levi-dominant")
             if value > 0:
-                levi_part |= 1 << (bit[gamma] + n)
+                levi_part |= 1 << (b + n)
         moved = {i + 1 for i, _ in form}
         pi_m = tuple(a for a in sorted(L.levi) if a not in moved)
         step = L._steps[delta] = LeviStep(pi_m, levi_datum(rs, pi_m),
@@ -189,8 +179,7 @@ def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
     # h_perp, and a one-line string keeps its line
     partition = delta_strings(rs, delta)
     limit, dim = h_perp & partition.single_mask, h_perp.bit_count()
-    for string in partition.long:
-        bottoms = string.bottoms
+    for bottoms in partition.long:
         limit |= bottoms[(h_perp & bottoms[-1]).bit_count()]
 
     step = levi_step(L, delta)
@@ -207,21 +196,37 @@ def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
     return result
 
 
-def shift_map(d: DegenerationResult) -> dict[Vector, Vector]:
-    """Each line of the source's orthogonal complement mapped to its line
-    in the limit, by weight, rebuilt from the memoized delta-strings."""
+def _shifted_lines(d: DegenerationResult, mask: int) -> list[tuple[int, int]]:
+    """Each line of ``mask``, a mask inside the source's orthogonal
+    complement, paired with its line in the limit, both as one-bit masks.
+
+    The rule is :func:`degenerate`'s: the complement lines of a string
+    move to its bottom, keeping their order, so a line with k complement
+    lines below it moves to the line with k lines below it; a one-line
+    string keeps its line.
+    """
     H = d.source
-    weights = H.rs.lines.weights
     h_perp = H.L.pu_mask | H.u_mask
     partition = delta_strings(H.rs, d.delta)
-    shift = {weights[b]: weights[b]
-             for b in rsmod.mask_bits(h_perp & partition.single_mask)}
-    for string in partition.long:
-        bits = string.bits
-        members = [b for b in bits if h_perp >> b & 1]
-        for b, c in zip(members, bits[len(bits) - len(members):]):
-            shift[weights[b]] = weights[c]
-    return shift
+    pairs = [(1 << b, 1 << b)
+             for b in rsmod.mask_bits(mask & partition.single_mask)]
+    for bottoms in partition.long:
+        if mask & bottoms[-1]:
+            for below, upto in zip(bottoms, bottoms[1:]):
+                line = upto ^ below
+                if mask & line:
+                    k = (h_perp & below).bit_count()
+                    pairs.append((line, bottoms[k + 1] ^ bottoms[k]))
+    return pairs
+
+
+def shift_map(d: DegenerationResult) -> dict[Vector, Vector]:
+    """Each line of the source's orthogonal complement mapped to its line
+    in the limit, by weight."""
+    H = d.source
+    weights = H.rs.lines
+    return {weights[line.bit_length() - 1]: weights[image.bit_length() - 1]
+            for line, image in _shifted_lines(d, H.L.pu_mask | H.u_mask)}
 
 
 #: count of limit-structure verifications that ran (each raises on failure)
@@ -276,27 +281,21 @@ def track_component(d: DegenerationResult, i: int) -> int:
     of the unique block of the target decomposition receiving the shifted
     fibers; straddling blocks or landing nowhere signals a bug.
     """
-    source_blocks = sm_decomposition(d.source).components
-    block = source_blocks[i]
+    block = sm_decomposition(d.source).components[i]
     if d.lam in block:
         raise LambdaNotActive("cannot track the pivot's own block")
-    u_inf = set(d.u_infinity)
-    shift = shift_map(d)
-    images = []
+    mask = 0
     for mu in block:
-        for beta in d.source.L.fiber(mu):
-            line = shift[beta]
-            if line in u_inf:
-                images.append(line)
+        mask |= d.source.L.fiber_mask(mu)
+    images = 0
+    for _, image in _shifted_lines(d, mask):
+        images |= image
+    images &= d.target.u_mask
     if not images:
         raise InvariantViolation(f"block {block} has no image in the limit")
-    target_blocks = sm_decomposition(d.target).components
-    landed = {
-        j
-        for j, tb in enumerate(target_blocks)
-        for beta in images
-        if d.target.L.restrict(beta) in tb
-    }
+    fiber_mask = d.target.L.fiber_mask
+    landed = {j for j, tb in enumerate(sm_decomposition(d.target).components)
+              if any(images & fiber_mask(mu) for mu in tb)}
     if len(landed) != 1:
         raise InvariantViolation(f"block {block} straddles target blocks {landed}")
     return landed.pop()

@@ -21,7 +21,7 @@ from collections import namedtuple
 from typing import Iterable, Optional
 
 from . import rootsystem as rsmod
-from .croots import levi_datum
+from .croots import complement_levi
 from .errors import (
     ClosureViolation,
     SphrootsError,
@@ -131,8 +131,7 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
     full = frozenset(range(1, rs.rank + 1))
     for complement in itertools.combinations(range(1, rs.rank + 1),
                                              complement_size):
-        levi = [a for a in range(1, rs.rank + 1) if a not in complement]
-        L = levi_datum(rs, levi)
+        L = complement_levi(rs, complement)
         for psi in _candidate_psis(L, psi_size):
             key, perm = canonical_key(rs, complement, psi)
             if key in records:
@@ -153,8 +152,7 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
 
 def _build_record(rs, key, H, perm, solve) -> CaseRecord:
     complement, psi = key
-    levi = [a for a in range(1, rs.rank + 1) if a not in set(complement)]
-    canonical = make_subgroup(levi_datum(rs, levi), psi)
+    canonical = make_subgroup(complement_levi(rs, complement), psi)
     spherical, rank = is_spherical_and_rank(canonical)
     trivial = sm_decomposition(canonical).trivial
     sigma = None
@@ -222,7 +220,8 @@ def expected_cases(family: str, n: int) -> dict[CaseKey, ExpectedCase]:
         if canonical_key(rs, *key)[0] != key:
             continue
         match = lookup(rs, *key)
-        rows = dict.fromkeys(f"t{t}r{r}{list(p)}" for t, r, p, _ in refs)
+        rows = dict.fromkeys(f"t{inst.table_id}r{inst.row_id}"
+                             f"{list(inst.params)}" for inst, _ in refs)
         out[key] = ExpectedCase(key, match.rank, frozenset(match.sigma),
                                 tuple(rows))
     return out

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import compress, groupby
+from itertools import compress
+from math import gcd
 from operator import add, mul
 from typing import Iterable, Optional
 
@@ -59,19 +60,6 @@ CODE_DIGIT = 8
 CODE_OFFSET = 1 << (CODE_DIGIT - 1)
 
 
-LineNumbering = namedtuple("LineNumbering", "weights bit order")
-LineNumbering.__doc__ = """The lines of a root system as bits of one integer
-mask.
-
-``weights``, a tuple of weights, holds at ``weights[b]`` the weight
-naming line ``b``, one tuple per weight; ``bit``, a dict from weights to
-ints, maps each positive root and the zero weight back to its bit (a
-negative root's bit follows from the numbering rule of
-:attr:`RootSystem.lines`); ``order``, a tuple of ints, holds every bit
-once, by descending height of its weight, then lexicographically.
-"""
-
-
 def mask_bits(mask: int) -> list[int]:
     """The set bits of a mask, ascending."""
     return [b for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
@@ -94,9 +82,9 @@ class RootSystem:
     else is derived from a system is memoized on it when first asked for:
     its subsystems, its Levi data, its diagram automorphisms, its index of
     table rows and each match looked up in it, the pairing form of each
-    positive root whose form is asked for (in ``_forms``), the negative of
-    each positive root, the numbering of its lines and the map from the
-    code of each line weight to its line (:attr:`code_bits`).
+    positive root whose form is asked for (in ``_forms``), the weights of
+    its lines (:attr:`lines`) and the map from the code of each line weight
+    to its line (:attr:`code_bits`).
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
@@ -124,55 +112,27 @@ class RootSystem:
         self._delta_strings: dict = {}
 
     @cached_property
-    def negatives(self) -> dict[Vector, Vector]:
-        """Each positive root mapped to its negative, one tuple per root.
+    def lines(self) -> tuple[Vector, ...]:
+        """The weight naming each torus-stable line of the Lie algebra,
+        built on first use, for delta-strings and degenerations.
 
-        Built on first use, for the line numbering (:attr:`lines`) only;
-        other code reads the line of a negative as its root's line plus N.
-        """
-        return {r: tuple(-x for x in r) for r in self.positive_roots}
-
-    @cached_property
-    def lines(self) -> LineNumbering:
-        """One bit per torus-stable line of the Lie algebra, built on first
-        use, for delta-strings and degenerations.
-
-        Positive root i of :attr:`positive_roots` takes bit i, its negative
-        bit ``N + i`` (N positive roots), and the Cartan line, named by the
-        zero weight, bit ``2N``.  So a mask of positive roots decodes in
-        (height, lex) order.  Only the positive roots and the zero weight
-        are keys of ``bit``: tuples of negative coefficients hash alike
-        in CPython (-1 and -2 do), so a map keyed on the negatives would
-        pay for the collisions.
-
-        ``order`` is read off the (height, lex) order of the positive roots
-        in linear time: their height groups from the highest down, then
-        the zero weight, then the negatives' groups from height 1 up, each
-        reversed, as negation reverses the lex order.
+        Lines are bits of one integer mask: positive root i of
+        :attr:`positive_roots` is bit i, its negative bit ``N + i`` (N
+        positive roots), and the Cartan line, named by the zero weight,
+        bit ``2N``; ``lines[b]`` is the weight of bit b.  So a mask of
+        positive roots decodes in (height, lex) order.
         """
         roots = self.positive_roots
-        n = len(roots)
-        negatives = self.negatives
-        weights = roots + tuple(negatives[r] for r in roots) + (self.zero(),)
-        bit = dict(zip(roots, range(n)))
-        bit[weights[-1]] = 2 * n
-        heights = list(map(sum, roots))
-        groups = [list(group) for _, group
-                  in groupby(range(n), key=heights.__getitem__)]
-        order = [b for group in reversed(groups) for b in group]
-        order.append(2 * n)
-        for group in groups:
-            order.extend(n + b for b in reversed(group))
-        return LineNumbering(weights, bit, tuple(order))
+        return (roots + tuple(tuple(-x for x in r) for r in roots)
+                + (self.zero(),))
 
     @cached_property
     def code_bits(self) -> dict[int, int]:
         """The code of each line weight mapped to its bit in :attr:`lines`,
         built on first use, for the step-downs of delta-strings: ``w - delta``
-        has the code ``code - (codes[delta] - zero_code)``.  It needs neither
-        :attr:`negatives` nor :attr:`lines`, as ``-w`` has the code
-        ``2 zero_code - code(w)`` and the bits follow the numbering rule of
-        :attr:`lines`.
+        has the code ``code - (codes[delta] - zero_code)``.  It does not
+        need :attr:`lines`, as ``-w`` has the code ``2 zero_code - code(w)``
+        and the bits follow the numbering rule of :attr:`lines`.
         """
         codes = [self.codes[r] for r in self.positive_roots]
         n, zero = len(codes), self.zero_code
@@ -276,23 +236,15 @@ def _symmetrizer_from_cartan(cartan: tuple[Vector, ...]) -> Vector:
             for j in range(n):
                 if i != j and cartan[i][j] != 0 and not d[j]:
                     num, den = d[i] * abs(cartan[i][j]), abs(cartan[j][i])
-                    factor = den // _gcd(num, den)
+                    factor = den // gcd(num, den)
                     if factor != 1:
                         d = [x * factor for x in d]
                         scale *= factor
                         num *= factor
                     d[j] = num // den
                     queue.append(j)
-    divisor = 0
-    for x in d:
-        divisor = _gcd(divisor, x)
+    divisor = gcd(*d)
     return tuple(x // divisor for x in d)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _zero_code(rank: int) -> int:

@@ -14,7 +14,7 @@ from collections import namedtuple
 from typing import Iterable, Optional
 
 from . import rootsystem as rsmod
-from .croots import LeviDatum, levi_datum
+from .croots import LeviDatum, complement_levi, levi_datum
 from .errors import ClosureViolation, InvariantViolation, PsiNotInPhiPlus
 from .rootsystem import RootSystem, Subsystem, Vector
 
@@ -95,8 +95,7 @@ def subgroup_from_wire(payload) -> SubgroupDatum:
         payload = json.loads(payload)
     rs = rsmod.build(payload["type"], payload["rank"])
     complement = [int(a) for a in payload["levi_complement"]]
-    levi = [a for a in range(1, rs.rank + 1) if a not in set(complement)]
-    L = levi_datum(rs, levi)
+    L = complement_levi(rs, complement)
     if L.complement != tuple(sorted(complement)):
         raise PsiNotInPhiPlus(f"bad complement {complement}")
     return make_subgroup(L, [tuple(int(x) for x in v) for v in payload["psi"]])

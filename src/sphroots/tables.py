@@ -590,10 +590,11 @@ def row_index(rs: rsmod.RootSystem, size: int) -> dict:
     """Every table row equal to a datum on ``rs`` up to diagram relabeling.
 
     Maps each ``(complement, psi)`` in ``rs``'s own numbering to the rows
-    that relabel onto it, as ``(table, row, params, iso)`` references;
-    ``iso`` sends ``rs``'s nodes to the row's standard nodes.  A datum
-    with one active root (``size`` 1) is looked up in table 1, two in
-    tables 2-9.  Built once per system and table set, memoized on ``rs``.
+    that relabel onto it, as ``(instance, iso)`` references: the row's
+    :class:`RowInstance` at ``rs``'s rank, and ``iso``, which sends
+    ``rs``'s nodes to the row's standard nodes.  A datum with one active
+    root (``size`` 1) is looked up in table 1, two in tables 2-9.  Built
+    once per system and table set, memoized on ``rs``.
     """
     tables = (1,) if size <= 1 else TABLE_IDS[1:]
     if tables in rs._row_index:
@@ -609,8 +610,7 @@ def row_index(rs: rsmod.RootSystem, size: int) -> dict:
         for inst in iter_instances(family, n, tables):
             for iso, inverse in zip(isos, inverses):
                 key = _transform_datum(inverse, inst.complement, inst.psi)
-                index.setdefault(key, []).append(
-                    (inst.table_id, inst.row_id, inst.params, iso))
+                index.setdefault(key, []).append((inst, iso))
     rs._row_index[tables] = index
     return index
 
@@ -619,10 +619,10 @@ def lookup(rs: rsmod.RootSystem, complement: tuple[int, ...],
            psi: tuple[Vector, ...]) -> Optional[MatchResult]:
     """The least ``(table, row, iso)`` row matching a datum on ``rs``.
 
-    Each row found under the datum's key is instantiated and its root set
-    pulled back to ``rs``'s numbering; the rows must agree on the rank and
-    the root set, else UnclassifiedCase.  None when no row matches.  The
-    answer is memoized on ``rs`` per ``(complement, psi)``.
+    Each row found under the datum's key has its root set pulled back to
+    ``rs``'s numbering; the rows must agree on the rank and the root set,
+    else UnclassifiedCase.  None when no row matches.  The answer is
+    memoized on ``rs`` per ``(complement, psi)``.
     """
     key = (complement, psi)
     if key in rs._matches:
@@ -630,14 +630,13 @@ def lookup(rs: rsmod.RootSystem, complement: tuple[int, ...],
     refs = row_index(rs, len(psi)).get(key, ())
     n = rs.rank
     matches: list[MatchResult] = []
-    for table, row, params, iso in sorted(
-            refs, key=lambda r: (r[0], r[1], tuple(sorted(r[3].items())))):
-        inst = instantiate_row(table, row, n, params)
+    for inst, iso in sorted(refs, key=lambda r: (
+            r[0].table_id, r[0].row_id, tuple(sorted(r[1].items())))):
         perm = tuple(iso[a] for a in range(1, n + 1))
         sigma = tuple(sorted((tuple(s[t - 1] for t in perm) for s in inst.sigma),
                              key=rsmod.height_key))
-        matches.append(MatchResult(table, row, inst.family, n, params, iso,
-                                   inst.rank, sigma))
+        matches.append(MatchResult(inst.table_id, inst.row_id, inst.family, n,
+                                   inst.params, iso, inst.rank, sigma))
     if len({(m.rank, frozenset(m.sigma)) for m in matches}) > 1:
         raise UnclassifiedCase(
             f"inconsistent table matches for complement {complement}, psi "

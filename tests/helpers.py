@@ -3,22 +3,18 @@
 from __future__ import annotations
 
 import sphroots.rootsystem as rsmod
-from sphroots.croots import levi_datum
+from sphroots.croots import complement_levi
 from sphroots.subgroup import make_subgroup
 
 
 def datum(family, rank, complement, psi):
     """SubgroupDatum from (family, rank, complement nodes, active set)."""
-    rs = rsmod.build(family, rank)
-    comp = set(complement)
-    levi = [a for a in range(1, rs.rank + 1) if a not in comp]
-    return make_subgroup(levi_datum(rs, levi), [tuple(v) for v in psi])
+    L = complement_levi(rsmod.build(family, rank), complement)
+    return make_subgroup(L, [tuple(v) for v in psi])
 
 
 def levi(family, rank, complement):
-    rs = rsmod.build(family, rank)
-    comp = set(complement)
-    return levi_datum(rs, [a for a in range(1, rs.rank + 1) if a not in comp])
+    return complement_levi(rsmod.build(family, rank), complement)
 
 
 def system(family, rank):

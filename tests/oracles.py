@@ -417,8 +417,12 @@ def decompositions(L: LeviDatum) -> dict[Vector, list[tuple[Vector, Vector]]]:
 
 def _pu(L: LeviDatum) -> frozenset[Vector]:
     """Roots of the opposite nilradical: negatives of the fiber members."""
-    neg = L.rs.negatives
-    return frozenset(neg[beta] for lam in L.phi_plus for beta in L.fiber(lam))
+    return frozenset(_negative(beta) for lam in L.phi_plus
+                     for beta in L.fiber(lam))
+
+
+def _negative(beta: Vector) -> Vector:
+    return tuple(-x for x in beta)
 
 
 def _in_levi(L: LeviDatum, beta: Vector) -> bool:
@@ -550,7 +554,7 @@ def check_limit_structure(d: DegenerationResult, pu: frozenset) -> None:
         if value < 0:
             raise InvariantViolation("highest fiber weight not Levi-dominant")
         if value > 0:
-            expected.add(rs.negatives[gamma])
+            expected.add(_negative(gamma))
     if levi_part != expected:
         raise InvariantViolation("limit Levi part has the wrong shape")
 

@@ -15,11 +15,11 @@ from oracles import decompositions, euclidean_positive_roots, fiber_extreme
 
 def _lines(rs, mask):
     """The weights of the lines in a mask."""
-    return [rs.lines.weights[b] for b in rsmod.mask_bits(mask)]
+    return [rs.lines[b] for b in rsmod.mask_bits(mask)]
 
 
 def _has(rs, mask, w):
-    return bool(mask >> rs.lines.weights.index(w) & 1)
+    return bool(mask >> rs.lines.index(w) & 1)
 
 
 def test_restrict_examples():
@@ -57,15 +57,16 @@ def test_negative_roots_are_one_tuple_per_root(family, n):
     # the negative lines and the opposite nilradical of every Levi hold
     # the system's own negative tuples, not copies
     rs = rsmod.build(family, n)
-    shared = {id(r) for r in rs.negatives.values()}
     count = len(rs.positive_roots)
-    assert {id(r) for r in rs.lines.weights[count:2 * count]} == shared
+    negatives = rs.lines[count:2 * count]
+    assert negatives == tuple(tuple(-x for x in r) for r in rs.positive_roots)
+    shared = {id(r) for r in negatives}
     for k in range(n):
         for nodes in itertools.combinations(range(1, n + 1), k):
             L = croots.levi_datum(rs, nodes)
             pu = _lines(rs, L.pu_mask)
             assert {id(r) for r in pu} <= shared
-            assert set(pu) == {rs.negatives[r] for lam in L.phi_plus
+            assert set(pu) == {tuple(-x for x in r) for lam in L.phi_plus
                                for r in L.fiber(lam)}
 
 

@@ -28,21 +28,29 @@ REFERENCE_TYPES = [("B", 4), ("C", 4), ("D", 5), ("F4", 4), ("G2", 2)]
 
 def _lines(rs, bits):
     """The weights of a delta-string's lines, top first."""
-    return [rs.lines.weights[b] for b in bits]
+    return [rs.lines[b] for b in bits]
+
+
+def _string_bits(bottoms):
+    """The bits of a delta-string's lines, top first, read off its bottom
+    masks."""
+    return tuple((upto ^ below).bit_length() - 1 for below, upto
+                 in zip(bottoms[-2::-1], bottoms[:0:-1]))
 
 
 def _strings(rs, delta):
     """The bits of every delta-string, one-line strings included, by
     descending height of their tops, then lexicographically."""
     partition = delta_strings(rs, delta)
-    long = {s.bits[0]: s.bits for s in partition.long}
-    return [long.get(b, (b,)) for b in rs.lines.order
-            if b in long or partition.single_mask >> b & 1]
+    strings = [(b,) for b in rsmod.mask_bits(partition.single_mask)]
+    strings += map(_string_bits, partition.long)
+    return sorted(strings, key=lambda s: (-sum(rs.lines[s[0]]),
+                                          rs.lines[s[0]]))
 
 
 def _line_bits(rs):
     """Every line weight mapped to its bit, negatives included."""
-    return {w: b for b, w in enumerate(rs.lines.weights)}
+    return {w: b for b, w in enumerate(rs.lines)}
 
 
 def test_delta_strings_b3_example():
@@ -118,7 +126,6 @@ def _corruptions(rs, delta):
     """Tables that break one check of the string build each (A2, delta =
     alpha_1, whose string runs alpha_1, 0, -alpha_1)."""
     form = rsmod.pairing_form(rs, delta)
-    lines = rs.lines
     return [
         ({"_norms": {**rs._norms, delta: 3}}, "non-integral coroot pairing"),
         ({"_forms": {delta: tuple((i, -x) for i, x in form)}},
@@ -127,9 +134,8 @@ def _corruptions(rs, delta):
         ({"code_bits": {c: b for c, b in rs.code_bits.items()
                         if c != rs.zero_code}},
          r"string through \(1, 0\) has 1 lines, not 3"),
-        # the highest root tops two strings
-        ({"lines": lines._replace(order=lines.order + lines.order[:1])},
-         "do not partition the roots"),
+        # the Cartan line is walked but not counted
+        ({"lines": rs.lines[:-1]}, "do not partition the roots"),
     ]
 
 
@@ -249,6 +255,27 @@ def test_track_component_examples():
     assert sm_decomposition(d2.target).components[j2] == ((0, 1),)
 
 
+def test_track_component_refuses_a_block_with_no_image():
+    H = datum("B", 3, (2, 3), [(1, 1), (0, 1)])
+    d = degenerate(H, (0, 1))
+    # a limit whose module is empty receives none of block 1's lines
+    empty = d._replace(u_infinity=(), target=make_subgroup(d.target.L, []))
+    with pytest.raises(InvariantViolation, match="has no image in the limit"):
+        track_component(empty, 1)
+
+
+def test_track_component_refuses_a_block_landing_in_two_target_blocks():
+    H = datum("B", 3, (2, 3), [(1, 1), (0, 1)])
+    d = degenerate(H, (0, 1))
+    # a target decomposition listing each block twice receives the
+    # tracked block in two places
+    blocks = sm_decomposition(d.target)
+    target = copy.copy(d.target)
+    target._blocks = blocks._replace(components=blocks.components * 2)
+    with pytest.raises(InvariantViolation, match="straddles target blocks"):
+        track_component(d._replace(target=target), 1)
+
+
 @pytest.mark.parametrize("family,n,complement,psi", [
     ("B", 4, (4,), [(1,), (2,)]),
     ("C", 4, (1, 3), [(1, 0), (0, 1)]),
@@ -307,7 +334,7 @@ def test_degenerate_matches_set_based_reference(family, n):
         assert got.pi_m == want.pi_m
         assert got.u_infinity == want.u_infinity
         assert shift_map(got) == want.shift_map
-        weights = H.rs.lines.weights
+        weights = H.rs.lines
         assert sorted(weights[b] for b in rsmod.mask_bits(got.limit)) == \
             sorted(want.limit_lines)
         assert got.limit_dim == len(want.limit_lines)
@@ -327,13 +354,12 @@ def test_delta_strings_match_set_based_reference(family, n):
         partition = delta_strings(rs, delta)
         assert partition.single_mask == sum(
             1 << bit[s[0]] for s in want if len(s) == 1)
-        assert [_lines(rs, s.bits) for s in partition.long] == \
-            [s for s in want if len(s) > 1]
-        for s in partition.long:
-            bits = s.bits
-            assert s.bottoms == tuple(
-                sum(1 << b for b in bits[len(bits) - k:])
-                for k in range(len(bits) + 1))
+        # each entry of the long strings holds the suffix-ORs of one of
+        # the reference's strings
+        assert sorted(partition.long) == sorted(
+            tuple(sum(1 << bit[w] for w in s[len(s) - k:])
+                  for k in range(len(s) + 1))
+            for s in want if len(s) > 1)
 
 
 def test_code_table_matches_tuple_reference_at_large_rank():
@@ -371,10 +397,10 @@ def test_code_table_matches_tuple_reference_at_large_rank():
 
 
 def test_base_solve_never_builds_a_shift_map(monkeypatch):
-    def refuse(d):
-        raise AssertionError("shift_map built on the base_solve path")
+    def refuse(d, mask):
+        raise AssertionError("lines shifted on the base_solve path")
 
-    monkeypatch.setattr(degeneration, "shift_map", refuse)
+    monkeypatch.setattr(degeneration, "_shifted_lines", refuse)
     H = datum("B", 5, (5,), [(1,), (2,)])
     # a choose_pair neither reads nor fills the solve memo, so this
     # recursion degenerates afresh
@@ -390,12 +416,13 @@ def test_base_solve_never_builds_a_shift_map(monkeypatch):
 def test_several_block_solve_reads_the_shift_map(monkeypatch, family, n,
                                                  complement, psi):
     calls = []
+    shifted_lines = degeneration._shifted_lines
 
-    def counting(d):
+    def counting(d, mask):
         calls.append(d)
-        return shift_map(d)
+        return shifted_lines(d, mask)
 
-    monkeypatch.setattr(degeneration, "shift_map", counting)
+    monkeypatch.setattr(degeneration, "_shifted_lines", counting)
     H = datum(family, n, complement, psi)
     assert not sm_decomposition(H).trivial
     want = base_solve(H).root_set
@@ -449,7 +476,7 @@ def test_limit_check_catches_lost_line():
 def test_limit_check_catches_dropped_pu_bit():
     d, bit, outside = _case()
     L = d.source.L
-    pu_line = d.source.rs.lines.weights[rsmod.mask_bits(L.pu_mask)[0]]
+    pu_line = d.source.rs.lines[rsmod.mask_bits(L.pu_mask)[0]]
     _fails(_swap(d, bit, pu_line, outside),
            "lost part of the opposite nilradical")
 

@@ -472,13 +472,12 @@ def test_leaf_matching_builds_no_other_standard_system():
         " '22', '--psi', '1', '--format', 'json']) == 0\n"
         "print('lines' in vars(rsmod.build('C', 22)))\n"
         "print(sorted(k for k in rsmod._by_type if k[1] == 22))\n"
-        "print(len(rsmod._by_cartan))\n"
-        "print('negatives' in vars(rsmod.build('C', 22)))\n")
+        "print(len(rsmod._by_cartan))\n")
     src = os.path.dirname(os.path.dirname(rsmod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.splitlines()[-4:] == ["False", "[('C', 22)]", "0", "False"]
+    assert out.splitlines()[-3:] == ["False", "[('C', 22)]", "0"]
 
 
 @pytest.mark.parametrize("family,n", [("F4", 4), ("E6", 6), ("D", 5)])
@@ -526,12 +525,12 @@ def test_closure_count_at_rank_30(family):
                                       ("D", 64), ("E8", 8), ("F4", 4),
                                       ("G2", 2), ("E6+A1", 7)])
 def test_line_numbering_keys_follow_the_sorted_height_order(family, n):
-    # the order is built from the closure's height groups without a sort;
-    # it must list the lines exactly as a sort of their weights by
-    # descending height, then lexicographically, does
-    lines = system(family, n).lines
-    assert [lines.weights[b] for b in lines.order] == sorted(
-        lines.weights, key=lambda w: (-sum(w), w))
-    # only the positive roots and the zero weight are keys of ``bit``
-    assert lines.bit == {w: b for b, w in enumerate(lines.weights)
-                         if min(w) >= 0}
+    # positive root i is line i, its negative line N + i and the zero
+    # weight line 2N, so the positive lines run in (height, lex) order
+    rs = system(family, n)
+    roots, lines = rs.positive_roots, rs.lines
+    count = len(roots)
+    assert len(lines) == 2 * count + 1
+    assert lines[:count] == roots == tuple(sorted(roots, key=rsmod.height_key))
+    assert lines[count:2 * count] == tuple(tuple(-x for x in r) for r in roots)
+    assert lines[-1] == rs.zero()

@@ -196,7 +196,8 @@ def test_row_index_keys_resolve_without_conflict():
                 match = lookup(rs, *key)
                 assert match is not None, (rs, key)
                 assert match.rank == len(match.sigma)
-                assert (match.table_id, match.row_id) == min(r[:2] for r in refs)
+                assert (match.table_id, match.row_id) == min(
+                    (inst.table_id, inst.row_id) for inst, _ in refs)
 
 
 def test_every_row_is_indexed_under_its_own_key():
@@ -204,7 +205,7 @@ def test_every_row_is_indexed_under_its_own_key():
         identity = {a: a for a in range(1, rs.rank + 1)}
         for inst in iter_instances(rs.type_label, rs.rank):
             refs = row_index(rs, len(inst.psi))[inst.complement, inst.psi]
-            assert (inst.table_id, inst.row_id, inst.params, identity) in refs
+            assert (inst, identity) in refs
 
 
 @pytest.mark.parametrize("family", "ABCD")
@@ -229,18 +230,14 @@ def test_row_index_is_memoized_per_table_set():
 def test_lookup_refuses_rows_that_disagree(monkeypatch):
     # D4 node 3 is reached by rows 11 and 13 through triality; a row that
     # tabulates another rank must be refused, not silently outranked
-    import sphroots.tables as tables
-
     rs = rsmod.build("D", 4)
-    assert {r[:2] for r in row_index(rs, 1)[(3,), ((1,),)]} == {(1, 11), (1, 13)}
-    real = tables.instantiate_row
-
-    def skewed(table, row, n, params=()):
-        inst = real(table, row, n, params)
-        return inst._replace(rank=inst.rank + 1) if row == 13 else inst
-
-    monkeypatch.setattr(tables, "instantiate_row", skewed)
-    # start from no memoized match, so that the rows are instantiated
+    refs = row_index(rs, 1)[(3,), ((1,),)]
+    assert {(inst.table_id, inst.row_id) for inst, _ in refs} == \
+        {(1, 11), (1, 13)}
+    skewed = [(inst._replace(rank=inst.rank + 1), iso)
+              if inst.row_id == 13 else (inst, iso) for inst, iso in refs]
+    monkeypatch.setitem(row_index(rs, 1), ((3,), ((1,),)), skewed)
+    # start from no memoized match, so that the stored rows are read
     monkeypatch.setattr(rs, "_matches", {})
     with pytest.raises(UnclassifiedCase, match="inconsistent table matches"):
         lookup(rs, (3,), ((1,),))

@@ -34,8 +34,9 @@ def _lines(rs, bits):
 def _string_bits(bottoms):
     """The bits of a delta-string's lines, top first, read off its bottom
     masks."""
-    return tuple((upto ^ below).bit_length() - 1 for below, upto
-                 in zip(bottoms[-2::-1], bottoms[:0:-1]))
+    bottom_up = [(upto ^ below).bit_length() - 1
+                 for below, upto in zip(bottoms, bottoms[1:])]
+    return tuple(reversed(bottom_up))
 
 
 def _strings(rs, delta):

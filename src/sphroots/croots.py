@@ -16,7 +16,7 @@ from operator import itemgetter, sub
 from typing import Iterable
 
 from .errors import DimensionMismatch, EmptyFiber, InvariantViolation
-from .rootsystem import RootSystem, Vector, _components
+from .rootsystem import RootSystem, Vector, _components, mask_bits
 
 
 class LeviDatum:
@@ -24,14 +24,16 @@ class LeviDatum:
 
     Precomputes the positive Levi roots, the positive restricted roots and
     their fibers, all from one pass over the positive roots: a root lies in
-    the Levi exactly when it restricts to zero.  The same pass gives three
-    masks in the line numbering of the system (:attr:`RootSystem.lines`):
-    ``pu_mask``, the opposite nilradical; ``outside_mask``, the positive
-    roots outside the Levi; and ``levi_mask``, the Levi roots of both
-    signs.  Immutable once built; use :func:`levi_datum` to get the
-    instance interned on the root system.  Subgroup data over it are
-    memoized on it by ``make_subgroup``, what a degeneration along each
-    delta does to it by ``degeneration.levi_step``, and its Dynkin
+    the Levi exactly when it restricts to zero.  Each fiber is kept only as
+    a mask of positive root lines (:meth:`fiber_mask`); :meth:`fiber` and
+    :meth:`hat` decode it on read.  The same pass gives three masks in the
+    line numbering of the system (:attr:`RootSystem.lines`): ``pu_mask``,
+    the opposite nilradical; ``outside_mask``, the positive roots outside
+    the Levi; and ``levi_mask``, the Levi roots of both signs.  Immutable
+    once built; use :func:`levi_datum` to get the instance interned on the
+    root system.  Subgroup data over it are memoized on it by
+    ``make_subgroup``, what a degeneration along each delta does to it by
+    ``degeneration.levi_step``, and its Dynkin
     components (:attr:`components`) when first asked for.
     """
 
@@ -52,37 +54,40 @@ class LeviDatum:
             start = idx[0] if idx else 0
             self._restrict = itemgetter(slice(start, start + len(idx)))
 
-        # positive roots come in (height, lex) order, so both lists keep it;
-        # positive root i is line bit i
+        # positive roots come in (height, lex) order, so delta_l_plus keeps
+        # it; positive root i is line bit i
         delta_l_plus: list[Vector] = []
-        fibers: dict[Vector, list[Vector]] = {}
         fiber_masks: dict[Vector, int] = {}
         inside = 0
-        restrict = self._restrict
-        for i, beta in enumerate(rs.positive_roots):
+        restrict, roots = self._restrict, rs.positive_roots
+        for i, beta in enumerate(roots):
             lam = restrict(beta)
             if any(lam):
-                fibers.setdefault(lam, []).append(beta)
                 fiber_masks[lam] = fiber_masks.get(lam, 0) | 1 << i
             else:
                 delta_l_plus.append(beta)
                 inside |= 1 << i
-        n = len(rs.positive_roots)
+        n = len(roots)
         self.outside_mask = ((1 << n) - 1) ^ inside
         self.pu_mask = self.outside_mask << n
         self.levi_mask = inside | inside << n
         self.delta_l_plus = tuple(delta_l_plus)
-        self._fibers = {lam: tuple(v) for lam, v in fibers.items()}
         self._fiber_masks = fiber_masks
-        self.phi_plus = tuple(sorted(self._fibers))
-        self._phi_set = frozenset(self.phi_plus)
-        for fib in self._fibers.values():
-            # fibers are sorted by (height, lex), and the highest (lowest)
-            # weight of a simple Levi module is the one weight of top
-            # (bottom) height, so the extremes are the last and first members
-            if len(fib) > 1 and (sum(fib[-1]) == sum(fib[-2])
-                                 or sum(fib[0]) == sum(fib[1])):
-                raise InvariantViolation(f"fiber {fib} has two extremes")
+        self.phi_plus = tuple(sorted(fiber_masks))
+        for lam, m in fiber_masks.items():
+            # fiber bits run in (height, lex) order, and the highest
+            # (lowest) weight of a simple Levi module is the one weight of
+            # top (bottom) height, so the two top (bottom) bits differ in it
+            rest = m & (m - 1)
+            if rest:
+                top = m.bit_length() - 1
+                below_top = (m ^ 1 << top).bit_length() - 1
+                bottom = (m ^ rest).bit_length() - 1
+                above_bottom = (rest & -rest).bit_length() - 1
+                if (sum(roots[top]) == sum(roots[below_top])
+                        or sum(roots[bottom]) == sum(roots[above_bottom])):
+                    raise InvariantViolation(
+                        f"fiber {self.fiber(lam)} has two extremes")
         self._decompositions: dict[Vector, list[tuple[Vector, Vector]]] = {}
         self._subgroups: dict = {}
         self._steps: dict = {}
@@ -98,7 +103,7 @@ class LeviDatum:
         return self._restrict(tuple(beta))
 
     def has_croot(self, lam: Vector) -> bool:
-        return lam in self._phi_set
+        return lam in self._fiber_masks
 
     def decompositions(self, lam: Vector) -> list[tuple[Vector, Vector]]:
         """The pairs ``(a, b)`` of positive C-roots with ``a + b = lam`` and
@@ -111,7 +116,7 @@ class LeviDatum:
                 b = tuple(map(sub, lam, a))
                 if b < a:
                     break
-                if b in self._phi_set:
+                if b in self._fiber_masks:
                     pairs.append((a, b))
             self._decompositions[lam] = pairs
         return pairs
@@ -123,15 +128,15 @@ class LeviDatum:
         return self._fiber_masks[lam]
 
     def fiber(self, lam: Iterable[int]) -> tuple[Vector, ...]:
-        """All roots restricting to a positive C-root, by (height, lex)."""
-        v = tuple(lam)
-        if v not in self._fibers:
-            raise EmptyFiber(f"{v} is not a positive restricted root")
-        return self._fibers[v]
+        """All roots restricting to a positive C-root, by (height, lex),
+        decoded from its mask."""
+        roots = self.rs.positive_roots
+        return tuple(roots[b] for b in mask_bits(self.fiber_mask(tuple(lam))))
 
     def hat(self, lam: Iterable[int]) -> Vector:
-        """Highest weight of the fiber of a positive C-root."""
-        return self.fiber(lam)[-1]
+        """Highest weight of the fiber of a positive C-root: its top bit."""
+        return self.rs.positive_roots[
+            self.fiber_mask(tuple(lam)).bit_length() - 1]
 
     def croot_support(self, lam: Iterable[int]) -> frozenset[int]:
         """Ambient support of a C-root, read off its highest fiber element."""

@@ -242,7 +242,7 @@ def _check_limit_structure(d: DegenerationResult) -> None:
     limit, cartan_line = d.limit, 2 * len(rs.positive_roots)
     if not limit >> cartan_line & 1 or limit.bit_count() != d.limit_dim:
         raise InvariantViolation("limit must contain the Cartan line exactly once")
-    if d.limit_dim != L.pu_mask.bit_count() + len(H.u_roots):
+    if d.limit_dim != L.pu_mask.bit_count() + H.u_mask.bit_count():
         raise InvariantViolation("limit changed dimension")
 
     # the opposite nilradical survives untouched
@@ -262,7 +262,7 @@ def _check_limit_structure(d: DegenerationResult) -> None:
     dl = len(L.delta_l_plus)
     dm = len(target.L.delta_l_plus)
     total = len(rs.positive_roots)
-    lhs = 2 * dl + (total - dl) - len(H.u_roots) + 1
+    lhs = 2 * dl + (total - dl) - H.u_mask.bit_count() + 1
     rhs = 2 * dm + (total - dm) - len(d.u_infinity)
     if lhs != rhs:
         raise InvariantViolation("degeneration dimension bookkeeping failed")

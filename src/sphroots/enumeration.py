@@ -140,7 +140,8 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
                 H = make_subgroup(L, psi)
             except ClosureViolation:
                 continue
-            if psi_size == 2 and any(len(L.fiber(lam)) == 1 for lam in psi):
+            if psi_size == 2 and any(L.fiber_mask(lam).bit_count() == 1
+                                       for lam in psi):
                 continue
             support = frozenset().union(
                 *(L.croot_support(lam) for lam in psi))

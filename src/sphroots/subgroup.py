@@ -9,12 +9,11 @@ the inactive positive restricted roots are closed under addition.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from typing import Iterable, Optional
 
 from . import rootsystem as rsmod
-from .croots import LeviDatum, complement_levi, levi_datum
+from .croots import LeviDatum, levi_datum
 from .errors import ClosureViolation, InvariantViolation, PsiNotInPhiPlus
 from .rootsystem import RootSystem, Subsystem, Vector
 
@@ -22,13 +21,15 @@ from .rootsystem import RootSystem, Subsystem, Vector
 class SubgroupDatum:
     """An immutable (root system, Levi, active set) triple.
 
-    ``u_roots`` is the derived union of the fibers of the active set: the
-    weight set of the module whose sphericity governs everything downstream.
-    ``u_mask`` holds the same roots in the line numbering of the system.
+    ``u_mask`` is the union of the fibers of the active set, in the line
+    numbering of the system: the weight set of the module whose sphericity
+    governs everything downstream.  ``u_roots`` decodes it on read.
     Instances are interned on their Levi datum by :func:`make_subgroup`;
     the block decomposition, the sphericity verdict and the base-solve
     results are memoized on the instance when first computed.
     """
+
+    __slots__ = ("L", "psi", "u_mask", "_blocks", "_verdict", "_solved")
 
     def __init__(self, L: LeviDatum, psi: Iterable[Vector]):
         self.L = L
@@ -37,9 +38,6 @@ class SubgroupDatum:
         for lam in self.psi:
             mask |= L.fiber_mask(lam)
         self.u_mask = mask
-        # positive bits decode in (height, lex) order
-        roots = L.rs.positive_roots
-        self.u_roots = tuple(roots[b] for b in rsmod.mask_bits(mask))
         self._blocks: Optional[SMDecomposition] = None
         self._verdict: Optional[tuple[bool, Optional[int]]] = None
         self._solved = None  # default-pivot base-solve result
@@ -47,6 +45,12 @@ class SubgroupDatum:
     @property
     def rs(self) -> RootSystem:
         return self.L.rs
+
+    @property
+    def u_roots(self) -> tuple[Vector, ...]:
+        """The roots of ``u_mask``, by (height, lex)."""
+        roots = self.L.rs.positive_roots
+        return tuple(roots[b] for b in rsmod.mask_bits(self.u_mask))
 
     def __repr__(self):
         return (f"SubgroupDatum(levi={sorted(self.L.levi)}, "
@@ -89,28 +93,14 @@ def make_subgroup(L: LeviDatum, psi: Iterable[Iterable[int]]) -> SubgroupDatum:
     return L._subgroups[psi_t]
 
 
-def subgroup_from_wire(payload) -> SubgroupDatum:
-    """Parse the canonical JSON form (a dict or a JSON string)."""
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    rs = rsmod.build(payload["type"], payload["rank"])
-    complement = [int(a) for a in payload["levi_complement"]]
-    L = complement_levi(rs, complement)
-    if L.complement != tuple(sorted(complement)):
-        raise PsiNotInPhiPlus(f"bad complement {complement}")
-    return make_subgroup(L, [tuple(int(x) for x in v) for v in payload["psi"]])
-
-
-class SMDecomposition(namedtuple("SMDecomposition",
-                                  "components factor_assignment")):
+class SMDecomposition(namedtuple("SMDecomposition", "components")):
     """Partition of the active set by shared simple Levi factors.
 
     Two active roots land in the same block when some Dynkin component of
     the Levi pairs nontrivially with both of their highest fiber weights.
     ``components``, a tuple of blocks, holds each block as a tuple of
     active roots; blocks are ordered by their lexicographically least
-    member.  ``factor_assignment``, a dict, maps each component acting
-    nontrivially to the index of the unique block it touches.
+    member.
     """
 
     __slots__ = ()
@@ -135,11 +125,11 @@ def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
     # the simple coroots (1-based) that do not vanish on each highest weight
     moved = {lam: {i + 1 for i, _ in rsmod.pairing_form(rs, L.hat(lam))}
              for lam in H.psi}
-    touches: dict[tuple, list[Vector]] = {}
+    touches = []
     for comp in L.components:
         touched = [lam for lam in H.psi if not moved[lam].isdisjoint(comp)]
         if touched:
-            touches[comp] = touched
+            touches.append((comp, touched))
             first = touched[0]
             for lam in touched[1:]:
                 parent[find(lam)] = find(first)
@@ -147,15 +137,10 @@ def sm_decomposition(H: SubgroupDatum) -> SMDecomposition:
     for lam in H.psi:
         groups.setdefault(find(lam), []).append(lam)
     components = tuple(sorted((tuple(sorted(g)) for g in groups.values())))
-    block_index = {block[0]: i for i, block in enumerate(components)}
-    assignment = {}
-    for comp, touched in touches.items():
-        blocks = {block_index[tuple(sorted(groups[find(lam)]))[0]]
-                  for lam in touched}
-        if len(blocks) != 1:
+    for comp, touched in touches:
+        if len({find(lam) for lam in touched}) != 1:
             raise InvariantViolation(f"factor {comp} touches several blocks")
-        assignment[frozenset(comp)] = blocks.pop()
-    H._blocks = SMDecomposition(components, assignment)
+    H._blocks = SMDecomposition(components)
     return H._blocks
 
 

@@ -14,6 +14,7 @@ import sphroots.rootsystem as rsmod
 from sphroots import degeneration
 from sphroots.croots import levi_datum
 from sphroots.degeneration import degenerate, levi_step
+from sphroots.enumeration import verify_tables
 from sphroots.errors import InvariantViolation
 from sphroots.tables import lookup, row_index
 
@@ -201,3 +202,80 @@ def test_regen_pass_derives_each_levi_fact_once():
         "partitions": 122,
         "delta_strings": 1896,
     }
+
+
+def _fresh_fibers(rs, L):
+    """The positive roots outside the Levi, grouped by their restriction
+    to the complement nodes, each group in (height, lex) order."""
+    fibers = {}
+    for beta in rs.positive_roots:
+        lam = tuple(beta[a - 1] for a in L.complement)
+        if any(lam):
+            fibers.setdefault(lam, []).append(beta)
+    return {lam: tuple(fib) for lam, fib in fibers.items()}
+
+
+@pytest.mark.parametrize("family,n", SYSTEMS)
+def test_decoded_fibers_equal_a_fresh_restriction(family, n):
+    rs = system(family, n)
+    for L in _levis(rs):
+        fibers = _fresh_fibers(rs, L)
+        assert L.phi_plus == tuple(sorted(fibers))
+        for lam, fib in fibers.items():
+            assert L.has_croot(lam)
+            assert not L.has_croot(tuple(-x for x in lam))
+            assert L.fiber(lam) == fib and L.fiber(list(lam)) == fib
+            assert L.hat(lam) == fib[-1]
+            assert L.croot_support(lam) == frozenset(
+                i + 1 for beta in fib for i, x in enumerate(beta) if x)
+        assert not L.has_croot(tuple(0 for _ in L.complement))
+
+
+def _interned_data(rs):
+    """Every subgroup datum interned on the system, its Levi data and the
+    subsystems derived from it, recursively (a subsystem on every node
+    may be the system itself)."""
+    systems, seen = [rs], {id(rs)}
+    for system_ in systems:
+        for L in system_._levi_data.values():
+            yield from L._subgroups.values()
+        for sub in system_._subsystems.values():
+            if id(sub.system) not in seen:
+                seen.add(id(sub.system))
+                systems.append(sub.system)
+
+
+def test_decoded_modules_equal_the_union_of_active_fibers():
+    verify_tables("B", ranks=[4])
+    data = list(_interned_data(rsmod.build("B", 4)))
+    assert len(data) > 50
+    for H in data:
+        union = {beta for lam in H.psi for beta in H.L.fiber(lam)}
+        assert H.u_roots == tuple(sorted(union, key=lambda r: (sum(r), r)))
+        assert H.u_mask.bit_count() == len(union)
+
+
+#: one regeneration unit in a fresh process, then the Levi data alive and
+#: those of their attributes that hold the C-roots as a set or key them to
+#: tuples of roots
+_FIBER_TABLES = """
+import gc, json
+from sphroots.croots import LeviDatum
+from sphroots.enumeration import verify_tables
+
+verify_tables("B", ranks=[5])
+levis = [x for x in gc.get_objects() if isinstance(x, LeviDatum)]
+found = sorted({name for L in levis for name, value in vars(L).items()
+                if L.phi_plus and (value == frozenset(L.phi_plus) or (
+                    isinstance(value, dict) and value.keys() <= set(L.phi_plus)
+                    and tuple in map(type, value.values())))})
+print(json.dumps([len(levis), found]))
+"""
+
+
+def test_levi_data_keep_fibers_as_masks_only():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _FIBER_TABLES], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    count, found = json.loads(out)
+    assert count > 10 and found == []

@@ -5,17 +5,22 @@ import itertools
 import pytest
 
 import sphroots.rootsystem as rsmod
-from sphroots.errors import ClosureViolation, PsiNotInPhiPlus
+from sphroots.errors import ClosureViolation, InvariantViolation, PsiNotInPhiPlus
 from sphroots.subgroup import (
     ambient_reduction,
     make_subgroup,
     sm_decomposition,
-    subgroup_from_wire,
     upper_elements,
     upsilon_and_hat,
 )
 
 from helpers import datum, levi
+
+#: the theorem checks of this module that no input can reach, with why
+UNREACHABLE_CHECKS = {
+    "touches several blocks": "the union-find already puts every root one "
+                              "factor touches in one block",
+}
 
 
 def test_make_subgroup_validation():
@@ -46,7 +51,13 @@ def test_wire_round_trip():
     wire = H.to_wire()
     assert wire == {"type": "C", "rank": 4, "levi_complement": [1, 3],
                     "psi": [[0, 1], [1, 0]]}
-    assert subgroup_from_wire(wire) is H
+
+
+def test_derived_datum_has_no_wire_form():
+    reduced, sub = ambient_reduction(datum("A", 3, (1, 2), [(1, 0)]))
+    assert reduced.rs.type_label is None and sub.nodes != (1, 2, 3)
+    with pytest.raises(InvariantViolation, match="no wire form"):
+        reduced.to_wire()
 
 
 def test_sm_decomposition_examples():
@@ -63,11 +74,28 @@ def test_sm_decomposition_examples():
 
 
 def test_factor_assignment_unique():
-    H = datum("B", 3, (2, 3), [(1, 1), (0, 1)])
-    dec = sm_decomposition(H)
-    for factor, block in dec.factor_assignment.items():
-        assert 0 <= block < len(dec.components)
-        assert factor <= H.L.levi
+    # the active roots each Levi factor moves (some node of the factor
+    # pairs nontrivially with their highest weight) lie in one block
+    several = 0
+    for family, n in (("B", 3), ("B", 4), ("C", 4), ("D", 4), ("F4", 4)):
+        rs = rsmod.build(family, n)
+        for complement in itertools.combinations(range(1, n + 1), 2):
+            L = levi(family, n, complement)
+            for psi in itertools.combinations(L.phi_plus, 2):
+                try:
+                    H = make_subgroup(L, psi)
+                except ClosureViolation:
+                    continue
+                blocks = sm_decomposition(H).components
+                block_of = {lam: i for i, b in enumerate(blocks) for lam in b}
+                several += len(blocks) > 1
+                for comp in L.components:
+                    touched = {block_of[lam] for lam in H.psi
+                               if any(sum(c * x for c, x in zip(
+                                   rs.cartan[a - 1], L.hat(lam)))
+                                   for a in comp)}
+                    assert len(touched) <= 1, (H, comp)
+    assert several
 
 
 def test_upsilon_and_hat_examples():
@@ -103,6 +131,24 @@ def test_upper_elements_nonempty(family, n):
         for r in (1, 2, 3):
             for theta in itertools.combinations(phi, r):
                 assert upper_elements(L, theta)
+
+
+def test_upper_elements_refuses_a_set_without_upper_elements(monkeypatch):
+    # with every difference a restricted root, each member is exceeded
+    La = levi("A", 3, (1, 3))
+    monkeypatch.setattr(La, "has_croot", lambda lam: True)
+    with pytest.raises(InvariantViolation, match="without upper elements"):
+        upper_elements(La, [(1, 0), (1, 1)])
+
+
+def test_ambient_reduction_refuses_collapsed_active_roots(monkeypatch):
+    # (1,0) and (1,1) differ only on node 3; a support without node 3
+    # projects both onto (1,)
+    H = datum("A", 3, (1, 3), [(1, 0), (1, 1)])
+    support = H.L.croot_support
+    monkeypatch.setattr(H.L, "croot_support", lambda lam: support(lam) - {3})
+    with pytest.raises(InvariantViolation, match="collapsed active roots"):
+        ambient_reduction(H)
 
 
 def test_ambient_reduction_examples():

@@ -38,9 +38,9 @@ CaseKey = tuple[tuple[int, ...], tuple[Vector, ...]]
 
 #: largest A-D rank that enumeration accepts, below ``MAX_RANK``.  The
 #: slowest enumeration (type D, two complement nodes, two active roots,
-#: solved) takes about 1.8 s in a fresh process at this rank on a 2-vCPU
-#: host (2.8 s at rank 14, 4.5 s at rank 15); larger ranks are refused
-#: before any closure runs.
+#: solved) takes about 0.56 s at rank 12, 0.77 s at this rank and 1.19 s
+#: at rank 14 in a fresh process on a 2-vCPU host (``BENCH_24.json``);
+#: larger ranks are refused before any closure runs.
 ENUMERATION_MAX_RANK = 13
 
 
@@ -118,7 +118,13 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
     Candidate active sets pair a complement simple root with any other
     positive restricted root; the subalgebra closure condition prunes the
     rest.  Two-root cases where either fiber is a line are dropped (their
-    block structure is never trivial).  When ``solve`` is set, every
+    block structure is never trivial).  The two cheap filters (a fiber is
+    a line, full support) run first, then the canonical key, then the
+    closure check.  All three filters are invariant under diagram
+    automorphisms, so a candidate passes exactly when every candidate with
+    its key does: the order changes neither the records nor their keys
+    (they are listed by key), and spares the key and the closure check of
+    the candidates the cheap filters drop.  When ``solve`` is set, every
     spherical case is solved by ``base_solve`` (its ``sigma``), and the
     ones with a single block are also matched against the tables; a case
     with several blocks keeps its sigma and no matched row.
@@ -133,13 +139,6 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
                                              complement_size):
         L = complement_levi(rs, complement)
         for psi in _candidate_psis(L, psi_size):
-            key, perm = canonical_key(rs, complement, psi)
-            if key in records:
-                continue
-            try:
-                H = make_subgroup(L, psi)
-            except ClosureViolation:
-                continue
             if psi_size == 2 and any(L.fiber_mask(lam).bit_count() == 1
                                        for lam in psi):
                 continue
@@ -147,11 +146,18 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
                 *(L.croot_support(lam) for lam in psi))
             if support != full:
                 continue
-            records[key] = _build_record(rs, key, H, perm, solve)
+            key, _ = canonical_key(rs, complement, psi)
+            if key in records:
+                continue
+            try:
+                make_subgroup(L, psi)
+            except ClosureViolation:
+                continue
+            records[key] = _build_record(rs, key, solve)
     return [records[key] for key in sorted(records)]
 
 
-def _build_record(rs, key, H, perm, solve) -> CaseRecord:
+def _build_record(rs, key, solve) -> CaseRecord:
     complement, psi = key
     canonical = make_subgroup(complement_levi(rs, complement), psi)
     spherical, rank = is_spherical_and_rank(canonical)

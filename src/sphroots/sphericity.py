@@ -7,6 +7,16 @@ picked weight together with its images under the discarded positive Levi
 roots.  The module is spherical iff the sequence of picked weights is
 linearly independent, in which case its length is the rank.
 
+Every turn strikes the picked weight and at most one image per positive
+Levi root it discards, and a discarded root never returns; so a module of
+dimension d yields at least d - |Phi_L^+| picks.  More than ``rank``
+weights of a rank-``rank`` lattice are never independent, so a module
+larger than |Phi_L^+| + rank (the dimension of the Levi's Borel, which a
+spherical module cannot exceed) is not spherical whatever the reduction
+picks.  :func:`is_spherical_and_rank` settles such a datum by that count
+on its default path; a call with ``choose``, and :func:`knop_reduce`
+itself, always reduce.
+
 Whether a weight can be raised is read off integer codes: the code of a
 root weight comes from the table of its root system (``RootSystem.codes``,
 filled by the root closure), and raising by a simple root adds a power of
@@ -185,11 +195,19 @@ def is_spherical_and_rank(H: SubgroupDatum,
     """Sphericity of the datum and, when spherical, the number of its
     spherical roots (the reduction length).
 
-    The default-choice verdict is memoized on ``H``; a call with ``choose``
+    The default-choice verdict is memoized on ``H``.  On that path a
+    module with more weights than ``dim B_L = |Phi_L^+| + rank`` is
+    refused before any reduction runs: the reduction could not pick more
+    than ``rank`` independent weights from it (see the module docstring),
+    so the verdict is the one it would reach.  A call with ``choose``
     always runs the reduction.
     """
-    if choose is None and H._verdict is not None:
-        return H._verdict
+    if choose is None:
+        if H._verdict is not None:
+            return H._verdict
+        if H.u_mask.bit_count() > len(H.L.delta_l_plus) + H.rs.rank:
+            H._verdict = (False, None)
+            return H._verdict
     witness = knop_reduce(H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots,
                           choose=choose)
     result = (witness.spherical, witness.rank)

@@ -8,8 +8,12 @@ deletions under which the suite still passes.  Pytest does not collect it
 
     python tests/mutate_checks.py src/sphroots/degeneration.py
 
-It exits 0 when every deletion fails some test, 1 otherwise.  Each
-deletion costs up to one full Tier-1 run.
+A test module may list the checks no input can reach in an
+``UNREACHABLE_CHECKS`` dict (a message fragment mapped to the reason);
+the script reads every such dict under ``tests/`` with ``ast``, and a
+surviving deletion whose message contains a listed fragment is reported
+as expected.  It exits 0 when every other deletion fails some test, 1
+otherwise.  Each deletion costs up to one full Tier-1 run.
 """
 
 from __future__ import annotations
@@ -41,6 +45,35 @@ def check_raises(source: str) -> list[ast.Raise]:
     return sorted(found, key=lambda node: (node.lineno, node.col_offset))
 
 
+def message(node: ast.Raise) -> str:
+    """The message a raise statement passes, each field of an f-string
+    shown as ``{}``."""
+    exc = node.exc
+    if not isinstance(exc, ast.Call) or not exc.args:
+        return ""
+    arg = exc.args[0]
+    if isinstance(arg, ast.JoinedStr):
+        return "".join(str(part.value) if isinstance(part, ast.Constant)
+                       else "{}" for part in arg.values)
+    if isinstance(arg, ast.Constant):
+        return str(arg.value)
+    return ast.unparse(arg)
+
+
+def unreachable_checks(tests: Path = ROOT / "tests") -> dict[str, str]:
+    """Every ``UNREACHABLE_CHECKS`` dict assigned at the top of a module
+    under ``tests``, merged, read without importing the module."""
+    listed: dict[str, str] = {}
+    for path in sorted(tests.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(target, ast.Name)
+                            and target.id == "UNREACHABLE_CHECKS"
+                            for target in node.targets)):
+                listed.update(ast.literal_eval(node.value))
+    return listed
+
+
 def without(source: str, node: ast.Raise) -> str:
     """The module with one raise statement replaced by ``pass``; the lines
     it spanned are kept, blank, so line numbers do not move."""
@@ -68,7 +101,8 @@ def main(argv=None) -> int:
                         help="module files under src/, e.g. "
                              "src/sphroots/degeneration.py")
     args = parser.parse_args(argv)
-    uncaught = []
+    listed = unreachable_checks()
+    uncaught, expected = [], []
     with tempfile.TemporaryDirectory(prefix="mutate-checks-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -86,14 +120,19 @@ def main(argv=None) -> int:
             for node in raises:
                 target.write_text(without(source, node))
                 label = f"{relative}:{node.lineno}"
-                if suite_passes(copy):
-                    uncaught.append(label)
-                    print(f"UNCAUGHT {label}", flush=True)
-                else:
+                text = message(node)
+                if not suite_passes(copy):
                     print(f"caught   {label}", flush=True)
+                elif any(key in text for key in listed):
+                    expected.append(label)
+                    print(f"listed   {label} ({text})", flush=True)
+                else:
+                    uncaught.append(label)
+                    print(f"UNCAUGHT {label} ({text})", flush=True)
             target.write_text(source)
             print(f"{relative}: {len(raises)} raises", flush=True)
-    print(f"{len(uncaught)} uncaught deletion(s)")
+    print(f"{len(uncaught)} uncaught deletion(s), {len(expected)} listed "
+          f"as unreachable")
     return 1 if uncaught else 0
 
 

@@ -6,17 +6,33 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sphroots.solver as solver
 from sphroots.degeneration import degenerate
 from sphroots.enumeration import enumerate_cases
-from sphroots.errors import NotSpherical
+from sphroots.errors import InvariantViolation, NotSpherical
 from sphroots.rootsystem import build, embed
-from sphroots.solver import algorithm_d, base_solve, leaf_resolve, optimized_solve
+from sphroots.solver import (
+    NodeProof,
+    algorithm_d,
+    base_solve,
+    leaf_resolve,
+    optimized_solve,
+)
 from sphroots.sphericity import is_spherical_and_rank
 from sphroots.subgroup import ambient_reduction, sm_decomposition
 from sphroots.tables import instantiate_row
 
 from helpers import datum
 
+#: theorem checks of the solver that no input reaches, by message, with
+#: the reason
+UNREACHABLE_CHECKS = {
+    "block isolation did not terminate":
+        "each turn of algorithm_d returns or degenerates, a degeneration "
+        "lowers the rank by exactly one (checked in degeneration) and "
+        "shrinking to a sub-datum never raises it, so the loop returns "
+        "within rank + 1 turns, far under its cap",
+}
 
 def test_leaf_resolve_examples():
     assert leaf_resolve(datum("B", 3, (1, 3), [(0, 1)])).roots == ((0, 1, 1),)
@@ -258,12 +274,155 @@ def test_choices_that_bypass_the_memos_agree_with_the_default(data, rng):
         assert pair.roots == base_solve(H).roots
 
 
+def _internal_nodes(result):
+    if isinstance(result.proof, NodeProof):
+        yield result
+        for child in result.proof.children:
+            yield from _internal_nodes(child)
+
+
 def test_removed_roots_differ_at_every_node():
-    # each internal recursion node loses two distinct roots; the solver
-    # asserts this internally, so a clean run is itself the check
+    # each internal recursion node loses two distinct roots, one per
+    # branch; the corruption tests below reach the solver's own checks
+    nodes = 0
     for family, n, complement, psi in CROSS_METHOD_CASES[:6]:
-        H = datum(family, n, complement, psi)
-        base_solve(H)
+        for result in _internal_nodes(base_solve(datum(family, n, complement,
+                                                       psi))):
+            lost = result.proof.removed
+            assert lost[0] != lost[1]
+            for child, root in zip(result.proof.children, lost):
+                assert root not in child.root_set
+                assert child.root_set | {root} == result.root_set
+            nodes += 1
+    assert nodes > 6
+
+
+def _lex_pair(psi):
+    """The default pivots, passed explicitly so that no memo answers."""
+    return psi[0], psi[1]
+
+
+def _corrupt_first_branch(monkeypatch, H, edit):
+    """Hand the result ``edit(roots)`` of H's first branch to the node."""
+    child = degenerate(H, H.psi[0]).target
+    real = solver._base_solve
+
+    def patched(G, choose_pair):
+        result = real(G, choose_pair)
+        if G is child:
+            result = result._replace(roots=edit(result.roots))
+        return result
+
+    monkeypatch.setattr(solver, "_base_solve", patched)
+
+
+def _overstate_rank(monkeypatch):
+    real = solver.is_spherical_and_rank
+
+    def patched(H, choose=None):
+        spherical, rank = real(H, choose)
+        return spherical, rank + 1
+
+    monkeypatch.setattr(solver, "is_spherical_and_rank", patched)
+
+
+#: the B3 chain: its branches keep (0,0,1), (0,1,1) and (0,0,1), (1,1,0)
+B3_CHAIN = ("B", 3, (3,), [(1,), (2,)])
+
+
+def test_equal_pivots_are_refused():
+    H = datum(*B3_CHAIN)
+    with pytest.raises(InvariantViolation, match="pivots must differ"):
+        base_solve(H, choose_pair=lambda psi: (psi[0], psi[0]))
+
+
+def test_a_union_of_the_wrong_size_is_refused(monkeypatch):
+    # the first node to finish, the first branch, already disagrees
+    _overstate_rank(monkeypatch)
+    with pytest.raises(InvariantViolation, match="union size 2 != rank 3"):
+        base_solve(datum(*B3_CHAIN), choose_pair=_lex_pair)
+
+
+def test_a_branch_keeping_every_root_is_refused(monkeypatch):
+    # the first branch also keeps the root it lost: the union still has
+    # the rank's size, but that branch lost none
+    H = datum(*B3_CHAIN)
+    _corrupt_first_branch(monkeypatch, H, lambda roots: roots + ((1, 1, 0),))
+    with pytest.raises(InvariantViolation,
+                       match="branch did not lose exactly one root"):
+        base_solve(H, choose_pair=_lex_pair)
+
+
+def test_a_branch_repeating_a_root_is_refused(monkeypatch):
+    # the first branch names (0,1,1) twice: it has rank - 1 entries, but
+    # two roots of the union are missing from it
+    H = datum(*B3_CHAIN)
+    _corrupt_first_branch(monkeypatch, H, lambda roots: ((0, 1, 1),) * 2)
+    with pytest.raises(InvariantViolation,
+                       match="branches must lose two distinct roots"):
+        base_solve(H, choose_pair=_lex_pair)
+
+
+def test_dependent_roots_are_refused(monkeypatch):
+    # (1,1,1) in place of (0,1,1): the branches still lose one distinct
+    # root each, but (1,1,1) = (1,1,0) + (0,0,1)
+    H = datum(*B3_CHAIN)
+    _corrupt_first_branch(monkeypatch, H, lambda roots: ((0, 0, 1), (1, 1, 1)))
+    with pytest.raises(InvariantViolation,
+                       match="spherical roots must be independent"):
+        base_solve(H, choose_pair=_lex_pair)
+
+
+def test_leaf_resolve_refuses_two_active_roots():
+    with pytest.raises(InvariantViolation,
+                       match="leaf_resolve needs at most one active root"):
+        leaf_resolve(datum(*B3_CHAIN))
+
+
+#: two blocks, each isolated to one active root: (0,1) keeps (0,0,1),
+#: (1,1) keeps (1,1,0)
+TWO_BLOCKS = ("B", 3, (2, 3), [(1, 1), (0, 1)])
+
+
+def test_a_blockwise_union_of_the_wrong_size_is_refused(monkeypatch):
+    _overstate_rank(monkeypatch)
+    with pytest.raises(InvariantViolation,
+                       match="blockwise union size 2 != rank 3"):
+        optimized_solve(datum(*TWO_BLOCKS), "table")
+
+
+def test_overlapping_block_contributions_are_refused(monkeypatch):
+    # every block reports the first block's roots
+    real = solver.leaf_resolve
+    results = []
+
+    def first_block(G):
+        results.append(real(G))
+        return results[0]
+
+    monkeypatch.setattr(solver, "leaf_resolve", first_block)
+    with pytest.raises(InvariantViolation,
+                       match=r"block contributions overlap: \{\(0, 0, 1\)\}"):
+        optimized_solve(datum(*TWO_BLOCKS), "table")
+
+
+def test_isolation_refuses_a_shrink_that_loses_the_block(monkeypatch):
+    # the shrunken datum keeps only the other block's root
+    H = datum(*TWO_BLOCKS)
+    other = solver.upsilon_and_hat(H, 0)[1]
+    monkeypatch.setattr(solver, "upsilon_and_hat", lambda G, i: ((), other))
+    with pytest.raises(InvariantViolation,
+                       match="tracked block vanished after shrinking"):
+        algorithm_d(H, 1)
+
+
+def test_isolation_refuses_to_stop_with_several_blocks(monkeypatch):
+    # no companions are reported, yet the datum still has two blocks
+    H = datum(*TWO_BLOCKS)
+    monkeypatch.setattr(solver, "upsilon_and_hat", lambda G, i: ((), G))
+    with pytest.raises(InvariantViolation,
+                       match="block isolation left extra blocks"):
+        algorithm_d(H, 0)
 
 
 def test_ambient_reduction_commutes_with_solving():

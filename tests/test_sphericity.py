@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sphroots.rootsystem as rsmod
+import sphroots.sphericity as sphericity
 from sphroots.croots import levi_datum
 from sphroots.errors import ClosureViolation, InvariantViolation
 from sphroots.sphericity import (
@@ -22,7 +23,7 @@ from sphroots.sphericity import (
     knop_reduce,
     linearly_independent,
 )
-from sphroots.subgroup import make_subgroup
+from sphroots.subgroup import SubgroupDatum, make_subgroup
 
 from helpers import datum, levi
 from oracles import knop_reduce as reference_knop_reduce, rank
@@ -179,6 +180,74 @@ def test_submodule_monotonicity():
                             except ClosureViolation:
                                 continue
                             assert is_spherical_and_rank(sub)[0]
+
+
+#: the ambient types of the Borel-bound corpus
+BOUND_TYPES = ([("A", n) for n in range(3, 9)] + [("B", n) for n in range(3, 8)]
+               + [("C", n) for n in range(3, 8)] + [("D", n) for n in range(4, 9)]
+               + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+
+
+def _one_and_two_root_data():
+    """Every valid datum with one or two active roots on one or two
+    complement nodes of the ``BOUND_TYPES``."""
+    for family, n in BOUND_TYPES:
+        for size in (1, 2):
+            for complement in itertools.combinations(range(1, n + 1), size):
+                L = levi(family, n, complement)
+                for k in (1, 2):
+                    for psi in itertools.combinations(L.phi_plus, k):
+                        try:
+                            yield make_subgroup(L, psi)
+                        except ClosureViolation:
+                            continue
+
+
+def _beyond_the_borel(H):
+    return H.u_mask.bit_count() > len(H.L.delta_l_plus) + H.rs.rank
+
+
+def test_borel_dimension_bound_never_refuses_a_spherical_datum():
+    # a module larger than dim B_L = |Phi_L^+| + rank leaves the reduction
+    # more than rank picks, so it is never spherical; the verdict, settled
+    # by that count or reduced, equals a fresh reduction's on every datum
+    data = nonspherical = settled = 0
+    for H in _one_and_two_root_data():
+        w = knop_reduce(H.rs, H.L.levi, H.L.delta_l_plus, H.u_roots)
+        assert is_spherical_and_rank(H) == (w.spherical, w.rank), H
+        beyond = _beyond_the_borel(H)
+        assert not (beyond and w.spherical), H
+        data += 1
+        nonspherical += not w.spherical
+        settled += beyond
+    assert (data, nonspherical, settled) == (2225, 795, 627)
+
+
+def test_only_the_default_path_settles_by_the_bound(monkeypatch):
+    reductions = []
+    real = sphericity.knop_reduce
+
+    def counted(*args, **kwargs):
+        reductions.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sphericity, "knop_reduce", counted)
+    # fresh data, so no memoized verdict answers for the bound; the C4
+    # module has 11 weights against dim B_L = 9, the B3 chain's 6 meet
+    # its dim B_L = 6
+    wide = datum("C", 4, (2,), [(1,), (2,)])
+    wide = SubgroupDatum(wide.L, wide.psi)
+    assert _beyond_the_borel(wide)
+    assert is_spherical_and_rank(wide) == (False, None)
+    assert reductions == []
+    assert is_spherical_and_rank(wide, choose=max) == (False, None)
+    assert len(reductions) == 1
+
+    tight = datum("B", 3, (3,), [(1,), (2,)])
+    tight = SubgroupDatum(tight.L, tight.psi)
+    assert not _beyond_the_borel(tight)
+    assert is_spherical_and_rank(tight) == (True, 3)
+    assert len(reductions) == 2
 
 
 def _bench_data():

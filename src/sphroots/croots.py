@@ -29,9 +29,13 @@ class LeviDatum:
     :meth:`hat` decode it on read.  The same pass gives three masks in the
     line numbering of the system (:attr:`RootSystem.lines`): ``pu_mask``,
     the opposite nilradical; ``outside_mask``, the positive roots outside
-    the Levi; and ``levi_mask``, the Levi roots of both signs.  Immutable
-    once built; use :func:`levi_datum` to get the instance interned on the
-    root system.  Subgroup data over it are memoized on it by
+    the Levi; and ``levi_mask``, the Levi roots of both signs.  ``levi``
+    is the ascending node tuple that keys the instance in
+    ``rs._levi_data``; fiber keys, ``phi_plus``, :meth:`restrict` and
+    :meth:`decompositions` use the system's one tuple of each restricted
+    root (``rs._croots``).  Immutable once built; use :func:`levi_datum`
+    to get the instance interned on the root system.  Subgroup data over
+    it are memoized on it by
     ``make_subgroup``, what a degeneration along each delta does to it by
     ``degeneration.levi_step``, and its Dynkin
     components (:attr:`components`) when first asked for.
@@ -39,12 +43,12 @@ class LeviDatum:
 
     def __init__(self, rs: RootSystem, levi: Iterable[int]):
         self.rs = rs
-        self.levi = frozenset(levi)
+        self.levi = tuple(sorted(set(levi)))
         if any(a < 1 or a > rs.rank for a in self.levi):
             raise DimensionMismatch(
-                f"Levi nodes {sorted(self.levi)} out of range for rank {rs.rank}")
-        self.complement = tuple(a for a in range(1, rs.rank + 1)
-                                if a not in self.levi)
+                f"Levi nodes {list(self.levi)} out of range for rank {rs.rank}")
+        self.complement = tuple(sorted(
+            set(range(1, rs.rank + 1)).difference(self.levi)))
         idx = [a - 1 for a in self.complement]
         if len(idx) > 1:
             self._restrict = itemgetter(*idx)
@@ -72,7 +76,9 @@ class LeviDatum:
         self.pu_mask = self.outside_mask << n
         self.levi_mask = inside | inside << n
         self.delta_l_plus = tuple(delta_l_plus)
-        self._fiber_masks = fiber_masks
+        croots = rs._croots
+        self._fiber_masks = fiber_masks = {
+            croots.setdefault(lam, lam): m for lam, m in fiber_masks.items()}
         self.phi_plus = tuple(sorted(fiber_masks))
         for lam, m in fiber_masks.items():
             # fiber bits run in (height, lex) order, and the highest
@@ -96,11 +102,13 @@ class LeviDatum:
     def components(self) -> tuple[tuple[int, ...], ...]:
         """The node sets of the Dynkin components of the Levi, each
         ascending, by least node."""
-        return tuple(_components(self.rs.cartan, tuple(sorted(self.levi))))
+        return tuple(_components(self.rs.cartan, self.levi))
 
     def restrict(self, beta: Iterable[int]) -> Vector:
-        """Coefficient subvector of a root on the complement nodes."""
-        return self._restrict(tuple(beta))
+        """Coefficient subvector of a root on the complement nodes; the
+        system's one tuple of it when it is a restricted root."""
+        lam = self._restrict(tuple(beta))
+        return self.rs._croots.get(lam, lam)
 
     def has_croot(self, lam: Vector) -> bool:
         return lam in self._fiber_masks
@@ -110,6 +118,7 @@ class LeviDatum:
         ``a <= b``, by ascending ``a``; built on first use per C-root."""
         pairs = self._decompositions.get(lam)
         if pairs is None:
+            croots = self.rs._croots
             pairs = []
             for a in self.phi_plus:
                 # lam - a falls as a rises, both lexicographically
@@ -117,8 +126,8 @@ class LeviDatum:
                 if b < a:
                     break
                 if b in self._fiber_masks:
-                    pairs.append((a, b))
-            self._decompositions[lam] = pairs
+                    pairs.append((a, croots[b]))
+            self._decompositions[croots.get(lam, lam)] = pairs
         return pairs
 
     def fiber_mask(self, lam: Vector) -> int:
@@ -143,15 +152,17 @@ class LeviDatum:
         return frozenset(i + 1 for i, x in enumerate(self.hat(lam)) if x)
 
     def __repr__(self):
-        return f"LeviDatum({self.rs!r}, levi={sorted(self.levi)})"
+        return f"LeviDatum({self.rs!r}, levi={list(self.levi)})"
 
 
 def levi_datum(rs: RootSystem, levi: Iterable[int]) -> LeviDatum:
     """The Levi datum of ``rs`` on a node set, built once per system."""
     nodes = tuple(sorted(set(levi)))
-    if nodes not in rs._levi_data:
-        rs._levi_data[nodes] = LeviDatum(rs, nodes)
-    return rs._levi_data[nodes]
+    L = rs._levi_data.get(nodes)
+    if L is None:
+        L = LeviDatum(rs, nodes)
+        rs._levi_data[L.levi] = L
+    return L
 
 
 def complement_levi(rs: RootSystem, complement: Iterable[int]) -> LeviDatum:

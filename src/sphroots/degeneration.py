@@ -34,7 +34,9 @@ DeltaStrings.__doc__ = """The delta-string partition of a system's lines.
 which no limit moves.  ``long`` holds each string of two or more lines,
 a simple s(delta)-module, as its bottom masks: a tuple of ints whose
 entry k is the OR of the bits of the string's bottom k lines, so entry
-0 is 0 and the last entry is the whole string.  Strings are listed by
+0 is 0, entry 1 the system's one-line mask of the bottom line
+(:attr:`RootSystem.line_masks`, shared by every string with that
+bottom) and the last entry the whole string.  Strings are listed by
 the bit of their tops.
 """
 
@@ -63,6 +65,7 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
             else itemgetter(slice(indices[0], indices[0] + 1)))
     delta_norm = rsmod.norm(rs, delta)
     step, code_bits = rs.codes[delta] - rs.zero_code, rs.code_bits
+    masks = rs.line_masks
     down = {}
     for code, b in code_bits.items():
         c = code_bits.get(code - step)
@@ -91,9 +94,9 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
                 f"string through {alpha} has {len(string)} lines, not {p + 1}")
         seen += p + 1
         if p:
-            bottoms = [0]
+            bottoms = [0, masks[string.pop()]]
             for c in reversed(string):
-                bottoms.append(bottoms[-1] | 1 << c)
+                bottoms.append(bottoms[-1] | masks[c])
             long.append(tuple(bottoms))
         else:
             single_mask |= 1 << b
@@ -108,10 +111,10 @@ LeviStep.__doc__ = """What a degeneration along delta does to a Levi datum.
 
 ``pi_m``, a tuple of ints, holds the Levi nodes whose simple coroots
 vanish on delta, ascending, and ``target`` is their :class:`LeviDatum`,
-the Levi of every limit along delta.  ``levi_part``, an int, is the mask
-of the Levi lines of such a limit: the negative of each positive Levi
-root gamma with <gamma, delta^vee> > 0, at line ``b + N`` for gamma at
-line b.
+the Levi of every limit along delta; ``pi_m`` is ``target.levi`` itself.
+``levi_part``, an int, is the mask of the Levi lines of such a limit:
+the negative of each positive Levi root gamma with <gamma, delta^vee>
+> 0, at line ``b + N`` for gamma at line b.
 """
 
 
@@ -135,9 +138,8 @@ def levi_step(L: LeviDatum, delta: Vector) -> LeviStep:
             if value > 0:
                 levi_part |= 1 << (b + n)
         moved = {i + 1 for i, _ in form}
-        pi_m = tuple(a for a in sorted(L.levi) if a not in moved)
-        step = L._steps[delta] = LeviStep(pi_m, levi_datum(rs, pi_m),
-                                          levi_part)
+        target = levi_datum(rs, [a for a in L.levi if a not in moved])
+        step = L._steps[delta] = LeviStep(target.levi, target, levi_part)
     return step
 
 

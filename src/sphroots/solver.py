@@ -162,7 +162,7 @@ def _table_resolve(H: SubgroupDatum) -> SphericalRootSet:
 
 def _wire(H: SubgroupDatum) -> dict:
     if H.rs.type_label is None:
-        return {"levi": sorted(H.L.levi), "psi": [list(v) for v in H.psi]}
+        return {"levi": list(H.L.levi), "psi": [list(v) for v in H.psi]}
     return H.to_wire()
 
 

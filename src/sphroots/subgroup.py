@@ -24,6 +24,8 @@ class SubgroupDatum:
     ``u_mask`` is the union of the fibers of the active set, in the line
     numbering of the system: the weight set of the module whose sphericity
     governs everything downstream.  ``u_roots`` decodes it on read.
+    ``psi`` is the key tuple :func:`make_subgroup` interns the instance
+    by, holding the system's one tuple of each active root.
     Instances are interned on their Levi datum by :func:`make_subgroup`;
     the block decomposition, the sphericity verdict and the base-solve
     results are memoized on the instance when first computed.
@@ -31,9 +33,9 @@ class SubgroupDatum:
 
     __slots__ = ("L", "psi", "u_mask", "_blocks", "_verdict", "_solved")
 
-    def __init__(self, L: LeviDatum, psi: Iterable[Vector]):
+    def __init__(self, L: LeviDatum, psi: tuple[Vector, ...]):
         self.L = L
-        self.psi = tuple(sorted(tuple(v) for v in psi))
+        self.psi = tuple(psi)
         mask = 0
         for lam in self.psi:
             mask |= L.fiber_mask(lam)
@@ -53,7 +55,7 @@ class SubgroupDatum:
         return tuple(roots[b] for b in rsmod.mask_bits(self.u_mask))
 
     def __repr__(self):
-        return (f"SubgroupDatum(levi={sorted(self.L.levi)}, "
+        return (f"SubgroupDatum(levi={list(self.L.levi)}, "
                 f"psi={list(self.psi)})")
 
     def to_wire(self) -> dict:
@@ -79,18 +81,21 @@ def make_subgroup(L: LeviDatum, psi: Iterable[Iterable[int]]) -> SubgroupDatum:
     positive restricted roots.
     """
     psi_t = tuple(sorted({tuple(v) for v in psi}))
-    if psi_t in L._subgroups:
-        return L._subgroups[psi_t]
-    psi_set = set(psi_t)
+    H = L._subgroups.get(psi_t)
+    if H is not None:
+        return H
     for lam in psi_t:
         if not L.has_croot(lam):
             raise PsiNotInPhiPlus(f"{lam} is not a positive restricted root")
+    croots = L.rs._croots
+    psi_t = tuple(croots[lam] for lam in psi_t)
+    psi_set = set(psi_t)
     for lam in psi_t:
         for a, b in L.decompositions(lam):
             if a not in psi_set and b not in psi_set:
                 raise ClosureViolation(a, b, lam)
-    L._subgroups[psi_t] = SubgroupDatum(L, psi_t)
-    return L._subgroups[psi_t]
+    H = L._subgroups[psi_t] = SubgroupDatum(L, psi_t)
+    return H
 
 
 class SMDecomposition(namedtuple("SMDecomposition", "components")):

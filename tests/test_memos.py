@@ -279,3 +279,70 @@ def test_levi_data_keep_fibers_as_masks_only():
                          capture_output=True, text=True, env=env).stdout
     count, found = json.loads(out)
     assert count > 10 and found == []
+
+
+#: one regeneration pass in a fresh process, then, over every interned
+#: system, each memo key that should be the system's one copy and is not,
+#: counted by kind, beside the number of keys checked
+_SHARED_KEYS = """
+import collections, json
+from sphroots import rootsystem as rsmod
+from sphroots.enumeration import verify_tables
+
+for family, ranks in (("A", [5]), ("B", [5]), ("C", [5]), ("D", [6]),
+                      ("E6", None), ("F4", None)):
+    verify_tables(family, ranks=ranks)
+checked, copies = collections.Counter(), collections.Counter()
+
+def check(kind, value, shared):
+    checked[kind] += 1
+    if value is not shared:
+        copies[kind] += 1
+
+for rs in [*rsmod._by_type.values(), *rsmod._by_cartan.values()]:
+    croots = rs._croots
+    for nodes, L in rs._levi_data.items():
+        check("levi", L.levi, nodes)
+        for lam in L._fiber_masks:
+            check("fiber key", lam, croots.get(lam))
+        for lam in L.phi_plus:
+            check("phi_plus", lam, croots.get(lam))
+        for b in range(len(rs.positive_roots)):
+            if L.outside_mask >> b & 1:
+                lam = L.restrict(rs.positive_roots[b])
+                check("restrict", lam, croots.get(lam))
+        for pairs in L._decompositions.values():
+            for pair in pairs:
+                for lam in pair:
+                    check("summand", lam, croots.get(lam))
+        for step in L._steps.values():
+            check("pi_m", step.pi_m, step.target.levi)
+        for psi, H in L._subgroups.items():
+            check("psi", H.psi, psi)
+            for lam in psi:
+                check("psi member", lam, croots.get(lam))
+    for partition in rs._delta_strings.values():
+        for bottoms in partition.long:
+            check("bottom", bottoms[1],
+                  rs.line_masks[bottoms[1].bit_length() - 1])
+print(json.dumps([checked, copies]))
+"""
+
+
+def test_regen_pass_keeps_one_copy_of_each_shared_key():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _SHARED_KEYS], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    checked, copies = json.loads(out)
+    assert set(checked) == {"levi", "fiber key", "phi_plus", "restrict",
+                            "summand", "pi_m", "psi", "psi member", "bottom"}
+    assert min(checked.values()) > 100
+    assert copies == {}
+
+
+def test_levi_nodes_are_the_sorted_key_tuple():
+    rs = rsmod.build("B", 3)
+    L = levi_datum(rs, [3, 1, 3])
+    assert L.levi == (1, 3)
+    assert levi_datum(rs, (1, 3)) is L
+    assert next(k for k in rs._levi_data if rs._levi_data[k] is L) is L.levi

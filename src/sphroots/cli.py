@@ -235,8 +235,7 @@ def _enumerate_args(p):
     p.add_argument("--rank", type=int)
     p.add_argument("--complement-size", dest="complement_size", type=int,
                    choices=(1, 2), required=True)
-    p.add_argument("--psi-size", dest="psi_size", type=int, choices=(1, 2),
-                   required=True)
+    p.add_argument("--psi-size", dest="psi_size", type=int, required=True)
     p.add_argument("--skip-solve", action="store_true")
     _format_arg(p)
     p.set_defaults(func=_cmd_enumerate)

@@ -1,17 +1,19 @@
 """Exhaustive case enumeration and classification-table verification.
 
 For a fixed ambient type, enumerate every parabolic with a one- or
-two-node complement and every admissible active set, decide sphericity and
-block-triviality, solve the surviving cases, and compare the outcome with
-the instantiated table rows.  Cases are canonicalized modulo diagram
-automorphisms before comparison, and the spherical-root sets are compared
-in canonical coordinates.  Verification solves only the spherical
-one-block cases, the only ones the tables list; enumeration proper solves
-every spherical case.
+two-node complement and every admissible active set of a given size, any
+size, decide sphericity and block-triviality, solve the surviving cases,
+and compare the outcome with the instantiated table rows.  Cases are
+canonicalized modulo diagram automorphisms before comparison, and the
+spherical-root sets are compared in canonical coordinates.  Verification
+solves only the spherical one-block cases, the only ones the tables list;
+enumeration proper solves every spherical case.
 
 Only cases whose active supports cover the whole diagram are kept: a case
 with smaller support is the same case inside a smaller ambient group and
-is enumerated there.
+is enumerated there.  With two or more active roots, a case where some
+fiber is a line is dropped too: a one-line fiber's weight pairs to zero
+with every Levi coroot, so it is a block of its own.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from .tables import _transform_datum, lookup, match_datum, row_index
 
 CaseKey = tuple[tuple[int, ...], tuple[Vector, ...]]
 
-#: largest A-D rank that enumeration accepts, below ``MAX_RANK``.  The
-#: slowest enumeration (type D, two complement nodes, two active roots,
-#: solved) takes about 0.56 s at rank 12, 0.77 s at this rank and 1.19 s
-#: at rank 14 in a fresh process on a 2-vCPU host (``BENCH_24.json``);
-#: larger ranks are refused before any closure runs.
+#: largest A-D rank that enumeration accepts, below ``MAX_RANK``.  Solved,
+#: with two complement nodes, every active-set size takes at most about
+#: 0.5 s at this rank in a fresh process on a 2-vCPU host: two active
+#: roots 0.30-0.44 s at A13-D13, three 0.49 s at B13 (nine three-root B
+#: chains to solve) and 0.15-0.23 s at C13 and D13, four or more at most
+#: 0.12 s; E8 peaks at 0.34 s at seven (``BENCH_27.json``).  Larger ranks
+#: are refused before any closure runs.
 ENUMERATION_MAX_RANK = 13
 
 
@@ -99,38 +103,31 @@ def canonical_key(rs: RootSystem, complement, psi) -> tuple[CaseKey, tuple[int, 
     return best, best_perm
 
 
-def _candidate_psis(L, psi_size: int) -> list[tuple[Vector, ...]]:
-    units = sorted({L.restrict(L.rs.simple_root(a)) for a in L.complement})
-    if psi_size == 1:
-        return [(lam,) for lam in units]
-    out = set()
-    for lam in units:
-        for mu in L.phi_plus:
-            if mu != lam:
-                out.add(tuple(sorted((lam, mu))))
-    return sorted(out)
-
-
 def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
                     solve: bool = True) -> list[CaseRecord]:
     """All canonical full-support cases for the given shape.
 
-    Candidate active sets pair a complement simple root with any other
-    positive restricted root; the subalgebra closure condition prunes the
-    rest.  Two-root cases where either fiber is a line are dropped (their
-    block structure is never trivial).  The two cheap filters (a fiber is
-    a line, full support) run first, then the canonical key, then the
-    closure check.  All three filters are invariant under diagram
-    automorphisms, so a candidate passes exactly when every candidate with
-    its key does: the order changes neither the records nor their keys
-    (they are listed by key), and spares the key and the closure check of
-    the candidates the cheap filters drop.  When ``solve`` is set, every
-    spherical case is solved by ``base_solve`` (its ``sigma``), and the
-    ones with a single block are also matched against the tables; a case
-    with several blocks keeps its sigma and no matched row.
+    Every set of ``psi_size`` >= 1 positive restricted roots is a
+    candidate, and the subalgebra closure check decides which are valid.
+    The filters run cheapest first.  (1) The lexicographically least
+    member has a decomposition: both parts precede it, so neither is
+    active and the closure check would fail.  (2) With two or more active
+    roots, some fiber is a line: its weight pairs to zero with every Levi
+    coroot, so it is a block of its own and the blocks are never trivial.
+    (3) The supports miss a node.  Then the canonical key, then the
+    closure check.  Filter 1 drops only candidates the closure check
+    drops, and the others are invariant under diagram automorphisms, so a
+    candidate passes exactly when every candidate with its key does: the
+    order changes neither the records nor their keys (they are listed by
+    key), and spares the key and the closure check of the candidates the
+    cheap filters drop.  When ``solve`` is set, every spherical case is
+    solved by ``base_solve`` (its ``sigma``), and the ones with a single
+    block are also matched against the tables; a case with several
+    blocks, or with more active roots than the tables list, keeps its
+    sigma and no matched row.
     """
-    if psi_size not in (1, 2):
-        raise SphrootsError("psi_size must be 1 or 2")
+    if psi_size < 1:
+        raise SphrootsError(f"psi_size must be at least 1, got {psi_size}")
     if psi_size == 1 and complement_size != 1:
         raise SphrootsError("single active root cases use one complement node")
     records: dict[CaseKey, CaseRecord] = {}
@@ -138,9 +135,11 @@ def enumerate_cases(rs: RootSystem, complement_size: int, psi_size: int,
     for complement in itertools.combinations(range(1, rs.rank + 1),
                                              complement_size):
         L = complement_levi(rs, complement)
-        for psi in _candidate_psis(L, psi_size):
-            if psi_size == 2 and any(L.fiber_mask(lam).bit_count() == 1
-                                       for lam in psi):
+        for psi in itertools.combinations(L.phi_plus, psi_size):
+            if L.decompositions(psi[0]):
+                continue
+            if psi_size > 1 and any(L.fiber_mask(lam).bit_count() == 1
+                                    for lam in psi):
                 continue
             support = frozenset().union(
                 *(L.croot_support(lam) for lam in psi))

@@ -12,6 +12,9 @@ import pytest
 
 import sphroots.cli
 from sphroots.cli import build_parser, main
+from sphroots.solver import optimized_solve
+
+from helpers import datum
 
 
 def run(capsys, *argv):
@@ -167,6 +170,24 @@ def test_enumerate_round_trip(capsys):
     assert payload["rank"] == rec["spherical_rank"]
 
 
+def test_enumerate_takes_three_active_roots(capsys):
+    # no table lists three active roots, so every spherical case has
+    # several blocks; its sigma is the blockwise table route's
+    code, out, _ = run(capsys, "enumerate", "--type", "C", "--rank", "5",
+                       "--complement-size", "2", "--psi-size", "3",
+                       "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    spherical = [r for r in records if r["spherical"]]
+    assert len(spherical) == 4
+    for rec in spherical:
+        assert len(rec["psi"]) == 3
+        assert rec["sm_trivial"] is False and rec["matched_row"] is None
+        H = datum("C", 5, rec["levi_complement"], rec["psi"])
+        table = optimized_solve(H, "table").roots
+        assert rec["sigma"] == [list(v) for v in table]
+
+
 def test_verify_tables_exit_codes(capsys):
     code, out, _ = run(capsys, "verify-tables", "--type", "F4",
                        "--format", "json")
@@ -211,6 +232,10 @@ DATUM = ("--type", "B", "--rank", "3")
     ("tables", "dump", "--table", "1", "--n", "0"),
     ("enumerate", "--type", "B", "--rank", "3", "--complement-size", "2",
      "--psi-size", "1"),
+    ("enumerate", "--type", "B", "--rank", "3", "--complement-size", "1",
+     "--psi-size", "0"),
+    ("enumerate", "--type", "B", "--rank", "3", "--complement-size", "2",
+     "--psi-size", "-1"),
     ("verify-tables", "--type", "A", "--max-rank", "2"),
     ("verify-tables", "--type", "D", "--max-rank", "3"),
     ("tables", "dump", "--table", "1", "--n", "65"),

@@ -14,11 +14,10 @@ import sphroots.rootsystem as rsmod
 from sphroots import degeneration
 from sphroots.croots import levi_datum
 from sphroots.degeneration import degenerate, levi_step
-from sphroots.enumeration import verify_tables
 from sphroots.errors import InvariantViolation
 from sphroots.tables import lookup, row_index
 
-from helpers import datum, system
+from helpers import datum, grown_data, system
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -231,24 +230,12 @@ def test_decoded_fibers_equal_a_fresh_restriction(family, n):
         assert not L.has_croot(tuple(0 for _ in L.complement))
 
 
-def _interned_data(rs):
-    """Every subgroup datum interned on the system, its Levi data and the
-    subsystems derived from it, recursively (a subsystem on every node
-    may be the system itself)."""
-    systems, seen = [rs], {id(rs)}
-    for system_ in systems:
-        for L in system_._levi_data.values():
-            yield from L._subgroups.values()
-        for sub in system_._subsystems.values():
-            if id(sub.system) not in seen:
-                seen.add(id(sub.system))
-                systems.append(sub.system)
-
-
 def test_decoded_modules_equal_the_union_of_active_fibers():
-    verify_tables("B", ranks=[4])
-    data = list(_interned_data(rsmod.build("B", 4)))
-    assert len(data) > 50
+    # the population is built here, every closure-valid datum of every B4
+    # Levi, so the test does not depend on what other tests left interned
+    data = [H for L in _levis(rsmod.build("B", 4))
+            for H in grown_data(L)]
+    assert len(data) == 6322
     for H in data:
         union = {beta for lam in H.psi for beta in H.L.fiber(lam)}
         assert H.u_roots == tuple(sorted(union, key=lambda r: (sum(r), r)))

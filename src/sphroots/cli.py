@@ -208,26 +208,18 @@ def _roots_args(p):
     p.add_argument("--type", required=True)
     p.add_argument("--rank", type=int)
     _format_arg(p)
-    p.set_defaults(func=_cmd_roots)
-
-
-def _check_args(p):
-    _datum_args(p)
-    p.set_defaults(func=_cmd_check)
 
 
 def _compute_args(p):
     _datum_args(p)
     p.add_argument("--method", choices=("base", "optimized", "both"),
                    default="optimized")
-    p.set_defaults(func=_cmd_compute)
 
 
 def _degenerate_args(p):
     _datum_args(p)
     p.add_argument("--lambda", required=True,
                    help="comma-separated restricted root to degenerate along")
-    p.set_defaults(func=_cmd_degenerate)
 
 
 def _enumerate_args(p):
@@ -238,14 +230,12 @@ def _enumerate_args(p):
     p.add_argument("--psi-size", dest="psi_size", type=int, required=True)
     p.add_argument("--skip-solve", action="store_true")
     _format_arg(p)
-    p.set_defaults(func=_cmd_enumerate)
 
 
 def _verify_tables_args(p):
     p.add_argument("--type", required=True)
     p.add_argument("--max-rank", dest="max_rank", type=int, default=10)
     _format_arg(p)
-    p.set_defaults(func=_cmd_verify_tables)
 
 
 def _tables_args(p):
@@ -257,20 +247,21 @@ def _tables_args(p):
     pd.add_argument("--n", type=int)
     pd.add_argument("--params")
     _format_arg(pd)
-    pd.set_defaults(func=_cmd_tables)
 
 
-#: each command's help line and the function adding its arguments, in the
-#: order ``sphroots --help`` lists them
+#: each command's help line, the function adding its arguments and its
+#: handler, in the order ``sphroots --help`` lists them
 _COMMANDS = {
-    "roots": ("dump a root system", _roots_args),
-    "check": ("sphericity and rank of a datum", _check_args),
-    "compute": ("spherical roots of a datum", _compute_args),
+    "roots": ("dump a root system", _roots_args, _cmd_roots),
+    "check": ("sphericity and rank of a datum", _datum_args, _cmd_check),
+    "compute": ("spherical roots of a datum", _compute_args, _cmd_compute),
     "degenerate": ("degenerate a datum along one active root",
-                   _degenerate_args),
-    "enumerate": ("enumerate canonical cases", _enumerate_args),
-    "verify-tables": ("regenerate tables and diff", _verify_tables_args),
-    "tables": ("table row instantiations", _tables_args),
+                   _degenerate_args, _cmd_degenerate),
+    "enumerate": ("enumerate canonical cases", _enumerate_args,
+                  _cmd_enumerate),
+    "verify-tables": ("regenerate tables and diff", _verify_tables_args,
+                      _cmd_verify_tables),
+    "tables": ("table row instantiations", _tables_args, _cmd_tables),
 }
 
 
@@ -289,9 +280,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True,
         metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
-    for name, (help_text, add_args) in _COMMANDS.items():
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
         if command is None or name == command:
-            add_args(sub.add_parser(name, help=help_text))
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 

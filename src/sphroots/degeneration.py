@@ -106,12 +106,11 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
     return rs._delta_strings[delta]
 
 
-LeviStep = namedtuple("LeviStep", "pi_m target levi_part")
+LeviStep = namedtuple("LeviStep", "target levi_part")
 LeviStep.__doc__ = """What a degeneration along delta does to a Levi datum.
 
-``pi_m``, a tuple of ints, holds the Levi nodes whose simple coroots
-vanish on delta, ascending, and ``target`` is their :class:`LeviDatum`,
-the Levi of every limit along delta; ``pi_m`` is ``target.levi`` itself.
+``target`` is the :class:`LeviDatum` of the Levi nodes whose simple
+coroots vanish on delta, the Levi of every limit along delta.
 ``levi_part``, an int, is the mask of the Levi lines of such a limit:
 the negative of each positive Levi root gamma with <gamma, delta^vee>
 > 0, at line ``b + N`` for gamma at line b.
@@ -139,22 +138,21 @@ def levi_step(L: LeviDatum, delta: Vector) -> LeviStep:
                 levi_part |= 1 << (b + n)
         moved = {i + 1 for i, _ in form}
         target = levi_datum(rs, [a for a in L.levi if a not in moved])
-        step = L._steps[delta] = LeviStep(target.levi, target, levi_part)
+        step = L._steps[delta] = LeviStep(target, levi_part)
     return step
 
 
 DegenerationResult = namedtuple(
     "DegenerationResult",
-    "source lam delta target pi_m u_infinity limit limit_dim")
+    "source lam delta target u_infinity limit limit_dim")
 DegenerationResult.__doc__ = """Everything the limit produces: the new datum
 and the limit lines.
 
 ``source`` and ``target`` are the :class:`SubgroupDatum` before and after
 the limit; ``lam`` is the active root degenerated along and ``delta`` its
-highest fiber weight (tuples); ``pi_m``, a tuple of ints, holds the
-target's Levi nodes; ``u_infinity``, a tuple of positive roots, holds the
-limit's lines outside the source's Levi, which restrict to the target's
-module; ``limit``, an int, is the mask of the limit's lines and
+highest fiber weight (tuples); ``u_infinity``, a tuple of positive
+roots, holds the limit's lines outside the source's Levi, which restrict
+to the target's module; ``limit``, an int, is the mask of the limit's lines and
 ``limit_dim``, an int, the number of lines shifted into it, one per line
 of the orthogonal complement.
 """
@@ -192,8 +190,7 @@ def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
     restrict = step.target.restrict
     target = make_subgroup(step.target, {restrict(beta) for beta in u_inf})
 
-    result = DegenerationResult(H, lam, delta, target, step.pi_m,
-                                u_inf, limit, dim)
+    result = DegenerationResult(H, lam, delta, target, u_inf, limit, dim)
     _check_limit_structure(result)
     return result
 

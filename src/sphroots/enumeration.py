@@ -1,9 +1,9 @@
 """Exhaustive case enumeration and classification-table verification.
 
 For a fixed ambient type, enumerate every parabolic with a one- or
-two-node complement and every admissible active set of a given size, any
-size, decide sphericity and block-triviality, solve the surviving cases,
-and compare the outcome with the instantiated table rows.  Cases are
+two-node complement and every admissible active set of one given size
+(one root or more), decide sphericity and block-triviality, solve the
+surviving cases, and compare the outcome with the instantiated table rows.  Cases are
 canonicalized modulo diagram automorphisms before comparison, and the
 spherical-root sets are compared in canonical coordinates.  Verification
 solves only the spherical one-block cases, the only ones the tables list;

@@ -163,7 +163,8 @@ class RootSystem:
 
 
 def normalize_type(type_label: str, rank: Optional[int] = None) -> tuple[str, int]:
-    """Resolve a (family, rank) pair, accepting forms like B/3, E6, E/6."""
+    """Resolve a (family, rank) pair, given as ``B3``, ``E6``, or ``B`` or
+    ``E`` with ``rank`` 3 or 6, in any case."""
     label = type_label.strip().upper()
     if label in ("E", "F", "G") and rank is not None:
         label = f"{label}{rank}"
@@ -600,16 +601,10 @@ def _isomorphisms_onto(source: Adjacency, target: Adjacency) -> list[dict]:
     return results
 
 
-def _candidate_families(m: int) -> list[tuple[str, int]]:
-    out = [("A", m)]
-    if m >= 2:
-        out += [("B", m), ("C", m)]
-    if m >= 3:
-        out.append(("D", m))
-    for fam, r in _FIXED_RANK.items():
-        if r == m:
-            out.append((fam, m))
-    return out
+def _candidate_families(m: int) -> list[str]:
+    """The families with a standard diagram of rank m, in FAMILIES order."""
+    return [fam for fam in FAMILIES
+            if _FIXED_RANK.get(fam, m) == m >= _MIN_RANK.get(fam, m)]
 
 
 def diagram_isomorphisms(rs: RootSystem, comp: Iterable[int], family: str,

@@ -282,8 +282,6 @@ def optimized_solve(H: SubgroupDatum,
         isolated, steps = algorithm_d(H, i)
         if resolution == "compute":
             part = _base_solve(isolated, None)
-        elif len(isolated.psi) <= 1:
-            part = leaf_resolve(isolated)
         else:
             part = _table_resolve(isolated)
         parts.append(part)

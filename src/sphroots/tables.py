@@ -23,7 +23,7 @@ where these are not forced by the rank.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import rootsystem as rsmod
 from .errors import ParamsOutOfRange, UnclassifiedCase, UnclassifiedLeaf
@@ -90,89 +90,96 @@ def _instance(spec: RowSpec, n: int, params: Params) -> RowInstance:
         tuple(sorted(sigma, key=rsmod.height_key)))
 
 
-def _fixed(*params_lists: Params) -> Callable[[int], list[Params]]:
-    lists = list(params_lists)
-    return lambda n: lists
+def _no_params(n: int) -> list[Params]:
+    return [()]
 
 
 _ROWS: list[RowSpec] = []
 
 
-def _row(table_id, row_id, family, n_ok, params_for, build):
-    _ROWS.append(RowSpec(table_id, row_id, family, n_ok, params_for, build))
+def _row(table_id, row_id, family, n_ok, params_for=_no_params):
+    """Register the decorated ``build(n, params)`` as one row, in order."""
+    def register(build):
+        _ROWS.append(RowSpec(table_id, row_id, family, n_ok, params_for, build))
+        return build
+    return register
 
 
 # --- table 1: one active root on one complement node -----------------------
 
-def _t1(complement_k):
+def _t1(row_id, family, n_ok, node, params_for=_no_params):
+    """Register the table-1 row on node ``k = node(n, params)`` whose
+    rank and roots the decorated ``fn(n, k)`` returns."""
     def wrap(fn):
         def build(n, params):
-            k = complement_k(n, params)
+            k = node(n, params)
             rank, sigma = fn(n, k)
             return (k,), ((1,),), rank, sigma
-        return build
+        _row(1, row_id, family, n_ok, params_for)(build)
+        return fn
     return wrap
 
 
-@_t1(lambda n, p: p[0])
+@_t1(1, "A", lambda n: n >= 1, lambda n, p: p[0],
+     lambda n: [(k,) for k in range(1, (n + 1) // 2 + 1)])
 def _t1r1(n, k):  # (A_n, k), k <= (n+1)/2
     sigma = [_add(_e(n, i), _e(n, n + 1 - i)) for i in range(1, k)]
     sigma.append(_seg(n, k, n + 1 - k))
     return k, sigma
 
 
-@_t1(lambda n, p: 1)
+@_t1(2, "B", lambda n: n >= 3, lambda n, p: 1)
 def _t1r2(n, k):  # (B_n, 1)
     return 2, [_e(n, 1), _seg(n, 2, n, 2)]
 
 
-@_t1(lambda n, p: n)
+@_t1(3, "B", lambda n: n >= 3, lambda n, p: n)
 def _t1r3(n, k):  # (B_n, n)
     return 1, [_seg(n, 1, n)]
 
 
-@_t1(lambda n, p: 1)
+@_t1(4, "C", lambda n: n >= 2, lambda n, p: 1)
 def _t1r4(n, k):  # (C_n, 1)
     return 1, [_add(_e(n, 1), _seg(n, 2, n - 1, 2), _e(n, n))]
 
 
-@_t1(lambda n, p: 2)
+@_t1(5, "C", lambda n: n >= 4, lambda n, p: 2)
 def _t1r5(n, k):  # (C_n, 2), n >= 4
     return 3, [_add(_e(n, 1), _e(n, 3)), _e(n, 2),
                _add(_e(n, 3), _seg(n, 4, n - 1, 2), _e(n, n))]
 
 
-@_t1(lambda n, p: 3)
+@_t1(6, "C", lambda n: n == 5, lambda n, p: 3)
 def _t1r6(n, k):  # (C_5, 3)
     return 5, _units(n, 1, 5)
 
 
-@_t1(lambda n, p: 3)
+@_t1(7, "C", lambda n: n >= 6, lambda n, p: 3)
 def _t1r7(n, k):  # (C_n, 3), n >= 6
     return 6, _units(n, 1, 5) + [_add(_e(n, 5), _seg(n, 6, n - 1, 2), _e(n, n))]
 
 
-@_t1(lambda n, p: n - 2)
+@_t1(8, "C", lambda n: n >= 6, lambda n, p: n - 2)
 def _t1r8(n, k):  # (C_n, n-2), n >= 6
     return 6, _units(n, 1, 3) + [_e(n, n - 1), _e(n, n), _seg(n, 4, n - 2)]
 
 
-@_t1(lambda n, p: n - 1)
+@_t1(9, "C", lambda n: n >= 3, lambda n, p: n - 1)
 def _t1r9(n, k):  # (C_n, n-1)
     return 2, [_add(_e(n, 1), _e(n, n)), _seg(n, 2, n - 1)]
 
 
-@_t1(lambda n, p: n)
+@_t1(10, "C", lambda n: n >= 2, lambda n, p: n)
 def _t1r10(n, k):  # (C_n, n)
     return n, [_seg(n, i, i, 2) for i in range(1, n)] + [_e(n, n)]
 
 
-@_t1(lambda n, p: 1)
+@_t1(11, "D", lambda n: n >= 4, lambda n, p: 1)
 def _t1r11(n, k):  # (D_n, 1)
     return 2, [_e(n, 1), _add(_seg(n, 2, n - 2, 2), _e(n, n - 1), _e(n, n))]
 
 
-@_t1(lambda n, p: n)
+@_t1(12, "D", lambda n: n >= 5 and n % 2 == 1, lambda n, p: n)
 def _t1r12(n, k):  # (D_n, n), n odd
     m = (n - 1) // 2
     sigma = [_mk(n, (2 * i - 1, 2 * i, 2 * i, 2 * i + 1)) for i in range(1, m)]
@@ -180,72 +187,49 @@ def _t1r12(n, k):  # (D_n, n), n odd
     return m, sigma
 
 
-@_t1(lambda n, p: n)
+@_t1(13, "D", lambda n: n >= 4 and n % 2 == 0, lambda n, p: n)
 def _t1r13(n, k):  # (D_n, n), n even
     return n // 2, [_mk(n, (2 * i - 1, 2 * i, 2 * i, 2 * i + 1))
                     for i in range(1, n // 2)] + [_e(n, n)]
 
 
-@_t1(lambda n, p: 1)
+@_t1(14, "G2", lambda n: n == 2, lambda n, p: 1)
 def _t1r14(n, k):  # (G_2, 1)
     return 1, [_mk(n, (1, 2))]
 
 
-@_t1(lambda n, p: 3)
+@_t1(15, "F4", lambda n: n == 4, lambda n, p: 3)
 def _t1r15(n, k):  # (F_4, 3)
     return 2, [_mk(n, (1, 4)), _mk(n, (2, 3))]
 
 
-@_t1(lambda n, p: 4)
+@_t1(16, "F4", lambda n: n == 4, lambda n, p: 4)
 def _t1r16(n, k):  # (F_4, 4)
     return 2, [_mk(n, (1, 2, 2, 3, 3, 3)), _e(n, 4)]
 
 
-@_t1(lambda n, p: 6)
+@_t1(17, "E6", lambda n: n == 6, lambda n, p: 6)
 def _t1r17(n, k):  # (E_6, 6)
     return 2, [_mk(n, (1, 3, 4, 5, 6)), _mk(n, (2, 2, 3, 4, 4, 5))]
 
 
-@_t1(lambda n, p: 7)
+@_t1(18, "E7", lambda n: n == 7, lambda n, p: 7)
 def _t1r18(n, k):  # (E_7, 7)
     return 3, [_mk(n, (1, 1, 2, 3, 3, 4, 4, 5)),
                _mk(n, (2, 3, 4, 4, 5, 5, 6, 6)), _e(n, 7)]
 
 
-_row(1, 1, "A", lambda n: n >= 1,
-     lambda n: [(k,) for k in range(1, (n + 1) // 2 + 1)], _t1r1)
-_row(1, 2, "B", lambda n: n >= 3, _fixed(()), _t1r2)
-_row(1, 3, "B", lambda n: n >= 3, _fixed(()), _t1r3)
-_row(1, 4, "C", lambda n: n >= 2, _fixed(()), _t1r4)
-_row(1, 5, "C", lambda n: n >= 4, _fixed(()), _t1r5)
-_row(1, 6, "C", lambda n: n == 5, _fixed(()), _t1r6)
-_row(1, 7, "C", lambda n: n >= 6, _fixed(()), _t1r7)
-_row(1, 8, "C", lambda n: n >= 6, _fixed(()), _t1r8)
-_row(1, 9, "C", lambda n: n >= 3, _fixed(()), _t1r9)
-_row(1, 10, "C", lambda n: n >= 2, _fixed(()), _t1r10)
-_row(1, 11, "D", lambda n: n >= 4, _fixed(()), _t1r11)
-_row(1, 12, "D", lambda n: n >= 5 and n % 2 == 1, _fixed(()), _t1r12)
-_row(1, 13, "D", lambda n: n >= 4 and n % 2 == 0, _fixed(()), _t1r13)
-_row(1, 14, "G2", lambda n: n == 2, _fixed(()), _t1r14)
-_row(1, 15, "F4", lambda n: n == 4, _fixed(()), _t1r15)
-_row(1, 16, "F4", lambda n: n == 4, _fixed(()), _t1r16)
-_row(1, 17, "E6", lambda n: n == 6, _fixed(()), _t1r17)
-_row(1, 18, "E7", lambda n: n == 7, _fixed(()), _t1r18)
-
-
 # --- table 2: two active roots on one complement node ----------------------
 
+@_row(2, 1, "B", lambda n: n >= 3)
 def _t2r1(n, params):  # (B_n, n, 2)
     sigma = [_mk(n, (i, i + 1)) for i in range(1, n)] + [_e(n, n)]
     return (n,), ((1,), (2,)), n, sigma
 
 
+@_row(2, 2, "F4", lambda n: n == 4)
 def _t2r2(n, params):  # (F_4, 3, 3)
     return (3,), ((1,), (3,)), 4, [_e(n, 1), _mk(n, (2, 3)), _e(n, 3), _e(n, 4)]
-
-
-_row(2, 1, "B", lambda n: n >= 3, _fixed(()), _t2r1)
-_row(2, 2, "F4", lambda n: n == 4, _fixed(()), _t2r2)
 
 
 # --- tables 3-5: two complement nodes, classical types ----------------------
@@ -257,7 +241,7 @@ def _pair_row(table_id, row_id, family, n_ok, params_for, kl, pq_rs, rank_fn, si
             raise ParamsOutOfRange(f"complement ({k},{l}) out of range at n={n}")
         psi = tuple(sorted(pq_rs))
         return (k, l), psi, rank_fn(n, k, l), sigma_fn(n, k, l)
-    _row(table_id, row_id, family, n_ok, params_for, build)
+    _row(table_id, row_id, family, n_ok, params_for)(build)
 
 
 def _ks(lo, hi_fn):
@@ -265,39 +249,39 @@ def _ks(lo, hi_fn):
 
 
 # table 3: type C
-_pair_row(3, 1, "C", lambda n: n == 3, _fixed(()),
+_pair_row(3, 1, "C", lambda n: n == 3, _no_params,
           lambda n, p: (1, 2), ((0, 1), (1, 1)),
           lambda n, k, l: 3, lambda n, k, l: _units(n, 1, 3))
-_pair_row(3, 2, "C", lambda n: n >= 4, _fixed(()),
+_pair_row(3, 2, "C", lambda n: n >= 4, _no_params,
           lambda n, p: (1, 2), ((0, 1), (1, 1)),
           lambda n, k, l: 4,
           lambda n, k, l: _units(n, 1, 3) +
           [_add(_e(n, 3), _seg(n, 4, n - 1, 2), _e(n, n))])
-_pair_row(3, 3, "C", lambda n: n == 4, _fixed(()),
+_pair_row(3, 3, "C", lambda n: n == 4, _no_params,
           lambda n, p: (1, 3), ((1, 0), (0, 1)),
           lambda n, k, l: 4, lambda n, k, l: _units(n, 1, 4))
-_pair_row(3, 4, "C", lambda n: n >= 5, _fixed(()),
+_pair_row(3, 4, "C", lambda n: n >= 5, _no_params,
           lambda n, p: (1, 3), ((1, 0), (0, 1)),
           lambda n, k, l: 5,
           lambda n, k, l: _units(n, 1, 4) +
           [_add(_e(n, 4), _seg(n, 5, n - 1, 2), _e(n, n))])
-_pair_row(3, 5, "C", lambda n: n >= 5, _fixed(()),
+_pair_row(3, 5, "C", lambda n: n >= 5, _no_params,
           lambda n, p: (1, n - 1), ((1, 0), (0, 1)),
           lambda n, k, l: 5,
           lambda n, k, l: [_e(n, 1), _e(n, 2), _seg(n, 3, n - 2),
                            _e(n, n - 1), _e(n, n)])
-_pair_row(3, 6, "C", lambda n: n >= 4, _fixed(()),
+_pair_row(3, 6, "C", lambda n: n >= 4, _no_params,
           lambda n, p: (1, n - 1), ((0, 1), (1, 1)),
           lambda n, k, l: 4,
           lambda n, k, l: [_e(n, 1), _e(n, 2), _seg(n, 3, n - 1), _e(n, n)])
-_pair_row(3, 7, "C", lambda n: n >= 3, _fixed(()),
+_pair_row(3, 7, "C", lambda n: n >= 3, _no_params,
           lambda n, p: (1, n), ((1, 0), (1, 1)),
           lambda n, k, l: 3,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, n - 1), _e(n, n)])
-_pair_row(3, 8, "C", lambda n: n == 4, _fixed(()),
+_pair_row(3, 8, "C", lambda n: n == 4, _no_params,
           lambda n, p: (2, 3), ((1, 0), (1, 1)),
           lambda n, k, l: 4, lambda n, k, l: _units(n, 1, 4))
-_pair_row(3, 9, "C", lambda n: n >= 5, _fixed(()),
+_pair_row(3, 9, "C", lambda n: n >= 5, _no_params,
           lambda n, p: (2, 3), ((1, 0), (1, 1)),
           lambda n, k, l: 5,
           lambda n, k, l: _units(n, 1, 4) +
@@ -308,7 +292,7 @@ _pair_row(3, 10, "C", lambda n: n >= 6, _ks(4, lambda n: n - 2),
           lambda n, k, l: [_e(n, 1), _seg(n, 2, l - 2), _e(n, l - 1),
                            _e(n, l), _e(n, l + 1),
                            _add(_e(n, l + 1), _seg(n, l + 2, n - 1, 2), _e(n, n))])
-_pair_row(3, 11, "C", lambda n: n >= 5, _fixed(()),
+_pair_row(3, 11, "C", lambda n: n >= 5, _no_params,
           lambda n, p: (2, n - 1), ((1, 0), (1, 1)),
           lambda n, k, l: 5,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, n - 3), _e(n, n - 2),
@@ -324,21 +308,21 @@ _pair_row(3, 13, "C", lambda n: n >= 5, _ks(2, lambda n: n - 3),
           lambda n, k, l: 5,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, k), _e(n, k + 1),
                            _seg(n, k + 2, n - 1), _e(n, n)])
-_pair_row(3, 14, "C", lambda n: n >= 5, _fixed(()),
+_pair_row(3, 14, "C", lambda n: n >= 5, _no_params,
           lambda n, p: (n - 3, n - 1), ((1, 0), (0, 1)),
           lambda n, k, l: 5,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, n - 3), _e(n, n - 2),
                            _e(n, n - 1), _e(n, n)])
-_pair_row(3, 15, "C", lambda n: n >= 5, _fixed(()),
+_pair_row(3, 15, "C", lambda n: n >= 5, _no_params,
           lambda n, p: (n - 2, n - 1), ((1, 0), (1, 1)),
           lambda n, k, l: 5,
           lambda n, k, l: [_e(n, 1), _e(n, 2), _seg(n, 3, n - 2),
                            _e(n, n - 1), _e(n, n)])
-_pair_row(3, 16, "C", lambda n: n >= 4, _fixed(()),
+_pair_row(3, 16, "C", lambda n: n >= 4, _no_params,
           lambda n, p: (n - 2, n - 1), ((0, 1), (1, 1)),
           lambda n, k, l: 4,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, n - 2), _e(n, n - 1), _e(n, n)])
-_pair_row(3, 17, "C", lambda n: n >= 3, _fixed(()),
+_pair_row(3, 17, "C", lambda n: n >= 3, _no_params,
           lambda n, p: (n - 1, n), ((1, 0), (1, 1)),
           lambda n, k, l: 3,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, n - 1), _e(n, n)])
@@ -352,53 +336,53 @@ def _d_chain_sigma(n, even_tail):
     return [_mk(n, (i, i + 1)) for i in range(1, n - 1)] + [_e(n, n)]
 
 
-_pair_row(4, 1, "D", lambda n: n >= 5 and n % 2 == 1, _fixed(()),
+_pair_row(4, 1, "D", lambda n: n >= 5 and n % 2 == 1, _no_params,
           lambda n, p: (1, n), ((1, 0), (0, 1)),
           lambda n, k, l: n - 1, lambda n, k, l: _d_chain_sigma(n, False))
-_pair_row(4, 2, "D", lambda n: n >= 4 and n % 2 == 0, _fixed(()),
+_pair_row(4, 2, "D", lambda n: n >= 4 and n % 2 == 0, _no_params,
           lambda n, p: (1, n), ((1, 0), (0, 1)),
           lambda n, k, l: n - 1, lambda n, k, l: _d_chain_sigma(n, True))
-_pair_row(4, 3, "D", lambda n: n >= 4, _fixed(()),
+_pair_row(4, 3, "D", lambda n: n >= 4, _no_params,
           lambda n, p: (1, n), ((1, 0), (1, 1)),
           lambda n, k, l: 3,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, n - 1),
                            _add(_seg(n, 2, n - 2), _e(n, n))])
-_pair_row(4, 4, "D", lambda n: n >= 4, _fixed(()),
+_pair_row(4, 4, "D", lambda n: n >= 4, _no_params,
           lambda n, p: (1, n), ((0, 1), (1, 1)),
           lambda n, k, l: n - 1, lambda n, k, l: _d_chain_sigma(n, False))
-_pair_row(4, 5, "D", lambda n: n == 5, _fixed(()),
+_pair_row(4, 5, "D", lambda n: n == 5, _no_params,
           lambda n, p: (2, 5), ((1, 0), (0, 1)),
           lambda n, k, l: 5, lambda n, k, l: _units(n, 1, 5))
-_pair_row(4, 6, "D", lambda n: n == 5, _fixed(()),
+_pair_row(4, 6, "D", lambda n: n == 5, _no_params,
           lambda n, p: (2, 5), ((0, 1), (1, 1)),
           lambda n, k, l: 5, lambda n, k, l: _units(n, 1, 5))
-_pair_row(4, 7, "D", lambda n: n == 5, _fixed(()),
+_pair_row(4, 7, "D", lambda n: n == 5, _no_params,
           lambda n, p: (3, 5), ((1, 0), (2, 1)),
           lambda n, k, l: 5, lambda n, k, l: _units(n, 1, 5))
-_pair_row(4, 8, "D", lambda n: n >= 6, _fixed(()),
+_pair_row(4, 8, "D", lambda n: n >= 6, _no_params,
           lambda n, p: (3, n), ((1, 0), (2, 1)),
           lambda n, k, l: 6,
           lambda n, k, l: [_e(n, 1), _e(n, 2), _seg(n, 3, n - 3),
                            _e(n, n - 2), _e(n, n - 1), _e(n, n)])
-_pair_row(4, 9, "D", lambda n: n >= 6, _fixed(()),
+_pair_row(4, 9, "D", lambda n: n >= 6, _no_params,
           lambda n, p: (n - 3, n), ((1, 0), (0, 1)),
           lambda n, k, l: 6,
           lambda n, k, l: [_e(n, 1), _e(n, 2), _seg(n, 3, n - 3),
                            _e(n, n - 2), _e(n, n - 1), _e(n, n)])
-_pair_row(4, 10, "D", lambda n: n >= 6, _fixed(()),
+_pair_row(4, 10, "D", lambda n: n >= 6, _no_params,
           lambda n, p: (n - 3, n), ((0, 1), (1, 1)),
           lambda n, k, l: 6,
           lambda n, k, l: [_e(n, 1), _e(n, 2), _seg(n, 3, n - 3),
                            _e(n, n - 2), _e(n, n - 1), _e(n, n)])
-_pair_row(4, 11, "D", lambda n: n >= 4, _fixed(()),
+_pair_row(4, 11, "D", lambda n: n >= 4, _no_params,
           lambda n, p: (n - 1, n), ((1, 0), (0, 1)),
           lambda n, k, l: 3,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, n - 1),
                            _add(_seg(n, 2, n - 2), _e(n, n))])
-_pair_row(4, 12, "D", lambda n: n >= 5 and n % 2 == 1, _fixed(()),
+_pair_row(4, 12, "D", lambda n: n >= 5 and n % 2 == 1, _no_params,
           lambda n, p: (n - 1, n), ((1, 0), (1, 1)),
           lambda n, k, l: n - 1, lambda n, k, l: _d_chain_sigma(n, False))
-_pair_row(4, 13, "D", lambda n: n >= 4 and n % 2 == 0, _fixed(()),
+_pair_row(4, 13, "D", lambda n: n >= 4 and n % 2 == 0, _no_params,
           lambda n, p: (n - 1, n), ((1, 0), (1, 1)),
           lambda n, k, l: n - 1, lambda n, k, l: _d_chain_sigma(n, True))
 
@@ -470,7 +454,7 @@ def _literal_rows(table_id, family, n, rows):
 
         def build(_n, params, _c=(k, l), _p=psi, _r=rank, _s=sigma):
             return _c, _p, _r, _s
-        _row(table_id, row_id, family, lambda m, _n=n: m == _n, _fixed(()), build)
+        _row(table_id, row_id, family, lambda m, _n=n: m == _n)(build)
 
 
 _UNITS4 = [(1,), (2,), (3,), (4,)]
@@ -602,7 +586,7 @@ def row_index(rs: rsmod.RootSystem, size: int) -> dict:
     n = rs.rank
     nodes = tuple(range(1, n + 1))
     index: dict = {}
-    for family, _ in rsmod._candidate_families(n):
+    for family in rsmod._candidate_families(n):
         isos = rsmod.diagram_isomorphisms(rs, nodes, family, n)
         if not isos:
             continue

@@ -31,6 +31,12 @@ opposite nilradical and the Levi test are sets of weights, and every
 weight names its own line.  The package runs the same construction on
 line masks and must give the same result.  ``decompositions`` lists the
 two-term sums of every restricted root of a Levi datum at once.
+
+``luna_shape`` checks a spherical root against Luna's list (D. Luna,
+Publ. Math. IHES 94, 2001): it classifies the Dynkin diagram of the
+root's support by its own walk over the Cartan matrix and compares the
+coefficients, in that type's standard order, with the shapes the list
+allows there.  It reads no package code.
 """
 
 from __future__ import annotations
@@ -225,12 +231,18 @@ def euclidean_simple_roots(family, n):
 
 def euclidean_cartan(family, n):
     """Cartan matrix recomputed from Euclidean inner products."""
-    simple = euclidean_simple_roots(family, n)
+    # each simple root has at most eight nonzero coordinates
+    simple = [{i: x for i, x in enumerate(a) if x}
+              for a in euclidean_simple_roots(family, n)]
+
+    def dot(a, b):
+        return sum(x * b.get(i, 0) for i, x in a.items())
+
     out = []
     for ai in simple:
         row = []
         for aj in simple:
-            val = 2 * _dot(ai, aj) / _dot(ai, ai)
+            val = 2 * dot(ai, aj) / dot(ai, ai)
             assert val.denominator == 1
             row.append(int(val))
         out.append(tuple(row))
@@ -580,3 +592,113 @@ def check_limit_structure(d: DegenerationResult, pu: frozenset) -> None:
         t_spherical, t_rank = is_spherical_and_rank(target)
         if not t_spherical or t_rank != rank - 1:
             raise InvariantViolation("rank did not drop by exactly one")
+
+
+# --- Luna's list ---------------------------------------------------------------
+
+def _luna_shapes(kind: str, m: int) -> set[tuple[int, ...]]:
+    """The spherical roots Luna's list allows on a connected support of
+    type ``kind`` and rank m, as coefficients in standard order (for G2,
+    only the one shape the tables produce)."""
+    if kind == "A":
+        extra = {1: {(2,)}, 3: {(1, 2, 1)}}.get(m, set())
+        return {(1,) * m} | extra
+    if kind == "B":
+        return {(1,) * m, (2,) * m} | ({(1, 2, 3)} if m == 3 else set())
+    if kind == "C":
+        return {(1,) + (2,) * (m - 2) + (1,)}
+    if kind == "D":
+        return {(2,) * (m - 2) + (1, 1)}
+    return {"F": {(1, 2, 3, 2)}, "G": {(1, 1)}}[kind]
+
+
+def _components(cartan, nodes: list[int]) -> list[set[int]]:
+    """The node sets of the connected pieces of the diagram on ``nodes``."""
+    left, out = set(nodes), []
+    while left:
+        piece, todo = set(), [min(left)]
+        while todo:
+            a = todo.pop()
+            if a not in piece:
+                piece.add(a)
+                todo += [b for b in left if b != a and cartan[a - 1][b - 1]]
+        left -= piece
+        out.append(piece)
+    return out
+
+
+def _connected_type(cartan, nodes: list[int]):
+    """The type of a connected Dynkin diagram on ``nodes`` (1-based), with
+    every ordering of its nodes in that type's standard numbering; None
+    unless it is a path of type A, B, C, F4 or G2 or a fork of type D."""
+    def bond(a, b):
+        return cartan[a - 1][b - 1] * cartan[b - 1][a - 1]
+
+    def short(a, b):  # a is the shorter node of a double bond to b
+        return cartan[a - 1][b - 1] == -2
+
+    nbrs = {a: [b for b in nodes if b != a and bond(a, b)] for a in nodes}
+
+    def walk(start, away):
+        path = [start]
+        while True:
+            step = [b for b in nbrs[path[-1]] if b != away]
+            if len(step) != 1:
+                return tuple(path)
+            away = path[-1]
+            path.append(step[0])
+
+    if len(nodes) == 1:
+        return "A", [tuple(nodes)]
+    forks = [a for a in nodes if len(nbrs[a]) >= 3]
+    if not forks:
+        path = walk(next(a for a in nodes if len(nbrs[a]) == 1), None)
+        orients = [path, path[::-1]]
+        bonds = {bond(a, b) for a, b in zip(path, path[1:])}
+        if bonds == {1}:
+            return "A", orients
+        if bonds == {3}:
+            return "G", orients
+        found = []
+        for p in orients:
+            b = [bond(x, y) for x, y in zip(p, p[1:])]
+            if b == [1] * (len(p) - 2) + [2]:
+                found.append(("B" if short(p[-1], p[-2]) else "C", [p]))
+            elif b == [1, 2, 1] and short(p[2], p[1]):
+                found.append(("F", [p]))
+        # a lone double bond reads as B2 = C2, whose list is B2's
+        return min(found, default=None)
+    if len(forks) > 1 or len(nbrs[forks[0]]) > 3 or any(
+            bond(a, b) != 1 for a in nodes for b in nbrs[a]):
+        return None
+    centre = forks[0]
+    arms = [walk(b, centre) for b in nbrs[centre]]
+    orders = []
+    for i, arm in enumerate(arms):
+        leaves = [a for j, a in enumerate(arms) if j != i]
+        if all(len(leaf) == 1 for leaf in leaves):
+            orders.append(arm[::-1] + (centre,) + leaves[0] + leaves[1])
+    return ("D", orders) if orders else None
+
+
+def luna_shape(cartan, root: Vector) -> Optional[str]:
+    """The type of a spherical root's support (``"A3"``, ``"A1xA1"``, ...)
+    when the root has a shape Luna's list allows there, else None.
+
+    ``cartan`` is the Cartan matrix of the ambient system, ``root`` the
+    coefficients on its simple roots.
+    """
+    support = [i + 1 for i, x in enumerate(root) if x]
+    if not support or min(root) < 0:
+        return None
+    pieces = _components(cartan, support)
+    if len(pieces) == 2 and len(support) == 2:
+        return "A1xA1" if {root[a - 1] for a in support} == {1} else None
+    found = _connected_type(cartan, support) if len(pieces) == 1 else None
+    if found is None:
+        return None
+    kind, orders = found
+    shapes = _luna_shapes(kind, len(support))
+    if any(tuple(root[a - 1] for a in order) in shapes for order in orders):
+        return f"{kind}{len(support)}"
+    return None

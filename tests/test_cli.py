@@ -239,6 +239,7 @@ DATUM = ("--type", "B", "--rank", "3")
     ("verify-tables", "--type", "A", "--max-rank", "2"),
     ("verify-tables", "--type", "D", "--max-rank", "3"),
     ("tables", "dump", "--table", "1", "--n", "65"),
+    ("roots", "--type", "B/3"),
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

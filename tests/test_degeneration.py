@@ -155,7 +155,7 @@ def test_degenerate_first_pivot_b3():
     H = datum("B", 3, (3,), [(1,), (2,)])
     d = degenerate(H, (1,))
     assert d.delta == (1, 1, 1)
-    assert d.pi_m == (2,)
+    assert d.target.L.levi == (2,)
     assert d.target.L.complement == (1, 3)
     assert d.target.psi == ((0, 1), (0, 2))
     assert d.u_infinity == ((0, 0, 1), (0, 1, 1), (0, 1, 2))
@@ -186,7 +186,7 @@ def test_degenerate_second_pivot_b3():
     H = datum("B", 3, (3,), [(1,), (2,)])
     d = degenerate(H, (2,))
     assert d.delta == (1, 2, 2)
-    assert d.pi_m == (1,)
+    assert d.target.L.levi == (1,)
     assert d.target.L.complement == (2, 3)
     assert d.target.psi == ((0, 1), (1, 1))
 
@@ -195,7 +195,7 @@ def test_degenerate_full_fiber_shift():
     H = datum("B", 3, (2, 3), [(1, 1), (0, 1)])
     d = degenerate(H, (0, 1))
     assert d.delta == (0, 0, 1)
-    assert d.pi_m == (1,)
+    assert d.target.L.levi == (1,)
     assert d.u_infinity == ((0, 1, 0), (1, 1, 0))  # the whole target fiber
     assert d.target.psi == ((1, 0),)
     # fiber lines moved by one step of delta
@@ -208,7 +208,7 @@ def test_degenerate_to_parabolic():
     H = datum("A", 2, (1,), [(1,)])
     d = degenerate(H, (1,))
     assert d.delta == (1, 1)
-    assert d.pi_m == ()
+    assert d.target.L.levi == ()
     assert d.u_infinity == ()
     assert d.target.psi == ()
 
@@ -332,7 +332,7 @@ def test_degenerate_matches_set_based_reference(family, n):
         got = degenerate(H, lam)
         want = oracles.degenerate(H, lam)
         assert got.target is want.target
-        assert got.pi_m == want.pi_m
+        assert got.target.L.levi == want.pi_m
         assert got.u_infinity == want.u_infinity
         assert shift_map(got) == want.shift_map
         weights = H.rs.lines

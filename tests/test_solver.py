@@ -393,14 +393,14 @@ def test_a_blockwise_union_of_the_wrong_size_is_refused(monkeypatch):
 
 def test_overlapping_block_contributions_are_refused(monkeypatch):
     # every block reports the first block's roots
-    real = solver.leaf_resolve
+    real = solver._table_resolve
     results = []
 
     def first_block(G):
         results.append(real(G))
         return results[0]
 
-    monkeypatch.setattr(solver, "leaf_resolve", first_block)
+    monkeypatch.setattr(solver, "_table_resolve", first_block)
     with pytest.raises(InvariantViolation,
                        match=r"block contributions overlap: \{\(0, 0, 1\)\}"):
         optimized_solve(datum(*TWO_BLOCKS), "table")

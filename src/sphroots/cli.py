@@ -133,14 +133,16 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
-    from .degeneration import degenerate, shift_map
+    from .degeneration import _shifted_lines, degenerate
 
     H = _datum_from_args(args)
     lam = _parse_ints(getattr(args, "lambda"), "--lambda")
     d = degenerate(H, lam)
-    shift = sorted(
-        (list(src), list(line) if any(line) else "h_delta")
-        for src, line in shift_map(d).items())
+    weights = H.rs.lines
+    pairs = ((weights[src.bit_length() - 1], weights[line.bit_length() - 1])
+             for src, line in _shifted_lines(d, H.L.pu_mask | H.u_mask))
+    shift = sorted((list(src), list(line) if any(line) else "h_delta")
+                   for src, line in pairs)
     payload = {
         "delta": list(d.delta),
         "target": d.target.to_wire(),

@@ -10,8 +10,8 @@ line bookkeeping on root vectors.
 A torus-stable line is named by its weight: a root for a root line, and
 the zero weight for the line spanned by the coroot of delta.  Strings,
 limits and blocks hold lines as bits of one mask, numbered as
-:attr:`RootSystem.lines` numbers them; weights are decoded only for
-output (:func:`shift_map`).
+:attr:`RootSystem.lines` numbers them, and a delta-string is the OR of its
+lines, ordered by that numbering; weights are decoded only for output.
 """
 
 from __future__ import annotations
@@ -32,12 +32,9 @@ DeltaStrings.__doc__ = """The delta-string partition of a system's lines.
 
 ``single_mask``, an int, is the OR of the lines of the one-line strings,
 which no limit moves.  ``long`` holds each string of two or more lines,
-a simple s(delta)-module, as its bottom masks: a tuple of ints whose
-entry k is the OR of the bits of the string's bottom k lines, so entry
-0 is 0, entry 1 the system's one-line mask of the bottom line
-(:attr:`RootSystem.line_masks`, shared by every string with that
-bottom) and the last entry the whole string.  Strings are listed by
-the bit of their tops.
+a simple s(delta)-module, as one int, the OR of its lines; the line
+numbering alone orders a string from its bottom (:func:`_bottom_lines`).
+Strings are listed by the bit of their tops.
 """
 
 
@@ -48,9 +45,10 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
     -delta is no top: its string is the one topped by delta), and each
     string is walked from its top through the step-down map, built once
     on the integer codes of the lines (:attr:`RootSystem.code_bits`).
-    Every root appears in exactly one string.  Tops are walked in bit
-    order.  The partition is built once per (system, delta) and memoized
-    on the system.
+    Every root appears in exactly one string, and each walked string
+    must descend in the order :func:`_bottom_lines` reads off its bits.
+    Tops are walked in bit order.  The partition is built once per
+    (system, delta) and memoized on the system.
     """
     if delta not in rs.positive_set:
         raise LambdaNotActive(f"{delta} is not a positive root")
@@ -65,7 +63,7 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
             else itemgetter(slice(indices[0], indices[0] + 1)))
     delta_norm = rsmod.norm(rs, delta)
     step, code_bits = rs.codes[delta] - rs.zero_code, rs.code_bits
-    masks = rs.line_masks
+    n = len(rs.positive_roots)
     down = {}
     for code, b in code_bits.items():
         c = code_bits.get(code - step)
@@ -94,16 +92,46 @@ def delta_strings(rs: RootSystem, delta: Vector) -> DeltaStrings:
                 f"string through {alpha} has {len(string)} lines, not {p + 1}")
         seen += p + 1
         if p:
-            bottoms = [0, masks[string.pop()]]
-            for c in reversed(string):
-                bottoms.append(bottoms[-1] | masks[c])
-            long.append(tuple(bottoms))
+            whole = 0
+            for c in string:
+                whole |= 1 << c
+            # what is left below each line is the string's bottom lines
+            below = whole
+            for c in string[:-1]:
+                below ^= 1 << c
+                if _bottom_lines(whole, below.bit_count(), n) != below:
+                    raise InvariantViolation(
+                        f"string through {alpha} is out of line order")
+            long.append(whole)
         else:
             single_mask |= 1 << b
     if seen != len(weights):
         raise InvariantViolation("delta-strings do not partition the roots")
     rs._delta_strings[delta] = DeltaStrings(single_mask, tuple(long))
     return rs._delta_strings[delta]
+
+
+def _bottom_lines(string: int, k: int, n: int) -> int:
+    """The OR of the bottom k lines of a delta-string, given as the OR of
+    its lines, in a system of n positive roots.
+
+    Heights fall down a string and :attr:`RootSystem.lines` numbers lines
+    by height, so the bits alone order a string.  From its bottom come its
+    negative lines, the deepest at the highest bit in n..2n-1, then the
+    Cartan line at bit 2n, then its positive lines, the lowest at the
+    lowest bit; the top lines are dropped in the reverse order.
+    """
+    drop = string.bit_count() - k
+    while drop:
+        positive = string & (1 << n) - 1
+        if positive:
+            string ^= 1 << positive.bit_length() - 1
+        elif string >> 2 * n:
+            string ^= 1 << 2 * n
+        else:
+            string &= string - 1
+        drop -= 1
+    return string
 
 
 LeviStep = namedtuple("LeviStep", "target levi_part")
@@ -176,11 +204,14 @@ def degenerate(H: SubgroupDatum, lam: Vector) -> DegenerationResult:
 
     # the k lines of h_perp in a string shift to its bottom k lines; the
     # strings partition the lines, so the limit has one line per line of
-    # h_perp, and a one-line string keeps its line
+    # h_perp, and a string that h_perp fills or misses keeps its lines
     partition = delta_strings(rs, delta)
-    limit, dim = h_perp & partition.single_mask, h_perp.bit_count()
-    for bottoms in partition.long:
-        limit |= bottoms[(h_perp & bottoms[-1]).bit_count()]
+    limit, dim = h_perp, h_perp.bit_count()
+    n = len(rs.positive_roots)
+    for string in partition.long:
+        part = h_perp & string
+        if part and part != string:
+            limit ^= part ^ _bottom_lines(string, part.bit_count(), n)
 
     step = levi_step(L, delta)
     # positive bits decode in (height, lex) order
@@ -207,25 +238,19 @@ def _shifted_lines(d: DegenerationResult, mask: int) -> list[tuple[int, int]]:
     H = d.source
     h_perp = H.L.pu_mask | H.u_mask
     partition = delta_strings(H.rs, d.delta)
+    n = len(H.rs.positive_roots)
     pairs = [(1 << b, 1 << b)
              for b in rsmod.mask_bits(mask & partition.single_mask)]
-    for bottoms in partition.long:
-        if mask & bottoms[-1]:
+    for string in partition.long:
+        if mask & string:
+            bottoms = [_bottom_lines(string, k, n)
+                       for k in range(string.bit_count() + 1)]
             for below, upto in zip(bottoms, bottoms[1:]):
                 line = upto ^ below
                 if mask & line:
                     k = (h_perp & below).bit_count()
                     pairs.append((line, bottoms[k + 1] ^ bottoms[k]))
     return pairs
-
-
-def shift_map(d: DegenerationResult) -> dict[Vector, Vector]:
-    """Each line of the source's orthogonal complement mapped to its line
-    in the limit, by weight."""
-    H = d.source
-    weights = H.rs.lines
-    return {weights[line.bit_length() - 1]: weights[image.bit_length() - 1]
-            for line, image in _shifted_lines(d, H.L.pu_mask | H.u_mask)}
 
 
 #: count of limit-structure verifications that ran (each raises on failure)

@@ -83,10 +83,10 @@ class RootSystem:
     its subsystems, its Levi data, its diagram automorphisms, its index of
     table rows and each match looked up in it, the pairing form of each
     positive root whose form is asked for (in ``_forms``), the weights of
-    its lines (:attr:`lines`), the map from the code of each line weight
-    to its line (:attr:`code_bits`) and the one-line mask of each line
-    (:attr:`line_masks`).  ``_croots`` holds the one tuple of each
-    restricted root of its Levi data, shared by every memo it keys.
+    its lines (:attr:`lines`) and the map from the code of each line
+    weight to its line (:attr:`code_bits`).  ``_croots`` holds the one
+    tuple of each restricted root of its Levi data, shared by every memo
+    it keys.
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
@@ -143,12 +143,6 @@ class RootSystem:
         bits.update({2 * zero - c: n + i for i, c in enumerate(codes)})
         bits[zero] = 2 * n
         return bits
-
-    @cached_property
-    def line_masks(self) -> tuple[int, ...]:
-        """The mask ``1 << b`` of each line b, shared by the bottoms of
-        the delta-strings; built with the first partition."""
-        return tuple(1 << b for b in range(2 * len(self.positive_roots) + 1))
 
     def simple_root(self, i: int) -> Vector:
         """Coefficient vector of the i-th simple root (1-based)."""

@@ -404,26 +404,28 @@ def _t5_sigma_4(n, k, l):
     return _units(n, 1, n - k) + [_seg(n, n - k + 1, k)] + _units(n, k + 1, n)
 
 
-for _fam, _base in (("A", 0), ("B", 8)):
-    _min_n = 3
-    _pair_row(5, _base + 1, _fam, lambda n: n >= _min_n,
+def _t5_shared_rows(family, base):
+    """Rows ``base + 1`` to ``base + 4``, which types A and B share."""
+    _pair_row(5, base + 1, family, lambda n: n >= 3,
               _ks(1, lambda n: (n - 1) // 2),
               lambda n, p: (p[0], n), ((1, 0), (0, 1)),
               lambda n, k, l: 2 * k + 1, _t5_sigma_1)
-    _pair_row(5, _base + 2, _fam, lambda n: n >= _min_n,
+    _pair_row(5, base + 2, family, lambda n: n >= 3,
               lambda n: [(k,) for k in range((n + 1) // 2, n - 1) if n - k >= 2],
               lambda n, p: (p[0], n), ((1, 0), (0, 1)),
               lambda n, k, l: 2 * (n - k), _t5_sigma_2)
-    _pair_row(5, _base + 3, _fam, lambda n: n >= _min_n,
+    _pair_row(5, base + 3, family, lambda n: n >= 3,
               lambda n: [(k,) for k in range(2, n // 2 + 1)],
               lambda n, p: (p[0], n), ((1, 0), (1, 1)),
               lambda n, k, l: 2 * k, _t5_sigma_3)
-    _pair_row(5, _base + 4, _fam, lambda n: n >= _min_n,
+    _pair_row(5, base + 4, family, lambda n: n >= 3,
               lambda n: [(k,) for k in range(max(1, n // 2 + 1), n)
                          if k > n - k >= 1],
               lambda n, p: (p[0], n), ((1, 0), (1, 1)),
               lambda n, k, l: 2 * (n - k) + 1, _t5_sigma_4)
 
+
+_t5_shared_rows("A", 0)
 _pair_row(5, 5, "A", lambda n: n >= 4,
           _ks(2, lambda n: n // 2),
           lambda n, p: (p[0], p[0] + 1), ((1, 0), (1, 1)),
@@ -444,6 +446,7 @@ _pair_row(5, 8, "A", lambda n: n >= 5, _ks(4, lambda n: n - 1),
           lambda n, k, l: 5,
           lambda n, k, l: [_e(n, 1), _seg(n, 2, l - 2), _e(n, l - 1),
                            _seg(n, l, n - 1), _e(n, n)])
+_t5_shared_rows("B", 8)
 
 
 # tables 6-9: exceptional types, literal rows

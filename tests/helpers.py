@@ -58,7 +58,8 @@ EVERY_DATUM_TYPES = ([("A", n) for n in range(1, 6)]
                      + [("D", n) for n in range(3, 6)]
                      + [("F4", 4), ("G2", 2)])
 
-Sweep = namedtuple("Sweep", "counts disagreements failures reached roots")
+Sweep = namedtuple("Sweep",
+                   "counts disagreements failures reached roots data")
 Sweep.__doc__ = """What solving every datum of ``EVERY_DATUM_TYPES`` found.
 
 ``counts`` maps each type to (spherical data, those with three or more
@@ -66,7 +67,8 @@ active roots); ``disagreements`` lists the data whose three solve routes
 differ and ``failures`` each (datum, error) the table route raised;
 ``reached`` holds the table rows the certificates name, as (table, row,
 family, n, params); ``roots`` maps each type to the set of roots
-``base_solve`` computed on it.
+``base_solve`` computed on it and ``data`` to the tuple of its spherical
+data, in the order they were solved.
 """
 
 
@@ -98,13 +100,12 @@ def _matches(certificate):
 def every_datum_sweep() -> Sweep:
     """Solve every spherical datum of every type of ``EVERY_DATUM_TYPES``
     on all three routes; computed once per process."""
-    sweep = Sweep({}, [], [], set(), {})
+    sweep = Sweep({}, [], [], set(), {}, {})
     for family, n in EVERY_DATUM_TYPES:
-        data = several = 0
+        data = []
         roots = sweep.roots[family, n] = set()
         for H in _spherical_data(rsmod.build(family, n)):
-            data += 1
-            several += len(H.psi) >= 3
+            data.append(H)
             computed = base_solve(H).root_set
             roots |= computed
             blockwise = optimized_solve(H, "compute").root_set
@@ -116,5 +117,7 @@ def every_datum_sweep() -> Sweep:
             sweep.reached.update(_matches(table.certificate))
             if not computed == blockwise == table.root_set:
                 sweep.disagreements.append(H)
-        sweep.counts[family, n] = (data, several)
+        sweep.data[family, n] = tuple(data)
+        sweep.counts[family, n] = (len(data),
+                                   sum(len(H.psi) >= 3 for H in data))
     return sweep

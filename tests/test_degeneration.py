@@ -8,12 +8,7 @@ import pytest
 import oracles
 import sphroots.rootsystem as rsmod
 from sphroots import degeneration
-from sphroots.degeneration import (
-    degenerate,
-    delta_strings,
-    shift_map,
-    track_component,
-)
+from sphroots.degeneration import degenerate, delta_strings, track_component
 from sphroots.croots import levi_datum
 from sphroots.errors import ClosureViolation, InvariantViolation, LambdaNotActive
 from sphroots.solver import base_solve, optimized_solve
@@ -31,20 +26,24 @@ def _lines(rs, bits):
     return [rs.lines[b] for b in bits]
 
 
-def _string_bits(bottoms):
-    """The bits of a delta-string's lines, top first, read off its bottom
-    masks."""
-    bottom_up = [(upto ^ below).bit_length() - 1
-                 for below, upto in zip(bottoms, bottoms[1:])]
-    return tuple(reversed(bottom_up))
+def _string_bits(string, n):
+    """The bits of a delta-string's lines, top first, decoded from the OR
+    of its lines in a system of n positive roots: the positive lines from
+    the highest bit down, then the Cartan line (bit 2n), then the negative
+    lines from the lowest bit up."""
+    bits = rsmod.mask_bits(string)
+    return (tuple(b for b in reversed(bits) if b < n)
+            + tuple(b for b in bits if b == 2 * n)
+            + tuple(b for b in bits if n <= b < 2 * n))
 
 
 def _strings(rs, delta):
     """The bits of every delta-string, one-line strings included, by
     descending height of their tops, then lexicographically."""
     partition = delta_strings(rs, delta)
+    n = len(rs.positive_roots)
     strings = [(b,) for b in rsmod.mask_bits(partition.single_mask)]
-    strings += map(_string_bits, partition.long)
+    strings += (_string_bits(s, n) for s in partition.long)
     return sorted(strings, key=lambda s: (-sum(rs.lines[s[0]]),
                                           rs.lines[s[0]]))
 
@@ -52,6 +51,16 @@ def _strings(rs, delta):
 def _line_bits(rs):
     """Every line weight mapped to its bit, negatives included."""
     return {w: b for b, w in enumerate(rs.lines)}
+
+
+def _shift(d):
+    """Each line of the source's orthogonal complement mapped to its line
+    in the limit, by weight."""
+    H = d.source
+    weights = H.rs.lines
+    return {weights[line.bit_length() - 1]: weights[image.bit_length() - 1]
+            for line, image in degeneration._shifted_lines(
+                d, H.L.pu_mask | H.u_mask)}
 
 
 def test_delta_strings_b3_example():
@@ -127,6 +136,8 @@ def _corruptions(rs, delta):
     """Tables that break one check of the string build each (A2, delta =
     alpha_1, whose string runs alpha_1, 0, -alpha_1)."""
     form = rsmod.pairing_form(rs, delta)
+    swap = {0: 2, 2: 0}
+    assert rs.lines[:3] == ((0, 1), (1, 0), (1, 1))
     return [
         ({"_norms": {**rs._norms, delta: 3}}, "non-integral coroot pairing"),
         ({"_forms": {delta: tuple((i, -x) for i, x in form)}},
@@ -137,10 +148,15 @@ def _corruptions(rs, delta):
          r"string through \(1, 0\) has 1 lines, not 3"),
         # the Cartan line is walked but not counted
         ({"lines": rs.lines[:-1]}, "do not partition the roots"),
+        # alpha_2 and alpha_1 + alpha_2 trade bits, so the string
+        # alpha_1 + alpha_2, alpha_2 is walked up the line order
+        ({"lines": (rs.lines[2], rs.lines[1], rs.lines[0]) + rs.lines[3:],
+          "code_bits": {c: swap.get(b, b) for c, b in rs.code_bits.items()}},
+         r"string through \(1, 1\) is out of line order"),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_delta_string_checks_catch_corrupt_tables(case):
     rs, delta = rsmod.build("A", 2), (1, 0)
     tables, message = _corruptions(rs, delta)[case]
@@ -199,7 +215,7 @@ def test_degenerate_full_fiber_shift():
     assert d.u_infinity == ((0, 1, 0), (1, 1, 0))  # the whole target fiber
     assert d.target.psi == ((1, 0),)
     # fiber lines moved by one step of delta
-    shift = shift_map(d)
+    shift = _shift(d)
     assert shift[(0, 1, 1)] == (0, 1, 0)
     assert shift[(1, 1, 1)] == (1, 1, 0)
 
@@ -228,7 +244,7 @@ def test_shift_monotonicity():
         H = datum(family, n, complement, psi)
         for lam in H.psi:
             d = degenerate(H, lam)
-            for src, line in shift_map(d).items():
+            for src, line in _shift(d).items():
                 if not any(line):
                     continue
                 diff = tuple(a - b for a, b in zip(src, line))
@@ -334,7 +350,7 @@ def test_degenerate_matches_set_based_reference(family, n):
         assert got.target is want.target
         assert got.target.L.levi == want.pi_m
         assert got.u_infinity == want.u_infinity
-        assert shift_map(got) == want.shift_map
+        assert _shift(got) == want.shift_map
         weights = H.rs.lines
         assert sorted(weights[b] for b in rsmod.mask_bits(got.limit)) == \
             sorted(want.limit_lines)
@@ -355,12 +371,15 @@ def test_delta_strings_match_set_based_reference(family, n):
         partition = delta_strings(rs, delta)
         assert partition.single_mask == sum(
             1 << bit[s[0]] for s in want if len(s) == 1)
-        # each entry of the long strings holds the suffix-ORs of one of
-        # the reference's strings
-        assert sorted(partition.long) == sorted(
-            tuple(sum(1 << bit[w] for w in s[len(s) - k:])
-                  for k in range(len(s) + 1))
-            for s in want if len(s) > 1)
+        # each long string is the OR of one of the reference's strings,
+        # whose bottom k lines its bits give for every k
+        long = {sum(1 << bit[w] for w in s): s for s in want if len(s) > 1}
+        assert sorted(partition.long) == sorted(long)
+        n = len(rs.positive_roots)
+        for whole, s in long.items():
+            for k in range(len(s) + 1):
+                assert degeneration._bottom_lines(whole, k, n) == sum(
+                    1 << bit[w] for w in s[len(s) - k:])
 
 
 def test_code_table_matches_tuple_reference_at_large_rank():

@@ -318,7 +318,5 @@ def _family_ranks(family: str, ranks, max_rank) -> tuple[str, list[int]]:
     if not ranks or ranks[0] < lo:
         raise rsmod.InvalidType(
             f"type {label} is verified from rank {lo}, got ranks {ranks}")
-    for n in ranks:  # refuse a bad rank before enumerating any other
-        rsmod.normalize_type(label, n)
-    enumeration_type(label, ranks[-1])
+    enumeration_type(label, ranks[-1])  # so every rank from lo up is valid
     return label, ranks

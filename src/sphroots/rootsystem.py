@@ -71,22 +71,21 @@ class RootSystem:
     ``cartan[i][j]`` is the pairing of the i-th simple coroot with the j-th
     simple root (rows indexed by coroots).  ``symmetrizer`` holds positive
     integers d_i making ``d_i * cartan[i][j]`` symmetric.  ``type_label`` is
-    the family name for systems built by :func:`build` and ``None`` for
-    derived subsystems.
+    the family name when ``cartan`` is a standard matrix
+    (:func:`standard_cartan`) and ``None`` otherwise.
 
-    Systems are interned (:func:`build` keeps one per normalized family and
-    rank, :func:`from_cartan` one per Cartan matrix) and compare by
-    identity.  The closure yields the squared length of every positive
-    root, kept in ``_norms``, and its integer code (:data:`CODE_OFFSET`),
-    kept in ``codes``; ``zero_code`` is the code of the zero weight.  What
-    else is derived from a system is memoized on it when first asked for:
-    its subsystems, its Levi data, its diagram automorphisms, its index of
-    table rows and each match looked up in it, the pairing form of each
-    positive root whose form is asked for (in ``_forms``), the weights of
-    its lines (:attr:`lines`) and the map from the code of each line
-    weight to its line (:attr:`code_bits`).  ``_croots`` holds the one
-    tuple of each restricted root of its Levi data, shared by every memo
-    it keys.
+    Systems are interned, one per Cartan matrix (:func:`from_cartan`, which
+    :func:`build` calls), and compare by identity.  The closure yields the
+    squared length of every positive root, kept in ``_norms``, and its
+    integer code (:data:`CODE_OFFSET`), kept in ``codes``; ``zero_code`` is
+    the code of the zero weight.  What else is derived from a system is
+    memoized on it when first asked for: its subsystems, its Levi data,
+    its diagram automorphisms, its index of table rows and each match
+    looked up in it, the pairing form of each positive root whose form is
+    asked for (in ``_forms``), the weights of its lines (:attr:`lines`)
+    and the map from the code of each line weight to its line
+    (:attr:`code_bits`).  ``_croots`` holds the one tuple of each
+    restricted root of its Levi data, shared by every memo it keys.
     """
 
     def __init__(self, type_label: Optional[str], rank: int,
@@ -316,41 +315,49 @@ def _close_positive_roots(cartan: tuple[Vector, ...], symmetrizer: Vector
     return tuple(ordered), norms, codes
 
 
-_by_type: dict[tuple[str, int], RootSystem] = {}
-_by_cartan: dict[tuple[Vector, ...], RootSystem] = {}
+_systems: dict[tuple[Vector, ...], RootSystem] = {}
 
 
 def build(type_label: str, rank: Optional[int] = None) -> RootSystem:
-    """The interned root system of a simple type.
+    """The interned root system of a simple type: :func:`from_cartan` of
+    its :func:`standard_cartan`.
 
     Positive roots come sorted by (height, lexicographic coefficients).
     Raises InvalidType for out-of-range family/rank combinations.
     """
-    family, n = normalize_type(type_label, rank)
-    if (family, n) in _by_type:
-        return _by_type[family, n]
-    cartan = standard_cartan(family, n)
-    symmetrizer = _symmetrizer_from_cartan(cartan)
-    positive, norms, codes = _close_positive_roots(cartan, symmetrizer)
-    expected = _POSITIVE_COUNT[family](n)
-    if len(positive) != expected:
-        raise InvariantViolation(
-            f"{family}{n}: closure produced {len(positive)} positive roots, "
-            f"expected {expected}"
-        )
-    rs = RootSystem(family, n, cartan, symmetrizer, positive, norms, codes)
-    _by_type[family, n] = rs
-    return rs
+    return from_cartan(standard_cartan(type_label, rank))
+
+
+def _standard_family(cartan: tuple[Vector, ...]) -> Optional[str]:
+    """The family whose standard Cartan matrix ``cartan`` is, else None."""
+    m = len(cartan)
+    return next((family for family in _candidate_families(m)
+                 if standard_cartan(family, m) == cartan), None)
 
 
 def from_cartan(cartan: Iterable[Iterable[int]]) -> RootSystem:
-    """The interned, unlabeled root system of a (semisimple) Cartan matrix."""
+    """The interned root system of a (semisimple) Cartan matrix.
+
+    One system per matrix.  A standard matrix (:func:`standard_cartan`)
+    gets its family as ``type_label`` and its positive roots counted;
+    any other matrix gets no label.
+    """
     key = tuple(tuple(row) for row in cartan)
-    if key not in _by_cartan:
+    rs = _systems.get(key)
+    if rs is None:
+        n = len(key)
+        family = _standard_family(key)
         symmetrizer = _symmetrizer_from_cartan(key)
-        _by_cartan[key] = RootSystem(None, len(key), key, symmetrizer,
-                                     *_close_positive_roots(key, symmetrizer))
-    return _by_cartan[key]
+        positive, norms, codes = _close_positive_roots(key, symmetrizer)
+        if family is not None:
+            expected = _POSITIVE_COUNT[family](n)
+            if len(positive) != expected:
+                raise InvariantViolation(
+                    f"{family}{n}: closure produced {len(positive)} positive "
+                    f"roots, expected {expected}")
+        rs = _systems[key] = RootSystem(family, n, key, symmetrizer,
+                                        positive, norms, codes)
+    return rs
 
 
 def _check_length(rs: RootSystem, w: Iterable[int]) -> Vector:
@@ -460,35 +467,63 @@ simple basis.
 
 ``system`` is the derived :class:`RootSystem`; ``nodes``, a tuple of
 ints, holds at ``nodes[i]`` the ambient 1-based index of the (i+1)-th
-simple root of the derived system, in ascending ambient order.
+simple root of the derived system.  For a connected proper subset that
+is the ambient node behind standard node i + 1 of its type, so ``nodes``
+need not ascend.
 """
+
+
+def _submatrix(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[Vector, ...]:
+    """The Cartan matrix of ``rs`` on ``nodes``, in their order."""
+    return tuple(tuple(rs.cartan[i - 1][j - 1] for j in nodes) for i in nodes)
+
+
+def _standard_layout(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending ``nodes`` in the numbering of a standard diagram.
+
+    They stay ascending when they are disconnected or their Cartan
+    submatrix is already standard; otherwise they are ordered by the first
+    isomorphism onto a standard diagram, in FAMILIES order.
+    """
+    if (len(_components(rs.cartan, nodes)) != 1
+            or _standard_family(_submatrix(rs, nodes)) is not None):
+        return nodes
+    m = len(nodes)
+    for family in _candidate_families(m):
+        isos = diagram_isomorphisms(rs, nodes, family, m)
+        if isos:
+            return tuple(sorted(nodes, key=isos[0].__getitem__))
+    return nodes
 
 
 def subsystem(rs: RootSystem, S: Iterable[int]) -> Subsystem:
     """Root subsystem on a subset of simple roots (1-based indices).
 
-    The subsystem on all nodes is ``rs`` itself.  A proper subset gets the
-    interned system of its Cartan submatrix, checked against the roots of
-    ``rs`` supported on the subset.
+    The subsystem on all nodes is ``rs`` itself.  A proper subset is laid
+    out by :func:`_standard_layout` and gets the interned system of its
+    Cartan submatrix: for a connected subset, the :func:`build` system of
+    its type.  Its roots are checked against the roots of ``rs`` supported
+    on the subset.  Memoized on ``rs`` per node set.
     """
-    nodes = tuple(sorted(set(S)))
-    if nodes in rs._subsystems:
-        return rs._subsystems[nodes]
-    if any(a < 1 or a > rs.rank for a in nodes):
-        raise DimensionMismatch(f"nodes {nodes} out of range for rank {rs.rank}")
-    if len(nodes) == rs.rank:
-        sub = rs
+    key = tuple(sorted(set(S)))
+    if key in rs._subsystems:
+        return rs._subsystems[key]
+    if any(a < 1 or a > rs.rank for a in key):
+        raise DimensionMismatch(f"nodes {key} out of range for rank {rs.rank}")
+    if len(key) == rs.rank:
+        sub, nodes = rs, key
     else:
+        nodes = _standard_layout(rs, key)
+        sub = from_cartan(_submatrix(rs, nodes))
         idx = [a - 1 for a in nodes]
-        sub = from_cartan(tuple(rs.cartan[i][j] for j in idx) for i in idx)
         node_set = set(nodes)
         filtered = {tuple(beta[i] for i in idx) for beta in rs.positive_roots
                     if all(x == 0 or i + 1 in node_set
                            for i, x in enumerate(beta))}
         if filtered != sub.positive_set:
             raise InvariantViolation("subsystem filter disagrees with closure")
-    rs._subsystems[nodes] = Subsystem(sub, nodes)
-    return rs._subsystems[nodes]
+    rs._subsystems[key] = Subsystem(sub, nodes)
+    return rs._subsystems[key]
 
 
 # --- Dynkin diagram recognition -------------------------------------------

@@ -635,9 +635,11 @@ def lookup(rs: rsmod.RootSystem, complement: tuple[int, ...],
 def match_datum(H: SubgroupDatum) -> MatchResult:
     """Find the table row equal to a reduced datum up to diagram relabeling.
 
-    The datum must already be ambient-reduced with a connected diagram.
-    More than two active roots raise UnclassifiedCase; otherwise the
-    datum is looked up in the row index of its own system (:func:`lookup`).
+    The datum must already be ambient-reduced with a connected diagram,
+    so its system is the :func:`rootsystem.build` system of its type and
+    shares its row index and matches.  More than two active roots raise
+    UnclassifiedCase; otherwise the datum is looked up in the row index
+    of that system (:func:`lookup`).
     """
     if len(H.psi) > 2:
         raise UnclassifiedCase(f"isolated block has {len(H.psi)} active roots")

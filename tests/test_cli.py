@@ -300,7 +300,7 @@ def test_rank_above_max_rank_exits_2_before_any_closure(capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert err.startswith("error: InvalidType: ") and err.count("\n") == 1
-    assert "MAX_RANK" in err
+    assert "MAX_RANK" in err and "rank 400" in err
 
 
 def test_failed_limit_check_exits_3_with_one_line(capsys, monkeypatch):

@@ -238,9 +238,14 @@ def test_labeled_levi_after_derived_copy_has_wire_form():
 
 @pytest.mark.parametrize("derived_first", [True, False])
 def test_levi_and_subgroup_data_stay_on_their_system(derived_first):
+    # one system per Cartan matrix: B3's own matrix is the labeled system,
+    # and B3 with nodes 1 and 2 swapped is another, unlabeled one
     labeled = rsmod.build("B", 3)
-    derived = rsmod.from_cartan(labeled.cartan)
-    assert derived is not labeled
+    assert rsmod.from_cartan(labeled.cartan) is labeled
+    swap = (1, 0, 2)
+    derived = rsmod.from_cartan(
+        tuple(labeled.cartan[i][j] for j in swap) for i in swap)
+    assert derived is not labeled and derived.type_label is None
     order = (derived, labeled) if derived_first else (labeled, derived)
     for rs in order:
         L = croots.levi_datum(rs, (1, 2))

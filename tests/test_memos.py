@@ -194,9 +194,9 @@ def test_regen_pass_derives_each_levi_fact_once():
         # every degeneration is distinct, over 405 (Levi, delta) pairs
         "degenerate": 768,
         "levi_steps": 405,
-        # the 86 leaf solves reduce to 11 distinct data
+        # the 86 leaf solves reduce to 10 distinct data
         "leaf_lookups": 86,
-        "leaf_matches_computed": 11,
+        "leaf_matches_computed": 10,
         # 122 partitions, holding 1,896 strings of two or more lines
         "partitions": 122,
         "delta_strings": 1896,
@@ -286,7 +286,7 @@ def check(kind, value, shared):
     if value is not shared:
         copies[kind] += 1
 
-for rs in [*rsmod._by_type.values(), *rsmod._by_cartan.values()]:
+for rs in rsmod._systems.values():
     croots = rs._croots
     for nodes, L in rs._levi_data.items():
         check("levi", L.levi, nodes)

@@ -10,6 +10,10 @@ examples, so a run is repeatable and its cost is bounded.
   routes, for every sigma of the type (A2-A5, D3, the triality of D4, D5).
 - Shrinking the ambient system to the active supports commutes with
   solving: the roots of the reduced datum, embedded, are those of H.
+- Neither the verdict nor the roots depend on the choices the routes
+  make: a drawn ``choose`` of the sphericity reduction gives the default
+  verdict, and a drawn ``choose_pair`` of the two-branch solve, on data
+  with two or more active roots, the default roots.
 """
 
 import functools
@@ -19,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import sphroots.rootsystem as rsmod
 from sphroots.croots import complement_levi
 from sphroots.solver import base_solve, optimized_solve
+from sphroots.sphericity import is_spherical_and_rank
 from sphroots.subgroup import ambient_reduction, make_subgroup
 
 from helpers import every_datum_sweep
@@ -29,6 +34,9 @@ EXAMPLES = 150
 bounded = settings(derandomize=True, max_examples=EXAMPLES, deadline=None,
                    database=None)
 
+#: for the properties that solve afresh, with no memo, on every example
+fewer = settings(bounded, max_examples=EXAMPLES // 3)
+
 
 @functools.cache
 def _corpus(symmetric_only):
@@ -38,6 +46,12 @@ def _corpus(symmetric_only):
                  if not symmetric_only
                  or len(rsmod.diagram_automorphisms(rsmod.build(family, n))) > 1
                  for H in data)
+
+
+@functools.cache
+def _multi_root_corpus():
+    """The corpus's data with two or more active roots."""
+    return tuple(H for H in _corpus(False) if len(H.psi) >= 2)
 
 
 def _image(H, perm):
@@ -80,3 +94,25 @@ def test_ambient_reduction_commutes_with_solving(data):
     reduced, sub = ambient_reduction(H)
     assert {rsmod.embed(s, sub.nodes, H.rs.rank)
             for s in base_solve(reduced).roots} == base_solve(H).root_set, H
+
+
+@fewer
+@given(st.data())
+def test_the_verdict_does_not_depend_on_the_choice(data):
+    H = data.draw(st.sampled_from(_corpus(False)))
+    verdict = is_spherical_and_rank(H)
+    assert is_spherical_and_rank(
+        H, choose=lambda maximal: data.draw(st.sampled_from(maximal))
+    ) == verdict, H
+
+
+@fewer
+@given(st.data())
+def test_the_roots_do_not_depend_on_the_pivot_pair(data):
+    H = data.draw(st.sampled_from(_multi_root_corpus()))
+
+    def choose_pair(psi):
+        return tuple(data.draw(st.permutations(psi))[:2])
+
+    assert base_solve(H, choose_pair=choose_pair).root_set == \
+        base_solve(H).root_set, H

@@ -320,7 +320,7 @@ def test_subsystem_examples():
 
 def test_build_refuses_a_closure_with_the_wrong_root_count(monkeypatch):
     # a skewed expected count stands for a closure that lost or gained a root
-    monkeypatch.setattr(rsmod, "_by_type", {})
+    monkeypatch.setattr(rsmod, "_systems", {})
     monkeypatch.setattr(rsmod, "_POSITIVE_COUNT",
                         dict(rsmod._POSITIVE_COUNT, A=lambda n: n * n))
     with pytest.raises(InvariantViolation,
@@ -333,14 +333,14 @@ def test_subsystem_refuses_a_closure_that_disagrees_with_the_filter(
         monkeypatch):
     # nodes 1-3 of B4 span A3; an interned A3 that lost its highest root
     # must not pass for the roots of B4 supported on those nodes
-    monkeypatch.setattr(rsmod, "_by_type", {})
+    monkeypatch.setattr(rsmod, "_systems", {})
     b4 = rsmod.build("B", 4)
     key = tuple(row[:3] for row in b4.cartan[:3])
     symmetrizer = rsmod._symmetrizer_from_cartan(key)
     roots, norms, codes = rsmod._close_positive_roots(key, symmetrizer)
     corrupted = rsmod.RootSystem(None, 3, key, symmetrizer, roots[:-1],
                                  norms, codes)
-    monkeypatch.setattr(rsmod, "_by_cartan", {key: corrupted})
+    monkeypatch.setattr(rsmod, "_systems", {key: corrupted})
     with pytest.raises(InvariantViolation,
                        match="subsystem filter disagrees with closure"):
         rsmod.subsystem(b4, (1, 2, 3))
@@ -432,6 +432,31 @@ def test_diagram_isomorphisms_match_brute_force(family, n, full_only):
                 assert _as_set(got) == _as_set(expected), (comp, target)
 
 
+@pytest.mark.parametrize("family,n", [("A", 8), ("B", 8), ("C", 8), ("D", 8),
+                                      ("E6", 6), ("E7", 7), ("E8", 8),
+                                      ("F4", 4), ("G2", 2)])
+def test_connected_subsystems_are_build_systems(family, n):
+    # a connected node set is laid out in a standard numbering, so its
+    # system is the one interned system of its type; a disconnected one
+    # keeps its ascending order and has no type
+    rs = rsmod.build(family, n)
+    ambient = euclidean_positive_roots(family, n)
+    for k in range(1, n):
+        for S in itertools.combinations(range(1, n + 1), k):
+            sub = rsmod.subsystem(rs, S)
+            label = sub.system.type_label
+            if _is_connected(rs.cartan, S):
+                assert sub.system is rsmod.build(label, k), S
+            else:
+                assert label is None and sub.nodes == S
+            assert sorted(sub.nodes) == list(S)
+            supported = {beta for beta in ambient
+                         if all(x == 0 or i + 1 in S
+                                for i, x in enumerate(beta))}
+            assert {rsmod.embed(r, sub.nodes, n)
+                    for r in sub.system.positive_roots} == supported, S
+
+
 def _labeled_graph(n, bonds):
     """A Cartan-like matrix with the given bond labels ``(c_ij, c_ji)``,
     with the sparse columns a system keeps; no root system is built."""
@@ -471,13 +496,13 @@ def test_leaf_matching_builds_no_other_standard_system():
         "assert main(['compute', '--type', 'C', '--rank', '22', '--complement',"
         " '22', '--psi', '1', '--format', 'json']) == 0\n"
         "print('lines' in vars(rsmod.build('C', 22)))\n"
-        "print(sorted(k for k in rsmod._by_type if k[1] == 22))\n"
-        "print(len(rsmod._by_cartan))\n")
+        "c22 = rsmod.build('C', 22)\n"
+        "print([rs is c22 for rs in rsmod._systems.values()])\n")
     src = os.path.dirname(os.path.dirname(rsmod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.splitlines()[-3:] == ["False", "[('C', 22)]", "0"]
+    assert out.splitlines()[-2:] == ["False", "[True]"]
 
 
 @pytest.mark.parametrize("family,n", [("F4", 4), ("E6", 6), ("D", 5)])

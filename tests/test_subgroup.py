@@ -53,9 +53,18 @@ def test_wire_round_trip():
                     "psi": [[0, 1], [1, 0]]}
 
 
-def test_derived_datum_has_no_wire_form():
+def test_connected_reduction_has_the_wire_form_of_its_type():
     reduced, sub = ambient_reduction(datum("A", 3, (1, 2), [(1, 0)]))
-    assert reduced.rs.type_label is None and sub.nodes != (1, 2, 3)
+    assert sub.nodes == (1,)
+    assert reduced.to_wire() == {"type": "A", "rank": 1,
+                                 "levi_complement": [1], "psi": [[1]]}
+
+
+def test_derived_datum_has_no_wire_form():
+    # alpha_1 and alpha_3 reduce A3 onto the disconnected nodes (1, 3)
+    reduced, sub = ambient_reduction(
+        datum("A", 3, (1, 2, 3), [(1, 0, 0), (0, 0, 1)]))
+    assert reduced.rs.type_label is None and sub.nodes == (1, 3)
     with pytest.raises(InvariantViolation, match="no wire form"):
         reduced.to_wire()
 

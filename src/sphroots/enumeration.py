@@ -51,12 +51,8 @@ ENUMERATION_MAX_RANK = 13
 def enumeration_type(type_label: str, rank: Optional[int] = None) -> tuple[str, int]:
     """:func:`rootsystem.normalize_type`, refusing ranks above
     ``ENUMERATION_MAX_RANK``."""
-    family, n = rsmod.normalize_type(type_label, rank)
-    if n > ENUMERATION_MAX_RANK:
-        raise rsmod.InvalidType(
-            f"type {family} rank {n} exceeds ENUMERATION_MAX_RANK = "
-            f"{ENUMERATION_MAX_RANK}")
-    return family, n
+    return rsmod.normalize_type(
+        type_label, rank, ("ENUMERATION_MAX_RANK", ENUMERATION_MAX_RANK))
 
 
 class CaseRecord(namedtuple("CaseRecord",

@@ -66,16 +66,17 @@ def mask_bits(mask: int) -> list[int]:
 
 
 class RootSystem:
-    """Cartan data plus the full set of positive roots.
+    """The Cartan data of a simple type plus its full set of positive roots.
 
-    ``cartan[i][j]`` is the pairing of the i-th simple coroot with the j-th
-    simple root (rows indexed by coroots).  ``symmetrizer`` holds positive
-    integers d_i making ``d_i * cartan[i][j]`` symmetric.  ``type_label`` is
-    the family name when ``cartan`` is a standard matrix
-    (:func:`standard_cartan`) and ``None`` otherwise.
+    ``type_label`` names the family and ``cartan``, its standard matrix
+    (:func:`standard_cartan`), holds at ``cartan[i][j]`` the pairing of
+    the i-th simple coroot with the j-th simple root (rows indexed by
+    coroots).  ``symmetrizer`` holds positive integers d_i making
+    ``d_i * cartan[i][j]`` symmetric.
 
-    Systems are interned, one per Cartan matrix (:func:`from_cartan`, which
-    :func:`build` calls), and compare by identity.  The closure yields the
+    Systems are interned by :func:`build`, one per type, and compare by
+    identity; a subsystem on a connected node set is the system of its
+    type (:func:`subsystem`).  The closure yields the
     squared length of every positive root, kept in ``_norms``, and its
     integer code (:data:`CODE_OFFSET`), kept in ``codes``; ``zero_code`` is
     the code of the zero weight.  What else is derived from a system is
@@ -88,7 +89,7 @@ class RootSystem:
     restricted root of its Levi data, shared by every memo it keys.
     """
 
-    def __init__(self, type_label: Optional[str], rank: int,
+    def __init__(self, type_label: str, rank: int,
                  cartan: tuple[Vector, ...], symmetrizer: Vector,
                  positive_roots: tuple[Vector, ...], norms: dict[Vector, int],
                  codes: dict[Vector, int]):
@@ -151,13 +152,15 @@ class RootSystem:
         return (0,) * self.rank
 
     def __repr__(self):
-        label = self.type_label if self.type_label else "derived"
-        return f"RootSystem({label}, rank={self.rank})"
+        return f"RootSystem({self.type_label}, rank={self.rank})"
 
 
-def normalize_type(type_label: str, rank: Optional[int] = None) -> tuple[str, int]:
+def normalize_type(type_label: str, rank: Optional[int] = None,
+                   cap: tuple[str, int] = ("MAX_RANK", MAX_RANK)
+                   ) -> tuple[str, int]:
     """Resolve a (family, rank) pair, given as ``B3``, ``E6``, or ``B`` or
-    ``E`` with ``rank`` 3 or 6, in any case."""
+    ``E`` with ``rank`` 3 or 6, in any case.  ``cap`` names the largest
+    rank accepted for A-D and gives its value."""
     label = type_label.strip().upper()
     if label in ("E", "F", "G") and rank is not None:
         label = f"{label}{rank}"
@@ -177,8 +180,9 @@ def normalize_type(type_label: str, rank: Optional[int] = None) -> tuple[str, in
         raise InvalidType(f"type {label} needs an explicit rank")
     if rank < _MIN_RANK[label]:
         raise InvalidType(f"type {label} requires rank >= {_MIN_RANK[label]}")
-    if rank > MAX_RANK:
-        raise InvalidType(f"type {label} rank {rank} exceeds MAX_RANK = {MAX_RANK}")
+    name, limit = cap
+    if rank > limit:
+        raise InvalidType(f"type {label} rank {rank} exceeds {name} = {limit}")
     return label, rank
 
 
@@ -218,7 +222,7 @@ def standard_cartan(type_label: str, rank: Optional[int] = None) -> tuple[Vector
     return tuple(map(tuple, c))
 
 
-def _symmetrizer_from_cartan(cartan: tuple[Vector, ...]) -> Vector:
+def _symmetrizer(cartan: tuple[Vector, ...]) -> Vector:
     """Positive integers d with d_i c_ij = d_j c_ji.
 
     The result is the primitive integer vector proportional to the rational
@@ -319,42 +323,24 @@ _systems: dict[tuple[Vector, ...], RootSystem] = {}
 
 
 def build(type_label: str, rank: Optional[int] = None) -> RootSystem:
-    """The interned root system of a simple type: :func:`from_cartan` of
-    its :func:`standard_cartan`.
+    """The interned root system of a simple type, one per standard Cartan
+    matrix (:func:`standard_cartan`).
 
-    Positive roots come sorted by (height, lexicographic coefficients).
-    Raises InvalidType for out-of-range family/rank combinations.
+    Positive roots come sorted by (height, lexicographic coefficients),
+    and their number is checked against the type's.  Raises InvalidType
+    for out-of-range family/rank combinations.
     """
-    return from_cartan(standard_cartan(type_label, rank))
-
-
-def _standard_family(cartan: tuple[Vector, ...]) -> Optional[str]:
-    """The family whose standard Cartan matrix ``cartan`` is, else None."""
-    m = len(cartan)
-    return next((family for family in _candidate_families(m)
-                 if standard_cartan(family, m) == cartan), None)
-
-
-def from_cartan(cartan: Iterable[Iterable[int]]) -> RootSystem:
-    """The interned root system of a (semisimple) Cartan matrix.
-
-    One system per matrix.  A standard matrix (:func:`standard_cartan`)
-    gets its family as ``type_label`` and its positive roots counted;
-    any other matrix gets no label.
-    """
-    key = tuple(tuple(row) for row in cartan)
+    family, n = normalize_type(type_label, rank)
+    key = standard_cartan(family, n)
     rs = _systems.get(key)
     if rs is None:
-        n = len(key)
-        family = _standard_family(key)
-        symmetrizer = _symmetrizer_from_cartan(key)
+        symmetrizer = _symmetrizer(key)
         positive, norms, codes = _close_positive_roots(key, symmetrizer)
-        if family is not None:
-            expected = _POSITIVE_COUNT[family](n)
-            if len(positive) != expected:
-                raise InvariantViolation(
-                    f"{family}{n}: closure produced {len(positive)} positive "
-                    f"roots, expected {expected}")
+        expected = _POSITIVE_COUNT[family](n)
+        if len(positive) != expected:
+            raise InvariantViolation(
+                f"{family}{n}: closure produced {len(positive)} positive "
+                f"roots, expected {expected}")
         rs = _systems[key] = RootSystem(family, n, key, symmetrizer,
                                         positive, norms, codes)
     return rs
@@ -462,14 +448,12 @@ def embed(w: Iterable[int], nodes: tuple[int, ...], rank: int) -> Vector:
 
 
 Subsystem = namedtuple("Subsystem", "system nodes")
-Subsystem.__doc__ = """A parabolic root subsystem, re-expressed on its own
-simple basis.
+Subsystem.__doc__ = """The parabolic root subsystem on a connected node set,
+re-expressed on its own simple basis.
 
-``system`` is the derived :class:`RootSystem`; ``nodes``, a tuple of
-ints, holds at ``nodes[i]`` the ambient 1-based index of the (i+1)-th
-simple root of the derived system.  For a connected proper subset that
-is the ambient node behind standard node i + 1 of its type, so ``nodes``
-need not ascend.
+``system`` is the :func:`build` system of the type the nodes span;
+``nodes``, a tuple of ints, holds at ``nodes[i]`` the ambient 1-based
+node behind standard node i + 1 of that type, so it need not ascend.
 """
 
 
@@ -478,32 +462,39 @@ def _submatrix(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[Vector, ...]:
     return tuple(tuple(rs.cartan[i - 1][j - 1] for j in nodes) for i in nodes)
 
 
-def _standard_layout(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[int, ...]:
-    """Ascending ``nodes`` in the numbering of a standard diagram.
+def _standard_layout(rs: RootSystem, nodes: tuple[int, ...]
+                     ) -> tuple[str, tuple[int, ...]]:
+    """The family of the simple type that ascending ``nodes`` span, and
+    the nodes in its standard numbering.
 
-    They stay ascending when they are disconnected or their Cartan
-    submatrix is already standard; otherwise they are ordered by the first
-    isomorphism onto a standard diagram, in FAMILIES order.
+    They stay ascending when their Cartan submatrix is already standard;
+    otherwise they are ordered by the first isomorphism onto a standard
+    diagram, in FAMILIES order.  A disconnected or empty node set spans
+    no simple type and is refused with InvariantViolation.
     """
-    if (len(_components(rs.cartan, nodes)) != 1
-            or _standard_family(_submatrix(rs, nodes)) is not None):
-        return nodes
-    m = len(nodes)
-    for family in _candidate_families(m):
-        isos = diagram_isomorphisms(rs, nodes, family, m)
-        if isos:
-            return tuple(sorted(nodes, key=isos[0].__getitem__))
-    return nodes
+    if len(_components(rs.cartan, nodes)) == 1:
+        m = len(nodes)
+        families = _candidate_families(m)
+        cartan = _submatrix(rs, nodes)
+        for family in families:
+            if standard_cartan(family, m) == cartan:
+                return family, nodes
+        for family in families:
+            isos = diagram_isomorphisms(rs, nodes, family, m)
+            if isos:
+                return family, tuple(sorted(nodes, key=isos[0].__getitem__))
+    raise InvariantViolation(f"nodes {nodes} span no simple type: they are "
+                             f"disconnected or empty")
 
 
 def subsystem(rs: RootSystem, S: Iterable[int]) -> Subsystem:
     """Root subsystem on a subset of simple roots (1-based indices).
 
-    The subsystem on all nodes is ``rs`` itself.  A proper subset is laid
-    out by :func:`_standard_layout` and gets the interned system of its
-    Cartan submatrix: for a connected subset, the :func:`build` system of
-    its type.  Its roots are checked against the roots of ``rs`` supported
-    on the subset.  Memoized on ``rs`` per node set.
+    The subsystem on all nodes is ``rs`` itself.  A connected proper
+    subset is laid out by :func:`_standard_layout` and gets the
+    :func:`build` system of its type; its roots are checked against the
+    roots of ``rs`` supported on the subset.  A disconnected or empty
+    subset is refused.  Memoized on ``rs`` per node set.
     """
     key = tuple(sorted(set(S)))
     if key in rs._subsystems:
@@ -513,8 +504,8 @@ def subsystem(rs: RootSystem, S: Iterable[int]) -> Subsystem:
     if len(key) == rs.rank:
         sub, nodes = rs, key
     else:
-        nodes = _standard_layout(rs, key)
-        sub = from_cartan(_submatrix(rs, nodes))
+        family, nodes = _standard_layout(rs, key)
+        sub = build(family, len(nodes))
         idx = [a - 1 for a in nodes]
         node_set = set(nodes)
         filtered = {tuple(beta[i] for i in idx) for beta in rs.positive_roots

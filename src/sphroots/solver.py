@@ -61,7 +61,7 @@ class LeafProof:
 
     def render(self) -> dict:
         match = self.match
-        return {"datum": _wire(self.datum),
+        return {"datum": self.datum.to_wire(),
                 "match": None if match is None else {
                     "table": match.table_id, "row": match.row_id,
                     "family": match.family, "n": match.n,
@@ -81,7 +81,7 @@ class NodeProof:
         self.children, self.removed = children, removed
 
     def render(self) -> dict:
-        return {"datum": _wire(self.datum),
+        return {"datum": self.datum.to_wire(),
                 "pivots": [list(lam) for lam in self.pivots],
                 "children": [r.certificate for r in self.children],
                 "removed": [[list(v)] for v in self.removed]}
@@ -98,7 +98,7 @@ class IsolationStep:
         self.datum, self.pivot, self.block = datum, pivot, block
 
     def render(self) -> dict:
-        return {"datum": _wire(self.datum), "pivot": list(self.pivot),
+        return {"datum": self.datum.to_wire(), "pivot": list(self.pivot),
                 "block": [list(v) for v in self.block]}
 
 
@@ -114,7 +114,7 @@ class BlocksProof:
         self.datum, self.blocks = datum, blocks
 
     def render(self) -> dict:
-        return {"datum": _wire(self.datum),
+        return {"datum": self.datum.to_wire(),
                 "blocks": [{"block": [list(v) for v in block],
                             "steps": [step.render() for step in steps],
                             "sigma": [list(v) for v in part.roots],
@@ -158,12 +158,6 @@ def _table_resolve(H: SubgroupDatum) -> SphericalRootSet:
     match = match_datum(reduced)
     return _result([embed(s, sub.nodes, H.rs.rank) for s in match.sigma],
                    LeafProof(H, match))
-
-
-def _wire(H: SubgroupDatum) -> dict:
-    if H.rs.type_label is None:
-        return {"levi": list(H.L.levi), "psi": [list(v) for v in H.psi]}
-    return H.to_wire()
 
 
 def base_solve(H: SubgroupDatum,

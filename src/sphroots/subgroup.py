@@ -60,11 +60,8 @@ class SubgroupDatum:
 
     def to_wire(self) -> dict:
         """Canonical JSON form: type, rank, complement nodes, active set."""
-        label = self.rs.type_label
-        if label is None:
-            raise InvariantViolation("derived systems have no wire form")
         return {
-            "type": label,
+            "type": self.rs.type_label,
             "rank": self.rs.rank,
             "levi_complement": list(self.L.complement),
             "psi": [list(v) for v in self.psi],
@@ -186,8 +183,28 @@ def ambient_reduction(H: SubgroupDatum) -> tuple[SubgroupDatum, Subsystem]:
 
     Returns the reduced datum and the subsystem it lives on, whose
     ``nodes`` name the ambient node behind each reduced node.  The active
-    set, its fibers, and the block structure carry over unchanged; an
-    empty active set reduces to the empty system.
+    set, its fibers, and the block structure carry over unchanged.
+
+    The supports of a one-block datum are connected, so its subsystem is
+    the system of a simple type:
+
+    - every root of a fiber is hat(lam) minus Levi simple roots, so the
+      fiber's support is supp(hat(lam)), connected like any root's;
+    - a node i outside supp(hat(lam)) pairs with hat(lam) negatively when
+      it is next to the support and to zero otherwise; a negative pairing
+      at a Levi node would make hat(lam) + alpha_i a root of the same
+      fiber, against "highest".  So no Levi node borders the support: it
+      contains every Levi component it meets, among them every component
+      that hat(lam) pairs with nonzero;
+    - the roots of one block are chained by Levi components that
+      consecutive roots both pair with, and both their supports contain
+      such a component, so the union of the block's supports is
+      connected.
+
+    The supports of several blocks may fall apart, and an empty active
+    set has none: :func:`rootsystem.subsystem` refuses both with
+    InvariantViolation.  The solvers reduce one-block data only, those of
+    ``leaf_resolve`` and the isolated data of ``algorithm_d``.
     """
     pi0 = frozenset().union(*(H.L.croot_support(lam) for lam in H.psi))
     sub = rsmod.subsystem(H.rs, pi0)

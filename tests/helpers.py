@@ -24,12 +24,19 @@ def levi(family, rank, complement):
     return complement_levi(rsmod.build(family, rank), complement)
 
 
-def system(family, rank):
-    """A built system, or for ``"E6+A1"`` the derived E6 + A1 inside E8,
-    which has no type label."""
-    if family == "E6+A1":
-        return rsmod.subsystem(rsmod.build("E8"), (1, 2, 3, 4, 5, 6, 8)).system
-    return rsmod.build(family, rank)
+def is_connected(cartan, nodes):
+    """Whether a nonempty node set (1-based) is connected in the diagram of
+    ``cartan``."""
+    nodes = set(nodes)
+    seen = {min(nodes)}
+    queue = list(seen)
+    while queue:
+        i = queue.pop()
+        for j in nodes - seen:
+            if cartan[i - 1][j - 1]:
+                seen.add(j)
+                queue.append(j)
+    return seen == nodes
 
 
 def grown_data(L, keep=None, active=frozenset(), start=0):

@@ -350,17 +350,19 @@ def test_rank_above_enumeration_cap_exits_2_before_any_closure(
         raise AssertionError("closure ran for a refused rank")
 
     monkeypatch.setattr(rsmod, "_close_positive_roots", no_closure)
-    rank = str(ENUMERATION_MAX_RANK + 1)
-    if command == "enumerate":
-        argv = ("enumerate", "--type", "A", "--rank", rank,
-                "--complement-size", "2", "--psi-size", "2")
-    else:
-        argv = ("verify-tables", "--type", "B", "--max-rank", rank)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: InvalidType: ") and err.count("\n") == 1
-    assert "ENUMERATION_MAX_RANK" in err
+    # just above the cap, and above MAX_RANK too: the message names the
+    # cap that applies
+    for rank in (str(ENUMERATION_MAX_RANK + 1), "400"):
+        if command == "enumerate":
+            argv = ("enumerate", "--type", "A", "--rank", rank,
+                    "--complement-size", "2", "--psi-size", "2")
+        else:
+            argv = ("verify-tables", "--type", "B", "--max-rank", rank)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: InvalidType: ") and err.count("\n") == 1
+        assert f"rank {rank} exceeds ENUMERATION_MAX_RANK = " in err
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_fractions():

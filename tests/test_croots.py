@@ -225,7 +225,7 @@ def test_build_interns_per_normalized_type():
 
 
 def test_full_subsystem_is_the_system():
-    for rs in (rsmod.build("B", 3), rsmod.from_cartan(rsmod.build("D", 4).cartan)):
+    for rs in (rsmod.build("B", 3), rsmod.build("D", 4)):
         assert rsmod.subsystem(rs, range(1, rs.rank + 1)).system is rs
 
 
@@ -236,20 +236,21 @@ def test_labeled_levi_after_derived_copy_has_wire_form():
     assert make_subgroup(L, [(1,), (2,)]).to_wire()["type"] == "B"
 
 
-@pytest.mark.parametrize("derived_first", [True, False])
-def test_levi_and_subgroup_data_stay_on_their_system(derived_first):
-    # one system per Cartan matrix: B3's own matrix is the labeled system,
-    # and B3 with nodes 1 and 2 swapped is another, unlabeled one
-    labeled = rsmod.build("B", 3)
-    assert rsmod.from_cartan(labeled.cartan) is labeled
-    swap = (1, 0, 2)
-    derived = rsmod.from_cartan(
-        tuple(labeled.cartan[i][j] for j in swap) for i in swap)
-    assert derived is not labeled and derived.type_label is None
-    order = (derived, labeled) if derived_first else (labeled, derived)
-    for rs in order:
+@pytest.mark.parametrize("b3_first", [True, False])
+def test_levi_and_subgroup_data_stay_on_their_system(b3_first):
+    # one system per type: B3 and C3 have the same Levi (1, 2) and the
+    # restricted root (1,), and each keeps its own Levi and subgroup data;
+    # B3's Levi also restricts (2,), and a datum is one object whatever
+    # order its active roots come in
+    b3, c3 = rsmod.build("B", 3), rsmod.build("C", 3)
+    data = {}
+    for rs in ((b3, c3) if b3_first else (c3, b3)):
         L = croots.levi_datum(rs, (1, 2))
         assert L.rs is rs
-        H = make_subgroup(L, [(1,), (2,)])
-        assert H.L is L
-        assert make_subgroup(L, [(2,), (1,)]) is H
+        H = make_subgroup(L, [(1,)])
+        assert H.L is L and make_subgroup(L, [[1], [1]]) is H
+        data[rs] = H
+    assert data[b3] is not data[c3]
+    L = croots.levi_datum(b3, (1, 2))
+    H = make_subgroup(L, [(1,), (2,)])
+    assert H.L is L and make_subgroup(L, [(2,), (1,)]) is H

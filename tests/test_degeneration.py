@@ -15,7 +15,7 @@ from sphroots.solver import base_solve, optimized_solve
 from sphroots.sphericity import is_spherical_and_rank, knop_reduce
 from sphroots.subgroup import make_subgroup, sm_decomposition
 
-from helpers import datum, system
+from helpers import datum
 
 #: the types whose degenerations are checked against the set-based reference
 REFERENCE_TYPES = [("B", 4), ("C", 4), ("D", 5), ("F4", 4), ("G2", 2)]
@@ -341,10 +341,10 @@ def _reached(rs):
             stack.append(degenerate(H, lam).target)
 
 
-@pytest.mark.parametrize("family,n", REFERENCE_TYPES + [("E6+A1", 7)])
+@pytest.mark.parametrize("family,n", REFERENCE_TYPES + [("E6", 6)])
 def test_degenerate_matches_set_based_reference(family, n):
     count = 0
-    for H, lam in _reached(system(family, n)):
+    for H, lam in _reached(rsmod.build(family, n)):
         got = degenerate(H, lam)
         want = oracles.degenerate(H, lam)
         assert got.target is want.target
@@ -383,23 +383,21 @@ def test_delta_strings_match_set_based_reference(family, n):
 
 
 def test_code_table_matches_tuple_reference_at_large_rank():
-    # at B32, C64 and D64 a code is a 32- or 64-byte integer; the derived
-    # system E6 + A1 comes from from_cartan, with no type label
-    e6a1 = system("E6+A1", 7)
-    assert e6a1.type_label is None
+    # at B32, C64 and D64 a code is a 32- or 64-byte integer
+    e6 = rsmod.build("E6")
     b32, c64, d64 = (rsmod.build(f, n) for f, n in
                      (("B", 32), ("C", 64), ("D", 64)))
     # at rank 64 the simple roots at both ends of the diagram and by its
     # branch node, and the highest root: one delta there costs about 0.1 s
     # between the reference and the package, even with the reference's
     # lines sorted once per system
-    cases = [(e6a1, e6a1.positive_roots),
+    cases = [(e6, e6.positive_roots),
              (b32, (b32.simple_root(1), b32.simple_root(32),
                     b32.positive_roots[-1]))]
     cases += [(rs, tuple(map(rs.simple_root, (1, 2, 62, 63, 64)))
                + rs.positive_roots[-1:]) for rs in (c64, d64)]
     # the code table numbers the lines as :attr:`RootSystem.lines` does
-    for rs in (e6a1, b32):
+    for rs in (e6, b32):
         assert {b: c for c, b in rs.code_bits.items()} == {
             b: int.from_bytes(bytes(x + rsmod.CODE_OFFSET for x in w), "little")
             for w, b in _line_bits(rs).items()}

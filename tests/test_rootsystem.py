@@ -16,7 +16,7 @@ import pytest
 import sphroots.rootsystem as rsmod
 from sphroots.errors import DimensionMismatch, InvalidType, InvariantViolation
 
-from helpers import system
+from helpers import is_connected
 from oracles import (
     brute_force_isomorphisms,
     close_positive_roots,
@@ -280,7 +280,7 @@ def test_symmetrizer_of_node_subsets_matches_rational_oracle(family, n):
     for k in range(1, n + 1):
         for nodes in itertools.combinations(range(n), k):
             sub = tuple(tuple(cartan[i][j] for j in nodes) for i in nodes)
-            assert rsmod._symmetrizer_from_cartan(sub) == \
+            assert rsmod._symmetrizer(sub) == \
                 rational_symmetrizer(sub), nodes
 
 
@@ -295,11 +295,11 @@ def test_symmetrizer_of_block_products_matches_rational_oracle():
               [("A", 1), ("B", 2), ("C", 3), ("B", 3), ("G2", 2), ("F4", 4)]]
     for a, b in itertools.product(blocks, repeat=2):
         product = _block_diagonal(a, b)
-        assert rsmod._symmetrizer_from_cartan(product) == \
+        assert rsmod._symmetrizer(product) == \
             rational_symmetrizer(product), (a, b)
     # B2's nodes get (1, 1/2) and A1's node 1: components share one scale
     b2_a1 = _block_diagonal(blocks[1], blocks[0])
-    assert rsmod._symmetrizer_from_cartan(b2_a1) == (2, 1, 2)
+    assert rsmod._symmetrizer(b2_a1) == (2, 1, 2)
 
 
 def test_subsystem_examples():
@@ -313,9 +313,11 @@ def test_subsystem_examples():
     sub = rsmod.subsystem(e6, (1, 3, 4, 5, 6))
     assert len(sub.system.positive_roots) == 15  # type A5
 
-    assert rsmod.subsystem(b3, ()).system.positive_roots == ()
     full = rsmod.subsystem(b3, (1, 2, 3))
     assert set(full.system.positive_roots) == set(b3.positive_roots)
+
+    with pytest.raises(InvariantViolation, match="span no simple type"):
+        rsmod.subsystem(b3, ())
 
 
 def test_build_refuses_a_closure_with_the_wrong_root_count(monkeypatch):
@@ -336,14 +338,36 @@ def test_subsystem_refuses_a_closure_that_disagrees_with_the_filter(
     monkeypatch.setattr(rsmod, "_systems", {})
     b4 = rsmod.build("B", 4)
     key = tuple(row[:3] for row in b4.cartan[:3])
-    symmetrizer = rsmod._symmetrizer_from_cartan(key)
+    symmetrizer = rsmod._symmetrizer(key)
     roots, norms, codes = rsmod._close_positive_roots(key, symmetrizer)
-    corrupted = rsmod.RootSystem(None, 3, key, symmetrizer, roots[:-1],
+    corrupted = rsmod.RootSystem("A", 3, key, symmetrizer, roots[:-1],
                                  norms, codes)
     monkeypatch.setattr(rsmod, "_systems", {key: corrupted})
     with pytest.raises(InvariantViolation,
                        match="subsystem filter disagrees with closure"):
         rsmod.subsystem(b4, (1, 2, 3))
+
+
+@pytest.mark.parametrize("family,n,nodes,calls", [
+    ("B", 5, (2, 3, 4, 5), 2 + 1),     # B4, already standard: A, B
+    ("E6", 6, (2, 3, 4, 5, 6), 4 + 1),  # D5, relabeled: A, B, C, D
+], ids=["B4-of-B5", "D5-of-E6"])
+def test_a_new_node_set_is_compared_with_each_standard_matrix_once(
+        monkeypatch, family, n, nodes, calls):
+    # on a fresh system, one subsystem call compares the submatrix with the
+    # standard matrices of its rank in one pass, then builds its type
+    monkeypatch.setattr(rsmod, "_systems", {})
+    rs = rsmod.build(family, n)
+    standard_cartan = rsmod.standard_cartan
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return standard_cartan(*args)
+
+    monkeypatch.setattr(rsmod, "standard_cartan", counted)
+    rsmod.subsystem(rs, nodes)
+    assert len(seen) == calls, seen
 
 
 def test_diagram_automorphism_groups():
@@ -389,17 +413,6 @@ def test_standard_cartan_matches_euclidean_model(family, n):
     assert rsmod.standard_cartan(f"{family[0]}{n}") == rsmod.standard_cartan(family, n)
 
 
-def _is_connected(cartan, nodes):
-    seen, queue = {nodes[0]}, [nodes[0]]
-    while queue:
-        i = queue.pop()
-        for j in nodes:
-            if j not in seen and cartan[i - 1][j - 1]:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == len(nodes)
-
-
 def _valid_ranks(family, m):
     if family in ("E6", "E7", "E8", "F4", "G2"):
         return int(family[1]) == m
@@ -419,7 +432,7 @@ def test_diagram_isomorphisms_match_brute_force(family, n, full_only):
     sizes = [n] if full_only else range(1, n + 1)
     for k in sizes:
         for comp in itertools.combinations(range(1, n + 1), k):
-            if not _is_connected(rs.cartan, comp):
+            if not is_connected(rs.cartan, comp):
                 continue
             for target in rsmod.FAMILIES:
                 got = rsmod.diagram_isomorphisms(rs, comp, target, k)
@@ -438,17 +451,18 @@ def test_diagram_isomorphisms_match_brute_force(family, n, full_only):
 def test_connected_subsystems_are_build_systems(family, n):
     # a connected node set is laid out in a standard numbering, so its
     # system is the one interned system of its type; a disconnected one
-    # keeps its ascending order and has no type
+    # spans no simple type and is refused
     rs = rsmod.build(family, n)
     ambient = euclidean_positive_roots(family, n)
     for k in range(1, n):
         for S in itertools.combinations(range(1, n + 1), k):
+            if not is_connected(rs.cartan, S):
+                with pytest.raises(InvariantViolation,
+                                   match="span no simple type"):
+                    rsmod.subsystem(rs, S)
+                continue
             sub = rsmod.subsystem(rs, S)
-            label = sub.system.type_label
-            if _is_connected(rs.cartan, S):
-                assert sub.system is rsmod.build(label, k), S
-            else:
-                assert label is None and sub.nodes == S
+            assert sub.system is rsmod.build(sub.system.type_label, k), S
             assert sorted(sub.nodes) == list(S)
             supported = {beta for beta in ambient
                          if all(x == 0 or i + 1 in S
@@ -488,8 +502,8 @@ def test_relabelings_check_every_placed_neighbour():
 
 def test_leaf_matching_builds_no_other_standard_system():
     # a fresh interpreter, so that no earlier test has interned rank 22; the
-    # Levi datum reads its roots off the ambient ones, so no derived system
-    # is interned, no negative root is built and no line is numbered
+    # Levi datum reads its roots off the ambient ones, so no subsystem's
+    # system is interned, no negative root is built and no line is numbered
     code = (
         "import sphroots.rootsystem as rsmod\n"
         "from sphroots.cli import main\n"
@@ -506,18 +520,21 @@ def test_leaf_matching_builds_no_other_standard_system():
 
 
 @pytest.mark.parametrize("family,n", [("F4", 4), ("E6", 6), ("D", 5)])
-def test_from_cartan_of_node_subsets_matches_ambient_roots(family, n):
+def test_closure_of_node_subsets_matches_ambient_roots(family, n):
+    # every submatrix, the disconnected ones too, closes to the ambient
+    # roots supported on its nodes
     ambient = euclidean_positive_roots(family, n)
     cartan = rsmod.standard_cartan(family, n)
     for k in range(n):
         for nodes in itertools.combinations(range(n), k):
-            sub = rsmod.from_cartan(tuple(cartan[i][j] for j in nodes)
-                                    for i in nodes)
+            sub = tuple(tuple(cartan[i][j] for j in nodes) for i in nodes)
+            roots, _, _ = rsmod._close_positive_roots(
+                sub, rsmod._symmetrizer(sub))
             supported = {tuple(beta[i] for i in nodes) for beta in ambient
                          if not any(x for i, x in enumerate(beta)
                                     if i not in nodes)}
-            assert set(sub.positive_roots) == supported, nodes
-            assert len(sub.positive_roots) == len(supported)
+            assert set(roots) == supported, nodes
+            assert len(roots) == len(supported)
 
 
 @pytest.mark.parametrize(
@@ -525,7 +542,7 @@ def test_from_cartan_of_node_subsets_matches_ambient_roots(family, n):
     ALL_TYPES + [(f, 30) for f in "ABCD"] + [("C", 64)])
 def test_closure_matches_plain_closure_and_pairing_lengths(family, n):
     cartan = rsmod.standard_cartan(family, n)
-    symmetrizer = rsmod._symmetrizer_from_cartan(cartan)
+    symmetrizer = rsmod._symmetrizer(cartan)
     roots, norms, codes = rsmod._close_positive_roots(cartan, symmetrizer)
     assert roots == close_positive_roots(cartan)
     assert norms.keys() == set(roots)
@@ -541,18 +558,18 @@ def test_closure_matches_plain_closure_and_pairing_lengths(family, n):
 def test_closure_count_at_rank_30(family):
     cartan = rsmod.standard_cartan(family, 30)
     roots, _, _ = rsmod._close_positive_roots(
-        cartan, rsmod._symmetrizer_from_cartan(cartan))
+        cartan, rsmod._symmetrizer(cartan))
     assert len(roots) == len(set(roots)) == COUNTS[family](30)
     assert all(min(r) >= 0 for r in roots)
 
 
 @pytest.mark.parametrize("family,n", [("A", 5), ("B", 7), ("C", 64),
                                       ("D", 64), ("E8", 8), ("F4", 4),
-                                      ("G2", 2), ("E6+A1", 7)])
+                                      ("G2", 2)])
 def test_line_numbering_keys_follow_the_sorted_height_order(family, n):
     # positive root i is line i, its negative line N + i and the zero
     # weight line 2N, so the positive lines run in (height, lex) order
-    rs = system(family, n)
+    rs = rsmod.build(family, n)
     roots, lines = rs.positive_roots, rs.lines
     count = len(roots)
     assert len(lines) == 2 * count + 1

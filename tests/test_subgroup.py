@@ -60,13 +60,14 @@ def test_connected_reduction_has_the_wire_form_of_its_type():
                                  "levi_complement": [1], "psi": [[1]]}
 
 
-def test_derived_datum_has_no_wire_form():
-    # alpha_1 and alpha_3 reduce A3 onto the disconnected nodes (1, 3)
-    reduced, sub = ambient_reduction(
-        datum("A", 3, (1, 2, 3), [(1, 0, 0), (0, 0, 1)]))
-    assert reduced.rs.type_label is None and sub.nodes == (1, 3)
-    with pytest.raises(InvariantViolation, match="no wire form"):
-        reduced.to_wire()
+def test_ambient_reduction_refuses_disconnected_supports():
+    # alpha_1 and alpha_3 of A3 are two blocks whose supports, nodes 1
+    # and 3, span no simple type
+    H = datum("A", 3, (1, 2, 3), [(1, 0, 0), (0, 0, 1)])
+    assert len(sm_decomposition(H).components) == 2
+    with pytest.raises(InvariantViolation,
+                       match=r"nodes \(1, 3\) span no simple type"):
+        ambient_reduction(H)
 
 
 def test_sm_decomposition_examples():
@@ -178,9 +179,6 @@ def test_ambient_reduction_examples():
     reduced, sub = ambient_reduction(H)
     assert sub.nodes == (1, 2, 3)
     assert reduced.psi == H.psi
-
-    reduced, sub = ambient_reduction(datum("B", 3, (3,), []))
-    assert sub.nodes == () and reduced.psi == ()
 
 
 def test_ambient_reduction_preserves_structure():

@@ -71,12 +71,12 @@ class RootSystem:
     ``type_label`` names the family and ``cartan``, its standard matrix
     (:func:`standard_cartan`), holds at ``cartan[i][j]`` the pairing of
     the i-th simple coroot with the j-th simple root (rows indexed by
-    coroots).  ``symmetrizer`` holds positive integers d_i making
-    ``d_i * cartan[i][j]`` symmetric.
+    coroots), and is connected.  ``symmetrizer`` holds positive integers
+    d_i making ``d_i * cartan[i][j]`` symmetric, set in one walk from node 1.
 
-    Systems are interned by :func:`build`, one per type, and compare by
-    identity; a subsystem on a connected node set is the system of its
-    type (:func:`subsystem`).  The closure yields the
+    Systems are interned by :func:`build`, one per ``(family, n)``, and
+    compare by identity; a subsystem on a connected node set is the system
+    of its type (:func:`subsystem`).  The closure yields the
     squared length of every positive root, kept in ``_norms``, and its
     integer code (:data:`CODE_OFFSET`), kept in ``codes``; ``zero_code`` is
     the code of the zero weight.  What else is derived from a system is
@@ -212,8 +212,9 @@ def _bonds(family: str, n: int) -> list[tuple[int, int, int, int]]:
 def standard_cartan(type_label: str, rank: Optional[int] = None) -> tuple[Vector, ...]:
     """Cartan matrix of a simple type in Bourbaki numbering.
 
-    Raises InvalidType like :func:`normalize_type`.  Cheap to rebuild, so
-    it is not memoized; it builds no root system.
+    Raises InvalidType like :func:`normalize_type`.  It runs once per new
+    system in :func:`build` and in :func:`_standard_layout`'s comparison;
+    it builds no root system.
     """
     family, n = normalize_type(type_label, rank)
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -223,35 +224,29 @@ def standard_cartan(type_label: str, rank: Optional[int] = None) -> tuple[Vector
 
 
 def _symmetrizer(cartan: tuple[Vector, ...]) -> Vector:
-    """Positive integers d with d_i c_ij = d_j c_ji.
+    """Positive integers d with d_i c_ij = d_j c_ji, for a connected matrix.
 
     The result is the primitive integer vector proportional to the rational
-    solution with d = 1 at the least node of each connected component.
-    Every entry set so far is ``scale`` times that solution; when a
-    quotient would not be whole, all entries and ``scale`` grow together.
+    solution with d = 1 at node 1.  One walk from node 1 sets each entry
+    from a neighbour's; when a quotient would not be whole, every entry set
+    so far grows by the missing factor.  So d_1 ends as the least common
+    denominator of that solution, and no prime divides every entry.
     """
     n = len(cartan)
-    d = [0] * n
-    scale = 1
-    for start in range(n):
-        if d[start]:
-            continue
-        d[start] = scale
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i != j and cartan[i][j] != 0 and not d[j]:
-                    num, den = d[i] * abs(cartan[i][j]), abs(cartan[j][i])
-                    factor = den // gcd(num, den)
-                    if factor != 1:
-                        d = [x * factor for x in d]
-                        scale *= factor
-                        num *= factor
-                    d[j] = num // den
-                    queue.append(j)
-    divisor = gcd(*d)
-    return tuple(x // divisor for x in d)
+    d = [1] + [0] * (n - 1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if cartan[i][j] and not d[j]:
+                num, den = d[i] * abs(cartan[i][j]), abs(cartan[j][i])
+                factor = den // gcd(num, den)
+                if factor != 1:
+                    d = [x * factor for x in d]
+                    num *= factor
+                d[j] = num // den
+                queue.append(j)
+    return tuple(d)
 
 
 def _zero_code(rank: int) -> int:
@@ -319,29 +314,32 @@ def _close_positive_roots(cartan: tuple[Vector, ...], symmetrizer: Vector
     return tuple(ordered), norms, codes
 
 
-_systems: dict[tuple[Vector, ...], RootSystem] = {}
+_systems: dict[tuple[str, int], RootSystem] = {}
 
 
 def build(type_label: str, rank: Optional[int] = None) -> RootSystem:
-    """The interned root system of a simple type, one per standard Cartan
-    matrix (:func:`standard_cartan`).
+    """The interned root system of a simple type, one per ``(family, n)``
+    that :func:`normalize_type` returns.
 
-    Positive roots come sorted by (height, lexicographic coefficients),
-    and their number is checked against the type's.  Raises InvalidType
-    for out-of-range family/rank combinations.
+    A hit costs the normalization and one dict lookup.  A new system's
+    standard matrix (:func:`standard_cartan`) is connected and walked once
+    from node 1 for its symmetrizer.  Positive roots come sorted by
+    (height, lexicographic coefficients), and their number is checked
+    against the type's.  Raises InvalidType for out-of-range family/rank
+    combinations.
     """
-    family, n = normalize_type(type_label, rank)
-    key = standard_cartan(family, n)
+    family, n = key = normalize_type(type_label, rank)
     rs = _systems.get(key)
     if rs is None:
-        symmetrizer = _symmetrizer(key)
-        positive, norms, codes = _close_positive_roots(key, symmetrizer)
+        cartan = standard_cartan(family, n)
+        symmetrizer = _symmetrizer(cartan)
+        positive, norms, codes = _close_positive_roots(cartan, symmetrizer)
         expected = _POSITIVE_COUNT[family](n)
         if len(positive) != expected:
             raise InvariantViolation(
                 f"{family}{n}: closure produced {len(positive)} positive "
                 f"roots, expected {expected}")
-        rs = _systems[key] = RootSystem(family, n, key, symmetrizer,
+        rs = _systems[key] = RootSystem(family, n, cartan, symmetrizer,
                                         positive, norms, codes)
     return rs
 

@@ -103,6 +103,30 @@ def _matches(certificate):
             yield from _matches(value)
 
 
+Solved = namedtuple("Solved", "datum roots table agree")
+Solved.__doc__ = """One spherical datum solved on all three routes.
+
+``roots`` is the root set ``base_solve`` computed, ``table`` the table
+route's result or the SphrootsError it raised, and ``agree`` whether the
+three routes gave the same roots (False when the table route raised).
+"""
+
+
+def solve_every_datum(rs):
+    """Each spherical datum of ``rs`` (:func:`_spherical_data`), solved on
+    all three routes, one at a time."""
+    for H in _spherical_data(rs):
+        computed = base_solve(H).root_set
+        blockwise = optimized_solve(H, "compute").root_set
+        try:
+            table = optimized_solve(H, "table")
+        except SphrootsError as exc:
+            yield Solved(H, computed, exc, False)
+            continue
+        yield Solved(H, computed, table,
+                     computed == blockwise == table.root_set)
+
+
 @functools.cache
 def every_datum_sweep() -> Sweep:
     """Solve every spherical datum of every type of ``EVERY_DATUM_TYPES``
@@ -111,18 +135,15 @@ def every_datum_sweep() -> Sweep:
     for family, n in EVERY_DATUM_TYPES:
         data = []
         roots = sweep.roots[family, n] = set()
-        for H in _spherical_data(rsmod.build(family, n)):
+        for H, computed, table, agree in solve_every_datum(
+                rsmod.build(family, n)):
             data.append(H)
-            computed = base_solve(H).root_set
             roots |= computed
-            blockwise = optimized_solve(H, "compute").root_set
-            try:
-                table = optimized_solve(H, "table")
-            except SphrootsError as exc:
-                sweep.failures.append((H, exc))
+            if isinstance(table, SphrootsError):
+                sweep.failures.append((H, table))
                 continue
             sweep.reached.update(_matches(table.certificate))
-            if not computed == blockwise == table.root_set:
+            if not agree:
                 sweep.disagreements.append(H)
         sweep.data[family, n] = tuple(data)
         sweep.counts[family, n] = (len(data),

@@ -219,9 +219,21 @@ def test_croot_support_restricts_to_nonzero_entries():
         assert supp & set(L.complement) == expected
 
 
-def test_build_interns_per_normalized_type():
-    assert rsmod.build("B3") is rsmod.build("B", 3)
+def test_build_interns_per_normalized_type(monkeypatch):
+    b3 = rsmod.build("B3")
+    assert b3 is rsmod.build("B", 3)
     assert rsmod.build("E6") is rsmod.build("E6", 6)
+    # a hit is a dict lookup on the normalized type: no Cartan matrix is built
+    standard_cartan, calls = rsmod.standard_cartan, []
+
+    def counted(*args):
+        calls.append(args)
+        return standard_cartan(*args)
+
+    monkeypatch.setattr(rsmod, "standard_cartan", counted)
+    assert all(rsmod.build(*label) is b3
+               for label in [("b", 3), ("B3",), ("B", 3)])
+    assert calls == []
 
 
 def test_full_subsystem_is_the_system():
